@@ -323,9 +323,9 @@ def run_experiment(cfg: dict) -> tuple[list[dict], list[str]]:
     raise ConfigError(f"unknown experiment {cfg.get('experiment')!r}; choose from {EXPERIMENTS}")
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Static validation; returns human-readable diagnostics (empty if ok)."""
-    diagnostics = []
+def validate_config(cfg: dict) -> list[tuple[str, type[Exception] | None]]:
+    """Static validation; returns (diagnostic, error class or None) pairs."""
+    diagnostics: list[tuple[str, type[Exception] | None]] = []
     try:
         if cfg.get("experiment") not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {cfg.get('experiment')!r}")
@@ -333,7 +333,8 @@ def validate_config(cfg: dict) -> list[str]:
         if isinstance(system, RectangleExchange):
             report = system.validate()
             if report:
-                diagnostics.append(f"ERROR[ValidationError]: tiling check failed: {report}")
+                diagnostics.append(
+                    (f"ERROR[ValidationError]: tiling check failed: {report}", ValidationError))
         if "partition" in cfg and cfg["partition"].get("kind") != "sources":
             build_partition(cfg["partition"])
         if "family" in cfg:
@@ -348,16 +349,19 @@ def validate_config(cfg: dict) -> list[str]:
                         raise BudgetError(
                             f"predicted {cuts} join cut points exceed budget {MAX_JOIN_CUTS}"
                         )
-                    diagnostics.append(f"j={j}: predicted cut budget {cuts} (ok)")
+                    diagnostics.append((f"j={j}: predicted cut budget {cuts} (ok)", None))
         if "m_cap" in cfg and isinstance(system, IntervalExchange):
             system.check_alias(int(cfg["m_cap"]))
         if cfg.get("experiment") in ("mc-entropy",) and cfg.get("seed") is None:
             raise ConfigError("Monte Carlo experiments need an explicit seed")
-    except (AliasingError, BudgetError) as exc:
-        diagnostics.append(f"ERROR[{type(exc).__name__}]: {exc}")
     except (SeqentError, KeyError) as exc:
-        diagnostics.append(f"ERROR[{type(exc).__name__}]: {exc}")
+        diagnostics.append((f"ERROR[{type(exc).__name__}]: {exc}", type(exc)))
     return diagnostics
+
+
+def _exit_code(error: type[Exception]) -> int:
+    """2 for budget and aliasing errors, 1 for every other config or library error."""
+    return 2 if issubclass(error, (AliasingError, BudgetError)) else 1
 
 
 # -- presets ----------------------------------------------------------------------
@@ -517,22 +521,21 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "validate":
             diagnostics = validate_config(cfg)
-            errors = [d for d in diagnostics if d.startswith("ERROR")]
-            for d in diagnostics:
-                print(d)
+            for text, _ in diagnostics:
+                print(text)
+            errors = [error for _, error in diagnostics if error is not None]
             if errors:
-                return 2 if ("Aliasing" in errors[0] or "Budget" in errors[0]) else 1
+                return _exit_code(errors[0])
             print("ok")
             return 0
 
         if args.seed is not None:
             cfg["seed"] = args.seed
-        diagnostics = validate_config(cfg)
-        errors = [d for d in diagnostics if d.startswith("ERROR")]
+        errors = [(text, error) for text, error in validate_config(cfg) if error is not None]
         if errors:
-            for d in errors:
-                print(d, file=sys.stderr)
-            return 2 if ("Aliasing" in errors[0] or "Budget" in errors[0]) else 1
+            for text, _ in errors:
+                print(text, file=sys.stderr)
+            return _exit_code(errors[0][1])
         start = time.time()
         rows, warnings = run_experiment(cfg)
         write_outputs(cfg, rows, warnings, Path(args.out_dir), args.format,
@@ -541,13 +544,10 @@ def main(argv=None) -> int:
             print(f"note: {w}")
         print(f"wrote {len(rows)} rows to {args.out_dir}")
         return 0
-    except (AliasingError, BudgetError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
     except (SeqentError, KeyError) as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - internal faults
+        return _exit_code(type(exc))
+    except Exception as exc:  # internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -31,6 +31,7 @@ from .core import (
 from .errors import (
     BudgetError,
     DegenerateInputError,
+    SeqentError,
     ValidationError,
     MAX_FAMILY_SIZE,
     MAX_JOIN_CUTS,
@@ -326,7 +327,7 @@ def entropy_trace(T, xi, family_for_j: Callable[[int], IndexFamily],
                 TraceRow(j, len(family), res.entropy_bits,
                          res.entropy_bits / len(family), res.method, res.ci_halfwidth)
             )
-        except Exception as exc:  # per-row error marker
+        except SeqentError as exc:  # per-row error marker
             rows.append(TraceRow(j, 0, None, None, "error", error=f"{type(exc).__name__}: {exc}"))
     return EntropyTrace(tuple(rows))
 

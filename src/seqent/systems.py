@@ -1,7 +1,8 @@
 """Exact measure-preserving systems.
 
 * :class:`IntervalExchange` -- piecewise translations of [0,1), closed under
-  composition, inverse and integer powers.
+  composition, inverse and integer powers, all computed exactly on the
+  integer lattice of the common denominator (:class:`IetLattice`).
 * :class:`RotationSpec` / :func:`golden_rotation` -- high-denominator
   continued-fraction convergents standing in for irrational angles, with a
   hard aliasing guard.
@@ -16,10 +17,13 @@ at cut points is deterministic and composition is associative off a finite set.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, shannon_entropy
 from .errors import AliasingError, BudgetError, DomainError, ValidationError, MAX_POWER
@@ -27,13 +31,6 @@ from .errors import AliasingError, BudgetError, DomainError, ValidationError, MA
 # Aliasing guard: a rotation by p/q may only be iterated while
 # (iteration time) * (interval count) stays below q / ALIAS_SAFETY.
 ALIAS_SAFETY = 1000
-
-
-def _inverse_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,6 @@ class IntervalExchange:
     def is_identity(self) -> bool:
         return len(self.lengths) == 1
 
-    def rotation_angle(self) -> Fraction | None:
-        """The angle if this map is a circle rotation, else None."""
-        if self.is_identity():
-            return ZERO
-        if len(self.lengths) == 2 and self.permutation == (1, 0):
-            return self.lengths[1]
-        return None
-
     # -- action ------------------------------------------------------------
 
     def apply(self, x: Fraction) -> Fraction:
@@ -123,37 +112,14 @@ class IntervalExchange:
         return x + self._translations[i]
 
     def inverse(self) -> "IntervalExchange":
-        inv_perm = _inverse_permutation(self.permutation)
-        lengths = tuple(self.lengths[inv_perm[p]] for p in range(len(self)))
-        return IntervalExchange(lengths, inv_perm, alias_limit=self.alias_limit)
+        return IetLattice.of(self).inverse().to_iet(self.alias_limit)
 
     def compose(self, other: "IntervalExchange") -> "IntervalExchange":
         """The exchange realizing ``self o other`` pointwise off cut points."""
-        other_inv = other.inverse()
-        pts = set(other.cuts)
-        for c in self.cuts:
-            pts.add(other_inv.apply(c))
-        cuts = sorted(pts)
-        highs = cuts[1:] + [ONE]
-        pieces: list[tuple[Fraction, Fraction]] = []  # (length, translation)
-        for a, b in zip(cuts, highs):
-            mid = (a + b) / 2
-            t = self.apply(other.apply(mid)) - mid
-            if pieces and pieces[-1][1] == t:
-                pieces[-1] = (pieces[-1][0] + (b - a), t)
-            else:
-                pieces.append((b - a, t))
-        lengths = tuple(v for v, _ in pieces)
-        lefts = [ZERO]
-        for v in lengths[:-1]:
-            lefts.append(lefts[-1] + v)
-        image_lefts = [lefts[i] + pieces[i][1] for i in range(len(pieces))]
-        order = sorted(range(len(pieces)), key=lambda i: image_lefts[i])
-        perm = [0] * len(pieces)
-        for rank, i in enumerate(order):
-            perm[i] = rank
+        Q = math.lcm(*(v.denominator for v in self.lengths + other.lengths))
         limits = [lim for lim in (self.alias_limit, other.alias_limit) if lim is not None]
-        return IntervalExchange(lengths, tuple(perm), alias_limit=min(limits) if limits else None)
+        return IetLattice.of(self, Q).compose(IetLattice.of(other, Q)).to_iet(
+            min(limits) if limits else None)
 
     def check_alias(self, m: int) -> None:
         if self.alias_limit is not None and abs(m) * len(self) > self.alias_limit:
@@ -162,17 +128,8 @@ class IntervalExchange:
             )
 
     def power(self, m: int) -> "IntervalExchange":
-        """m-fold iterate, by iterative composition with cut deduplication."""
-        if abs(m) > MAX_POWER:
-            raise BudgetError(f"|power| {abs(m)} exceeds MAX_POWER {MAX_POWER}")
-        self.check_alias(m)
-        if m == 0:
-            return IntervalExchange.identity()
-        base = self if m > 0 else self.inverse()
-        result = base
-        for _ in range(abs(m) - 1):
-            result = base.compose(result)
-        return result
+        """m-fold iterate (see :func:`powers_of`)."""
+        return powers_of(self, [m])[m]
 
 
 def iet_apply(T: IntervalExchange, x) -> Fraction:
@@ -187,33 +144,109 @@ def iet_power(T: IntervalExchange, m: int) -> IntervalExchange:
     return T.power(m)
 
 
-def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalExchange]:
-    """Powers T^t for each requested t, sharing the iterative composition work.
+def int_dtype(bound: int):
+    """int64 when integers of absolute value below 2*bound cannot overflow it,
+    otherwise Python ints in object arrays."""
+    return np.int64 if bound < 2**62 else object
 
-    Positive and negative times are built by separate increasing sweeps so no
-    power is composed twice.
+
+@dataclass(frozen=True, eq=False)
+class IetLattice:
+    """An interval exchange on the integer lattice of step 1/Q.
+
+    Piece k is ``[cuts[k], cuts[k+1])`` (the last ends at Q) and is moved by
+    ``trans[k]``, all in units of 1/Q.  Every cut and translation of every
+    power of a rational exchange lies on the lattice of the lcm Q of its
+    length denominators, so all map algebra here is exact integer arithmetic
+    (see :func:`int_dtype` for the array type).
     """
-    times = sorted(set(int(t) for t in times))
-    for t in times:
-        if abs(t) > MAX_POWER:
-            raise BudgetError(f"|power| {abs(t)} exceeds MAX_POWER {MAX_POWER}")
-        T.check_alias(t)
-    out: dict[int, IntervalExchange] = {}
-    for sign in (1, -1):
-        wanted = sorted(abs(t) for t in times if t * sign > 0)
-        if not wanted:
-            continue
-        base = T if sign > 0 else T.inverse()
-        cur = IntervalExchange.identity()
-        k = 0
-        for target in wanted:
-            while k < target:
-                cur = base.compose(cur)
-                k += 1
-            out[sign * target] = cur
-    if 0 in times:
-        out[0] = IntervalExchange.identity()
-    return out
+
+    Q: int
+    cuts: np.ndarray
+    trans: np.ndarray
+
+    @classmethod
+    def of(cls, T: IntervalExchange, Q: int | None = None) -> "IetLattice":
+        """T on the lattice of step 1/Q (default: the lcm of its length denominators)."""
+        Q = Q or math.lcm(*(v.denominator for v in T.lengths))
+        dtype = int_dtype(Q)
+        cuts = np.array([v.numerator * (Q // v.denominator) for v in T.cuts], dtype=dtype)
+        trans = np.array([v.numerator * (Q // v.denominator) for v in T.translations], dtype=dtype)
+        return cls(Q, cuts, trans)
+
+    def scaled(self, factor: int) -> "IetLattice":
+        """The same map on the lattice of step 1/(Q*factor)."""
+        dtype = int_dtype(self.Q * factor)
+        return IetLattice(self.Q * factor, self.cuts.astype(dtype) * factor,
+                          self.trans.astype(dtype) * factor)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x + self.trans[np.searchsorted(self.cuts, x, side="right") - 1]
+
+    def inverse(self) -> "IetLattice":
+        image = self.cuts + self.trans
+        order = np.argsort(image, kind="stable")
+        return IetLattice(self.Q, image[order], -self.trans[order])
+
+    def compose(self, inner: "IetLattice") -> "IetLattice":
+        """``self o inner``, with neighbouring pieces of equal translation
+        merged (which also drops repeated cuts)."""
+        cuts = np.sort(np.concatenate((inner.cuts, inner.inverse().apply(self.cuts))), kind="stable")
+        trans = self.apply(inner.apply(cuts)) - cuts
+        keep = np.ones(len(cuts), dtype=bool)
+        keep[1:] = trans[1:] != trans[:-1]
+        return IetLattice(self.Q, cuts[keep], trans[keep])
+
+    def powers(self, times: Iterable[int]) -> Iterator[tuple[int, "IetLattice"]]:
+        """(t, self^t) for each distinct t: 0 first, then one increasing
+        sweep per sign.  Each step composes the previous power with the
+        repeated squares of the base that make up the gap, so consecutive
+        times cost one composition each and a gap g costs O(log g)."""
+        times = set(times)
+        zero = np.zeros(1, dtype=self.cuts.dtype)
+        identity = IetLattice(self.Q, zero, zero)
+        if 0 in times:
+            yield 0, identity
+        for sign in (1, -1):
+            squares = [self if sign > 0 else self.inverse()]  # base^(2^j)
+            cur, k = identity, 0
+            for target in sorted(abs(t) for t in times if t * sign > 0):
+                gap, j = target - k, 0
+                while gap:
+                    if j == len(squares):
+                        squares.append(squares[-1].compose(squares[-1]))
+                    if gap & 1:
+                        cur = squares[j].compose(cur)
+                    gap, j = gap >> 1, j + 1
+                k = target
+                yield sign * target, cur
+
+    def to_iet(self, alias_limit: int | None) -> IntervalExchange:
+        lengths = np.diff(np.append(self.cuts, self.Q))
+        rank = np.empty(len(self.cuts), dtype=np.intp)
+        rank[np.argsort(self.cuts + self.trans, kind="stable")] = np.arange(len(self.cuts))
+        return IntervalExchange(tuple(Fraction(int(v), self.Q) for v in lengths),
+                                tuple(int(r) for r in rank), alias_limit=alias_limit)
+
+
+def check_powers(T: IntervalExchange, times: Sequence[int]) -> None:
+    """Raise before any work if a requested power exceeds MAX_POWER or the
+    aliasing guard."""
+    m = max((abs(t) for t in times), default=0)
+    if m > MAX_POWER:
+        raise BudgetError(f"|power| {m} exceeds MAX_POWER {MAX_POWER}")
+    T.check_alias(m)
+
+
+def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalExchange]:
+    """Powers T^t for each requested t, from one increasing sweep per sign on
+    T's integer lattice (:meth:`IetLattice.powers`)."""
+    times = [int(t) for t in times]
+    check_powers(T, times)
+    return {
+        t: U.to_iet(T.alias_limit) if t else IntervalExchange.identity()
+        for t, U in IetLattice.of(T).powers(times)
+    }
 
 
 # -- rotations via continued-fraction convergents ---------------------------

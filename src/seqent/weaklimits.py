@@ -7,20 +7,39 @@ with geometric level weights.  Each pair (A,B) contributes its matrix
 coefficient deviation normalized to the centered indicators
 (1_A - mu(A))/sigma(A): without this normalization the fixed thresholds of
 the rigidity/mixing diagnostics would be dominated by a handful of coarse
-sets.  Correlations themselves are exact rationals on every exact path.
+sets.
+
+All correlations come from one exact integer kernel, :func:`_numerators`.
+For an interval exchange whose lengths have lcm denominator Q and test sets
+of depth d, every cut, translation and dyadic endpoint of every power is a
+multiple of 1/G, G = Q * 2^d: the powers are integer arrays
+(:class:`~seqent.systems.IetLattice`), and the dyadic block sums of each
+power's finest-cell matrix give every correlation at once.  For the baker
+map a test rectangle is a (mask, bits) pair over shift coordinates.  Arrays
+are int64 while every intermediate stays below 2^62, else Python integers;
+floats are c / G per entry, in numpy while G < 2^53 and by Python's
+correctly rounded integer division above, equal to float(Fraction(c, G)).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import ONE, ZERO, Rect, as_fraction
-from .errors import BudgetError, ValidationError
-from .systems import BakerMap, IntervalExchange, RectangleExchange, powers_of
+from .errors import ValidationError
+from .systems import (
+    BakerMap,
+    IetLattice,
+    IntervalExchange,
+    RectangleExchange,
+    check_powers,
+    int_dtype,
+)
 
 
 # -- test sets and families ----------------------------------------------------
@@ -158,37 +177,121 @@ class TestFamily:
         return np.sqrt(mu * (1.0 - mu))
 
 
-# -- exact correlations ----------------------------------------------------------
+# -- the integer-lattice correlation kernel ---------------------------------------
 
 
-def _interval_overlap(a0, a1, b0, b1) -> Fraction:
-    lo, hi = max(a0, b0), min(a1, b1)
-    return hi - lo if hi > lo else ZERO
+def _halvings(x: np.ndarray, depth: int) -> np.ndarray:
+    """Rows of x summed over every dyadic block of rows, coarsest level first."""
+    levels = [x]
+    for _ in range(depth):
+        x = x[0::2] + x[1::2]
+        levels.append(x)
+    return np.concatenate(levels[::-1])
 
 
-def _iet_correlation(U: IntervalExchange, A: TestSet1D, B: TestSet1D) -> Fraction:
-    """mu(T^-m A intersect B) given U = T^m, by piecewise translation."""
-    total = ZERO
-    cuts = U.cuts + (ONE,)
-    for k, t in enumerate(U.translations):
-        lo = max(cuts[k], B.lo, A.lo - t)
-        hi = min(cuts[k + 1], B.hi, A.hi - t)
-        if hi > lo:
-            total += hi - lo
-    return total
+def _dyadic_sums(M: np.ndarray, depth: int) -> np.ndarray:
+    """Block sums of a finest-cell matrix over every pair of dyadic intervals
+    of level <= depth, ordered by (level, k) along both axes."""
+    return _halvings(_halvings(M.T, depth).T, depth)
 
 
-def _cylinder_measure(cyls: Iterable[dict[int, int]]) -> Fraction:
-    merged: dict[int, int] = {}
-    for cyl in cyls:
-        for coord, bit in cyl.items():
-            if merged.setdefault(coord, bit) != bit:
-                return ZERO
-    return Fraction(1, 2 ** len(merged))
+def _range_sums(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of M over every pair of cell ranges [lo_a, hi_a) x [lo_b, hi_b)."""
+    S = np.zeros((len(M) + 1, len(M) + 1), dtype=M.dtype)
+    S[1:, 1:] = M.cumsum(axis=0).cumsum(axis=1)
+    return S[np.ix_(hi, hi)] - S[np.ix_(lo, hi)] - S[np.ix_(hi, lo)] + S[np.ix_(lo, lo)]
 
 
-def _shift_cylinder(cyl: dict[int, int], m: int) -> dict[int, int]:
-    return {coord + m: bit for coord, bit in cyl.items()}
+def _cell_matrix(U: IetLattice, edges: np.ndarray) -> np.ndarray:
+    """G * mu(U^-1 I_i intersect I_j) over the cells I_i = [edges[i], edges[i+1]).
+
+    Every gap between the piece cuts, the cell edges and the cell edges'
+    preimages lies in one piece and one cell and maps into one cell, so its
+    length is added to that single entry (repeated points leave empty gaps).
+    """
+    n = len(edges) - 1
+    x = np.sort(np.concatenate((U.cuts, edges, U.inverse().apply(edges[:-1]))), kind="stable")
+    cells = np.searchsorted(edges, np.stack((U.apply(x[:-1]), x[:-1])), side="right") - 1
+    M = np.zeros(n * n, dtype=U.cuts.dtype)
+    np.add.at(M, cells[0] * n + cells[1], x[1:] - x[:-1])
+    return M.reshape(n, n)
+
+
+def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
+    """(mask, bits) of a test rectangle's cylinder: shift coordinate c is bit c + offset."""
+    return (((1 << s.level) - 1) << (offset - s.ylevel),
+            sum(b << (c + offset) for c, b in s.cylinder().items()))
+
+
+def _baker_matrices(ms, sets) -> Iterator[tuple[int, np.ndarray]]:
+    """4^level * mu(S^-m A intersect B) for shift cylinders: A shifted by m
+    and B are consistent iff their bits agree where both masks are set, and
+    then the measure is 2^-(number of bits fixed by either)."""
+    xl = np.array([s.xlevel for s in sets])
+    yl = np.array([s.ylevel for s in sets])
+    level = xl + yl
+    span = int(xl.max() + yl.max())  # |m| >= span leaves no coordinate shared
+    top = 2 * int(level.max())
+    dtype = int_dtype(2 ** max(3 * span, top))
+    offset = int(yl.max()) + span
+    mask, bits = np.array([_cylinder_word(s, offset) for s in sets], dtype=dtype).T
+    one = np.ones((), dtype=dtype)
+    for m in ms:
+        if abs(m) >= span:
+            yield m, np.outer(one << (top // 2 - level), one << (top // 2 - level))
+            continue
+        sa, sb = (mask << m, bits << m) if m >= 0 else (mask >> -m, bits >> -m)
+        clash = (sb[:, None] ^ bits) & sa[:, None] & mask != 0
+        shared = np.maximum(np.minimum(xl[:, None] + m, xl) - np.maximum(m - yl[:, None], -yl), 0)
+        C = one << (top - level[:, None] - level + shared)
+        C[clash] = 0
+        yield m, C
+
+
+def _numerators(T, ms, sets) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
+    """(G, iterator of (m, C)) with C[a, b] = G * mu(T^-m A_a intersect A_b).
+
+    For an interval exchange of unit Q and sets of depth d, G = Q * 2^d and
+    the powers come from one lattice sweep per sign; for the baker map the
+    sets are shift cylinders.  Entries are exact integers (int64 or Python
+    ints, see :func:`int_dtype`).
+    """
+    ms = [int(m) for m in ms]
+    if isinstance(T, IntervalExchange):
+        check_powers(T, ms)
+        depth = max(s.level for s in sets)
+        lattice = IetLattice.of(T).scaled(1 << depth)
+        D = 1 << depth
+        lo = [s.k << (depth - s.level) for s in sets]  # in cells of level depth
+        hi = [(s.k + 1) << (depth - s.level) for s in sets]
+        # every dyadic interval up to depth in (level, k) order: dyadic block
+        # sums; otherwise cells between the sets' own endpoints
+        complete = len(sets) == 2 * D - 1 and [(s.level, s.k) for s in sets] == [
+            (l, k) for l in range(depth + 1) for k in range(1 << l)]
+        grid = range(D + 1) if complete else sorted({0, D, *lo, *hi})
+        a, b = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
+        edges = np.array([g * (lattice.Q >> depth) for g in grid], dtype=lattice.cuts.dtype)
+
+        def sums(M):
+            return _dyadic_sums(M, depth) if complete else _range_sums(M, a, b)
+
+        return lattice.Q, ((m, sums(_cell_matrix(U, edges))) for m, U in lattice.powers(ms))
+    if isinstance(T, BakerMap):
+        return 4 ** max(s.level for s in sets), _baker_matrices(ms, sets)
+    raise ValidationError(
+        f"no exact correlation path for {type(T).__name__}; use correlation_mc"
+    )
+
+
+def _fractions(G: int, C: np.ndarray) -> list[list[Fraction]]:
+    return [[Fraction(int(v), G) for v in row] for row in C]
+
+
+def _floats(G: int, C: np.ndarray) -> np.ndarray:
+    """C / G rounded per entry exactly as float(Fraction(c, G))."""
+    if G < 2**53:  # both operands exact in float64: one correctly rounded division
+        return C / G
+    return (C.astype(object) / G).astype(float)
 
 
 def correlation(T, A, B, m: int) -> Fraction:
@@ -198,13 +301,8 @@ def correlation(T, A, B, m: int) -> Fraction:
     map with dyadic-rectangle test sets; use :func:`correlation_mc` for
     general rectangle exchanges.
     """
-    if isinstance(T, IntervalExchange):
-        return _iet_correlation(T.power(m), A, B)
-    if isinstance(T, BakerMap):
-        return _cylinder_measure([_shift_cylinder(A.cylinder(), m), B.cylinder()])
-    raise ValidationError(
-        f"no exact correlation path for {type(T).__name__}; use correlation_mc"
-    )
+    G, mats = _numerators(T, [m], (A, B))
+    return Fraction(int(next(mats)[1][0, 1]), G)
 
 
 def correlation_mc(T: RectangleExchange, A: TestSet2D, B: TestSet2D, m: int,
@@ -234,58 +332,61 @@ def correlation_mc(T: RectangleExchange, A: TestSet2D, B: TestSet2D, m: int,
 
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
     """Exact mu(T^-m A_i intersect A_j) for every ordered pair."""
-    sets = family.sets
-    if isinstance(T, IntervalExchange):
-        U = T.power(m)
-        return [[_iet_correlation(U, a, b) for b in sets] for a in sets]
-    if isinstance(T, BakerMap):
-        shifted = [_shift_cylinder(a.cylinder(), m) for a in sets]
-        cyls = [b.cylinder() for b in sets]
-        return [[_cylinder_measure([sa, cb]) for cb in cyls] for sa in shifted]
-    raise ValidationError(f"no exact correlation path for {type(T).__name__}")
+    G, mats = _numerators(T, [m], family.sets)
+    return _fractions(G, next(mats)[1])
+
+
+def _identity_numerators(family: TestFamily) -> tuple[int, np.ndarray]:
+    identity = IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D) else BakerMap()
+    G, mats = _numerators(identity, [0], family.sets)
+    return G, next(mats)[1]
 
 
 def intersection_matrix(family: TestFamily) -> list[list[Fraction]]:
     """Exact mu(A_i intersect A_j) (the identity-operator targets)."""
-    sets = family.sets
-    if isinstance(sets[0], TestSet1D):
-        return [[_interval_overlap(a.lo, a.hi, b.lo, b.hi) for b in sets] for a in sets]
-    return [[_cylinder_measure([a.cylinder(), b.cylinder()]) for b in sets] for a in sets]
+    return _fractions(*_identity_numerators(family))
 
 
 # -- weak distances ---------------------------------------------------------------
 
 
-def _distance_from_matrices(corr, targets, family: TestFamily,
-                            normalized: bool = True) -> float:
+def _targets(family: TestFamily, mode: str) -> np.ndarray:
+    if mode == "theta":
+        mu = np.array([float(m) for m in family.measures()])
+        return np.outer(mu, mu)
+    if mode == "identity":
+        return _floats(*_identity_numerators(family))
+    raise ValidationError(f"unknown scan mode {mode!r}")
+
+
+def _distance_to(targets: np.ndarray, family: TestFamily, normalized: bool = True):
+    """The weighted deviation of a float correlation matrix from ``targets``
+    (the matrix is overwritten)."""
     w = family.pair_weight_matrix()
-    c = np.array([[float(v) for v in row] for row in corr])
-    t = np.array([[float(v) for v in row] for row in targets])
-    dev = np.abs(c - t)
-    if normalized:
-        s = family.sigmas()
-        ss = np.outer(s, s)
-        dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
-    return float((w * dev).sum())
+    s = family.sigmas()
+    ss = np.outer(s, s)
+    # x / inf = 0: a set of zero variance contributes no deviation
+    scale = np.where(ss > 0, ss, np.inf)
 
+    def distance(c: np.ndarray) -> float:
+        np.subtract(c, targets, out=c)
+        np.abs(c, out=c)
+        if normalized:
+            np.divide(c, scale, out=c)
+        np.multiply(w, c, out=c)
+        return float(c.sum())
 
-def _theta_targets(family: TestFamily) -> list[list[Fraction]]:
-    mu = family.measures()
-    return [[a * b for b in mu] for a in mu]
+    return distance
 
 
 def dist_to_theta(T, m: int, family: TestFamily, normalized: bool = True) -> float:
     """Weighted deviation of the T^m matrix coefficients from independence."""
-    return _distance_from_matrices(
-        correlation_matrix(T, m, family), _theta_targets(family), family, normalized
-    )
+    return _scan_distances(T, [m], family, "theta", normalized)[0]
 
 
 def dist_to_identity(T, m: int, family: TestFamily, normalized: bool = True) -> float:
     """Weighted deviation of the T^m matrix coefficients from the identity's."""
-    return _distance_from_matrices(
-        correlation_matrix(T, m, family), intersection_matrix(family), family, normalized
-    )
+    return _scan_distances(T, [m], family, "identity", normalized)[0]
 
 
 @dataclass(frozen=True)
@@ -325,56 +426,10 @@ def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily,
         for i in range(n):
             for j in range(n):
                 targets[i][j] += coeff * term[i][j]
-    return _distance_from_matrices(
-        correlation_matrix(T, m, family), targets, family, normalized
-    )
-
-
-# -- fast exact scan for circle rotations -------------------------------------------
-
-
-def _rotation_scan_values(alpha: Fraction, ms: Sequence[int], family: TestFamily,
-                          mode: str, normalized: bool = True) -> np.ndarray:
-    """Exact correlations on an integer grid, vectorized over the family.
-
-    Every test-set endpoint and every orbit offset is an integer multiple of
-    1/G with G = denominator(alpha) * 2^maxlevel, so all overlaps are exact
-    int64 arithmetic; floats appear only in the final weighting.
-    """
-    p, q = alpha.numerator, alpha.denominator
-    depth = max(s.level for s in family.sets)
-    G = q << depth
-    lo = np.array([int(s.k) << (depth - s.level) for s in family.sets], dtype=np.int64) * q
-    length = np.array([1 << (depth - s.level) for s in family.sets], dtype=np.int64) * q
-    blo = lo[None, :]
-    bhi = (lo + length)[None, :]
-    w = family.pair_weight_matrix()
-    mu = np.array([float(m) for m in family.measures()])
-    if mode == "theta":
-        target = np.outer(mu, mu)
-    elif mode == "identity":
-        t0 = np.minimum(lo[:, None] + length[:, None], bhi) - np.maximum(lo[:, None], blo)
-        target = np.maximum(t0, 0) / float(G)
-    else:
-        raise ValidationError(f"unknown scan mode {mode!r}")
-    if normalized:
-        s = family.sigmas()
-        ss = np.outer(s, s)
-        mask = ss > 0
-    out = np.empty(len(ms))
-    for idx, m in enumerate(ms):
-        d = ((m * p) % q) << depth
-        alo = (lo - d) % G
-        ahi = alo + length
-        main = np.minimum(ahi[:, None], bhi) - np.maximum(alo[:, None], blo)
-        ov = np.maximum(main, 0)
-        wrap = np.minimum(ahi[:, None] - G, bhi) - blo
-        ov += np.where(ahi[:, None] > G, np.maximum(wrap, 0), 0)
-        dev = np.abs(ov / float(G) - target)
-        if normalized:
-            dev = np.divide(dev, ss, out=np.zeros_like(dev), where=mask)
-        out[idx] = (w * dev).sum()
-    return out
+    G, mats = _numerators(T, [m], family.sets)
+    distance = _distance_to(np.array([[float(v) for v in row] for row in targets]),
+                            family, normalized)
+    return distance(_floats(G, next(mats)[1]))
 
 
 # -- scans --------------------------------------------------------------------------
@@ -406,26 +461,10 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
     ms = list(ms)
     if not ms:
         return []
-    if isinstance(T, IntervalExchange):
-        T.check_alias(max(abs(m) for m in ms))
-        angle = T.rotation_angle()
-        if angle is not None and angle != 0 and isinstance(family.sets[0], TestSet1D):
-            return list(_rotation_scan_values(angle, ms, family, mode, normalized))
-        targets = _theta_targets(family) if mode == "theta" else intersection_matrix(family)
-        values = []
-        powers = powers_of(T, ms)
-        for m in ms:
-            corr = [
-                [_iet_correlation(powers[m], a, b) for b in family.sets]
-                for a in family.sets
-            ]
-            values.append(_distance_from_matrices(corr, targets, family, normalized))
-        return values
-    targets = _theta_targets(family) if mode == "theta" else intersection_matrix(family)
-    return [
-        _distance_from_matrices(correlation_matrix(T, m, family), targets, family, normalized)
-        for m in ms
-    ]
+    distance = _distance_to(_targets(family, mode), family, normalized)
+    G, mats = _numerators(T, ms, family.sets)
+    values = {m: distance(_floats(G, C)) for m, C in mats}
+    return [values[m] for m in ms]
 
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
@@ -463,53 +502,29 @@ def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
 # -- triple correlations ---------------------------------------------------------
 
 
-def _iet_preimage_intervals(T: IntervalExchange, m: int, A: TestSet1D):
-    """T^-m A as a sorted list of disjoint intervals, exact."""
-    U = T.power(m)
-    cuts = U.cuts + (ONE,)
-    out = []
-    for k, t in enumerate(U.translations):
-        lo = max(cuts[k], A.lo - t)
-        hi = min(cuts[k + 1], A.hi - t)
-        if lo < hi:
-            out.append((lo, hi))
-    return sorted(out)
-
-
-def _union_intersection_length(unions) -> Fraction:
-    """Total length of the intersection of several interval unions."""
-    total = ZERO
-    first, rest = unions[0], unions[1:]
-    for lo, hi in first:
-        pieces = [(lo, hi)]
-        for other in rest:
-            nxt = []
-            for a, b in pieces:
-                for c, d in other:
-                    x, y = max(a, c), min(b, d)
-                    if x < y:
-                        nxt.append((x, y))
-            pieces = nxt
-            if not pieces:
-                break
-        total += sum((b - a for a, b in pieces), ZERO)
-    return total
-
-
 def triple_correlation(T, A, m: int, n: int) -> Fraction:
     """mu(A intersect T^-m A intersect T^-n A), exact."""
     if m == n:
         raise ValidationError("triple correlation needs distinct times m != n")
     if isinstance(T, IntervalExchange):
-        unions = [
-            [(A.lo, A.hi)],
-            _iet_preimage_intervals(T, m, A),
-            _iet_preimage_intervals(T, n, A),
-        ]
-        return _union_intersection_length(unions)
+        check_powers(T, [m, n])
+        lattice = IetLattice.of(T).scaled(1 << A.level)
+        G = lattice.Q
+        lo, hi = A.k * (G >> A.level), (A.k + 1) * (G >> A.level)
+        edges = np.array([e for e in (lo, hi) if e < G], dtype=lattice.cuts.dtype)
+        maps = [U for _, U in lattice.powers([0, m, n])]
+        x = np.unique(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]))
+        inside = np.ones(len(x), dtype=bool)
+        for U in maps:
+            y = U.apply(x)
+            inside &= (y >= lo) & (y < hi)
+        return Fraction(int(np.diff(np.append(x, G))[inside].sum()), G)
     if isinstance(T, BakerMap):
-        cyl = A.cylinder()
-        return _cylinder_measure([cyl, _shift_cylinder(cyl, m), _shift_cylinder(cyl, n)])
+        offset = A.ylevel + max(0, -m, -n)
+        words = [_cylinder_word(A, offset + t) for t in (0, m, n)]
+        if any((b1 ^ b2) & m1 & m2 for (m1, b1), (m2, b2) in itertools.combinations(words, 2)):
+            return ZERO
+        return Fraction(1, 2 ** bin(words[0][0] | words[1][0] | words[2][0]).count("1"))
     raise ValidationError(f"no exact triple-correlation path for {type(T).__name__}")
 
 

@@ -41,7 +41,7 @@ from seqent.seqentropy import baker_join_measures_grid
 from seqent.systems import discontinuity_length
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
-from seqent.weaklimits import _iet_correlation, _scan_distances, dist_to_theta
+from seqent.weaklimits import _scan_distances, correlation, dist_to_theta
 
 F = Fraction
 
@@ -250,7 +250,7 @@ def test_criterion_09_oracle_equivalence():
             A = Dyadic1D(la, rng.randrange(2**la))
             B = Dyadic1D(lb, rng.randrange(2**lb))
             m = rng.randint(0, 10)
-            assert _iet_correlation(T.power(m), A, B) == brute_correlation(T, A, B, m)
+            assert correlation(T, A, B, m) == brute_correlation(T, A, B, m)
 
 
 def test_criterion_10_geometric_families():

@@ -103,6 +103,17 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
 
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch):
+        # a family maker returning None is a program fault, not a config error
+        monkeypatch.setattr("seqent.cli.build_family_maker", lambda spec: lambda j: None)
+        path = write_config(tmp_path, {
+            "experiment": "entropy-trace",
+            "system": {"kind": "bernoulli", "masses": ["1/2", "1/2"]},
+            "family": {"kind": "progression"},
+            "j_values": [2],
+        })
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 3
+
     def test_unknown_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "missing.json"),
                        "--out-dir", str(tmp_path)) == 1
@@ -146,6 +157,12 @@ class TestValidate:
         path = write_config(tmp_path, cfg)
         assert run_cli("validate", "--config", path) == 2
         assert "aliasing" in capsys.readouterr().out.lower()
+
+    def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "Budget-scan"})
+        assert run_cli("validate", "--config", path) == 1
+        assert "ConfigError" in capsys.readouterr().out
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 1
 
 
 class TestPresetsRunnable:

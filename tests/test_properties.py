@@ -1,0 +1,114 @@
+"""Property tests: the integer-lattice kernels against the Fraction and
+cylinder-dictionary oracles in ``oracles.py``."""
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqent import BakerMap, IntervalExchange, correlation, triple_correlation
+from seqent.systems import powers_of
+from seqent.weaklimits import TestFamily as Family
+from seqent.weaklimits import TestSet1D as Dyadic1D
+from seqent.weaklimits import TestSet2D as Dyadic2D
+from seqent.weaklimits import correlation_matrix
+
+from oracles import cylinder_measure, fraction_power, oracle_correlation_matrix, shift_cylinder
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+TIMES = st.integers(-12, 12)
+
+
+@st.composite
+def iets(draw):
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return IntervalExchange(tuple(Fraction(w, sum(weights)) for w in weights), tuple(perm))
+
+
+@st.composite
+def dyadic_intervals(draw, max_level=5):
+    level = draw(st.integers(0, max_level))
+    return Dyadic1D(level, draw(st.integers(0, 2**level - 1)))
+
+
+@st.composite
+def dyadic_rectangles(draw, max_level=3):
+    xl, yl = draw(st.integers(0, max_level)), draw(st.integers(0, max_level))
+    return Dyadic2D(xl, draw(st.integers(0, 2**xl - 1)), yl, draw(st.integers(0, 2**yl - 1)))
+
+
+@st.composite
+def interval_families(draw):
+    """A full dyadic family of depth <= 3, possibly with one set replaced, or
+    the full space plus up to eight dyadic intervals of level <= 5."""
+    if draw(st.booleans()):
+        sets = list(Family.dyadic_intervals(draw(st.integers(0, 3))).sets)
+        if len(sets) > 1 and draw(st.booleans()):
+            sets[draw(st.integers(1, len(sets) - 1))] = draw(dyadic_intervals(3))
+        return Family(tuple(sets))
+    sets = draw(st.lists(dyadic_intervals(), max_size=8))
+    return Family((Dyadic1D(0, 0), *sets))
+
+
+@SETTINGS
+@given(iets(), TIMES, interval_families())
+def test_correlation_matrix_matches_fraction_oracle(T, m, family):
+    assert correlation_matrix(T, m, family) == oracle_correlation_matrix(T, m, family)
+
+
+@SETTINGS
+@given(iets(), st.lists(TIMES, min_size=1, max_size=6))
+def test_powers_of_matches_iterated_compose(T, times):
+    powers = powers_of(T, times)
+    assert set(powers) == set(times)
+    for t in times:
+        assert powers[t] == fraction_power(T, t)
+
+
+@SETTINGS
+@given(iets(), TIMES, TIMES)
+def test_power_of_a_sum_is_a_composition(T, a, b):
+    assert T.power(a + b) == T.power(a).compose(T.power(b))
+
+
+@SETTINGS
+@given(iets(), dyadic_intervals(), TIMES, TIMES)
+def test_iet_triple_correlation_matches_oracle(T, A, m, n):
+    if m == n:
+        return
+    U, V = fraction_power(T, m), fraction_power(T, n)
+    # every endpoint of A, T^-m A and T^-n A lies on this grid, so counting
+    # grid points (maps are right-continuous) measures the intersection exactly
+    grid = math.lcm(*(v.denominator for v in T.lengths)) << A.level
+    hits = sum(
+        1 for i in range(A.k * grid >> A.level, (A.k + 1) * grid >> A.level)
+        if A.lo <= U.apply(Fraction(i, grid)) < A.hi and A.lo <= V.apply(Fraction(i, grid)) < A.hi
+    )
+    assert triple_correlation(T, A, m, n) == Fraction(hits, grid)
+
+
+@SETTINGS
+@given(dyadic_rectangles(), dyadic_rectangles(), st.integers(-8, 8))
+def test_baker_correlation_matches_cylinder_oracle(A, B, m):
+    expected = cylinder_measure([shift_cylinder(A.cylinder(), m), B.cylinder()])
+    assert correlation(BakerMap(), A, B, m) == expected
+
+
+@SETTINGS
+@given(st.lists(dyadic_rectangles(), max_size=6), st.integers(-8, 8))
+def test_baker_correlation_matrix_matches_cylinder_oracle(sets, m):
+    family = Family((Dyadic2D(0, 0, 0, 0), *sets))
+    assert correlation_matrix(BakerMap(), m, family) == oracle_correlation_matrix(
+        BakerMap(), m, family)
+
+
+@SETTINGS
+@given(dyadic_rectangles(), st.integers(-8, 8), st.integers(-8, 8))
+def test_baker_triple_correlation_matches_cylinder_oracle(A, m, n):
+    if m == n:
+        return
+    cyl = A.cylinder()
+    expected = cylinder_measure([cyl, shift_cylinder(cyl, m), shift_cylinder(cyl, n)])
+    assert triple_correlation(BakerMap(), A, m, n) == expected

@@ -197,6 +197,10 @@ class TestEntropyTrace:
         assert trace.rows[0].error is None and trace.rows[2].error is None
         assert len(trace.ok_rows()) == 2
 
+    def test_non_library_errors_propagate(self):
+        with pytest.raises(AttributeError):
+            entropy_trace(IntervalExchange.identity(), HALVES, lambda j: None, [2])
+
 
 class TestSupOverPartitions:
     def test_fair_bernoulli_depth2_envelope(self):

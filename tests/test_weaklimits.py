@@ -22,7 +22,9 @@ from seqent import (
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import _scan_distances
+from seqent.weaklimits import _scan_distances, correlation_matrix
+
+from oracles import oracle_correlation_matrix, oracle_distance
 
 F = Fraction
 
@@ -99,6 +101,15 @@ class TestCorrelation:
                 correlation(BakerMap(), Dyadic2D(2, k, 0, 0), B2, m) for k in range(4)
             )
             assert total == B2.measure
+
+    def test_family_that_only_resembles_the_full_dyadic_one(self):
+        # size and left endpoints of dyadic_intervals(2), but (1,1) is now (2,2)
+        sets = list(Family.dyadic_intervals(2).sets)
+        sets[2] = Dyadic1D(2, 2)
+        fam = Family(tuple(sets))
+        T = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))
+        for m in (1, 3):
+            assert correlation_matrix(T, m, fam) == oracle_correlation_matrix(T, m, fam)
 
     def test_brute_force_oracle_agreement(self):
         rng = random.Random(21)
@@ -182,15 +193,31 @@ class TestAdmissible:
 
 
 class TestScans:
-    def test_fast_rotation_path_matches_generic(self):
+    def test_rotation_scan_matches_fraction_oracle(self):
         T = golden_rotation().to_iet()
         fam = Family.dyadic_intervals(4)
         ms = [1, 7, 55, 610]
-        fast_theta = _scan_distances(T, ms, fam, "theta")
-        fast_ident = _scan_distances(T, ms, fam, "identity")
-        for m, ft, fi in zip(ms, fast_theta, fast_ident):
-            assert ft == dist_to_theta(T, m, fam)
-            assert fi == dist_to_identity(T, m, fam)
+        scan_theta = _scan_distances(T, ms, fam, "theta")
+        scan_ident = _scan_distances(T, ms, fam, "identity")
+        for m, st, si in zip(ms, scan_theta, scan_ident):
+            assert st == dist_to_theta(T, m, fam)
+            assert si == dist_to_identity(T, m, fam)
+            corr = oracle_correlation_matrix(T, m, fam)
+            assert st == oracle_distance(corr, fam, "theta")
+            assert si == oracle_distance(corr, fam, "identity")
+
+    @pytest.mark.parametrize("order", [80, 83, 90])
+    def test_large_denominator_scans_match_fraction_oracle(self, order):
+        # G = F_order * 2^6 is past 2^53, so float(c / G) needs exact division;
+        # from order 83 on it is also past int64
+        T = golden_rotation(order).to_iet()
+        fam = Family.dyadic_intervals(6)
+        mixing = dict(mixing_time_scan(T, 0, 0.05, 13, fam).values)
+        rigidity = dict(rigidity_scan(T, 13, 0.02, fam).values)
+        for m in (1, 5, 13):
+            corr = oracle_correlation_matrix(T, m, fam)
+            assert mixing[m] == oracle_distance(corr, fam, "theta")
+            assert rigidity[m] == oracle_distance(corr, fam, "identity")
 
     def test_mixing_scan_baker(self):
         report = mixing_time_scan(BakerMap(), 0, 0.05, 20, FAM2D)

@@ -3,7 +3,6 @@ measure-preserving systems (interval and rectangle exchanges, rotations by
 continued-fraction convergents, Bernoulli shifts and the baker map)."""
 
 from .core import (
-    ExactRational,
     IntervalPartition,
     ProbabilityVector,
     Rect,
@@ -50,15 +49,9 @@ from .systems import (
     IntervalExchange,
     RectangleExchange,
     RotationSpec,
-    bernoulli_label,
     discontinuity_length,
     fibonacci_numbers,
     golden_rotation,
-    iet_apply,
-    iet_compose,
-    iet_power,
-    rect_apply,
-    rect_validate,
 )
 from .weaklimits import (
     AdmissibleSpec,
@@ -67,7 +60,6 @@ from .weaklimits import (
     TestSet1D,
     TestSet2D,
     correlation,
-    correlation_mc,
     dist_to_admissible,
     dist_to_identity,
     dist_to_theta,

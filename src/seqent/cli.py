@@ -3,11 +3,14 @@
 Subcommands:
 
 * ``seqent run --config cfg.json [--out-dir DIR] [--format csv|json|both]
-  [--seed N] [--jobs N]`` -- execute a declarative experiment config.
+  [--seed N]`` -- execute a declarative experiment config.
 * ``seqent validate --config cfg.json`` -- full static validation, including
   a cut-point budget estimate, without running anything.
 * ``seqent list-presets`` -- catalog of built-in experiment configs
   (run one with ``--config preset:NAME``).
+
+Each experiment is one ``EXPERIMENTS`` entry; validation builds what its
+runner needs once, and ``run`` passes that on.
 
 Configs are JSON with every measure written as an exact fraction string
 ("13/21"); floating literals are rejected.  Exit codes: 0 ok, 1 validation
@@ -20,17 +23,15 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import (
     IntervalPartition,
     Rect,
     RectanglePartition,
-    as_fraction,
-    partition_measures,
-    shannon_entropy,
 )
 from .errors import (
     AliasingError,
@@ -59,6 +60,7 @@ from .systems import (
     BernoulliSystem,
     IntervalExchange,
     RectangleExchange,
+    check_powers,
     discontinuity_length,
     golden_rotation,
 )
@@ -70,18 +72,6 @@ from .weaklimits import (
     rigidity_scan,
     triple_correlation,
     triple_correlation_limits,
-    vertical_half,
-)
-
-EXPERIMENTS = (
-    "entropy-trace",
-    "sup-envelope",
-    "boundary-growth",
-    "mixing-scan",
-    "rigidity-scan",
-    "triple-correlation",
-    "asymmetry-ratio",
-    "mc-entropy",
 )
 
 
@@ -93,16 +83,13 @@ def build_system(spec: dict):
     if kind == "identity-iet":
         return IntervalExchange.identity()
     if kind == "iet":
-        return IntervalExchange.from_lengths_and_permutation(
-            [as_fraction(v) for v in spec["lengths"]], tuple(spec["permutation"])
-        )
+        return IntervalExchange.from_lengths_and_permutation(spec["lengths"], spec["permutation"])
     if kind == "rotation":
-        alias = spec.get("alias_limit")
-        return IntervalExchange.rotation(as_fraction(spec["alpha"]), alias_limit=alias)
+        return IntervalExchange.rotation(spec["alpha"], alias_limit=spec.get("alias_limit"))
     if kind == "golden-rotation":
         return golden_rotation(int(spec.get("order", 41))).to_iet()
     if kind == "bernoulli":
-        return BernoulliSystem(tuple(as_fraction(v) for v in spec["masses"]))
+        return BernoulliSystem(tuple(spec["masses"]))
     if kind == "baker":
         return BakerMap()
     if kind == "identity-rect":
@@ -110,28 +97,21 @@ def build_system(spec: dict):
     if kind == "vertical-swap":
         return RectangleExchange.vertical_swap()
     if kind == "product-rotations":
-        return RectangleExchange.product_rotations(
-            as_fraction(spec["alpha"]), as_fraction(spec["beta"])
-        )
+        return RectangleExchange.product_rotations(spec["alpha"], spec["beta"])
     if kind == "rect-exchange":
-        sources = tuple(
-            Rect(*(as_fraction(v) for v in corners)) for corners in spec["sources"]
-        )
-        translations = tuple(
-            (as_fraction(dx), as_fraction(dy)) for dx, dy in spec["translations"]
-        )
-        return RectangleExchange(sources, translations)
+        sources = tuple(Rect(*corners) for corners in spec["sources"])
+        return RectangleExchange(sources, tuple(spec["translations"]))
     raise ValidationError(f"unknown system kind {kind!r}")
 
 
-def build_partition(spec: dict):
+def build_partition(spec: dict, system):
     kind = spec.get("kind")
+    if kind == "sources" and isinstance(system, RectangleExchange):  # one atom per source
+        return RectanglePartition(tuple((r, i) for i, r in enumerate(system.sources)))
     if kind == "dyadic":
         return IntervalPartition.dyadic(int(spec["depth"]))
     if kind == "cuts":
-        return IntervalPartition.from_cut_list(
-            [as_fraction(c) for c in spec["cuts"]], spec.get("labels")
-        )
+        return IntervalPartition.from_cut_list(spec["cuts"], spec.get("labels"))
     if kind == "dyadic-rect":
         return RectanglePartition.dyadic(int(spec["x_depth"]), int(spec["y_depth"]))
     if kind == "quadrants":
@@ -139,14 +119,8 @@ def build_partition(spec: dict):
     if kind == "vertical-halves":
         return RectanglePartition.vertical_halves()
     if kind == "rects":
-        atoms = tuple(
-            (Rect(*(as_fraction(v) for v in corners)), label)
-            for corners, label in spec["atoms"]
-        )
-        return RectanglePartition(atoms)
-    if kind == "sources":
-        return None  # resolved against the system by the runner
-    raise ValidationError(f"unknown partition kind {kind!r}")
+        return RectanglePartition(tuple((Rect(*c), label) for c, label in spec["atoms"]))
+    raise ValidationError(f"unknown partition kind {kind!r} for {type(system).__name__}")
 
 
 def build_family_maker(spec: dict):
@@ -180,7 +154,7 @@ def build_test_set(spec: dict):
     return TestSet1D(int(spec["level"]), int(spec["index"]))
 
 
-# -- runner ----------------------------------------------------------------------
+# -- validation -----------------------------------------------------------------
 
 
 class ConfigError(ValidationError):
@@ -203,165 +177,194 @@ def estimate_join_cuts(system, partition, family: IndexFamily) -> int:
     return len(family) * ((M * (n - 1) + 1) + k)
 
 
-def run_experiment(cfg: dict) -> tuple[list[dict], list[str]]:
-    """Execute a validated config; returns (rows, warnings)."""
-    experiment = cfg["experiment"]
-    warnings: list[str] = []
-    system = build_system(_require(cfg, "system"))
-    seed = cfg.get("seed")
-
-    if experiment in ("entropy-trace", "sup-envelope"):
-        family_maker = build_family_maker(_require(cfg, "family"))
-        j_values = [int(j) for j in _require(cfg, "j_values")]
-        mc = None
-        if isinstance(system, (RectangleExchange, BakerMap)):
-            if seed is None:
-                raise ConfigError("Monte Carlo experiments need an explicit seed")
-            mc = McOptions(int(cfg.get("n_samples", 10000)), int(seed))
-        if experiment == "entropy-trace":
-            if isinstance(system, BernoulliSystem):
-                xi = int(cfg.get("window", 1))
-            else:
-                xi = build_partition(_require(cfg, "partition"))
-            trace = entropy_trace(system, xi, family_maker, j_values, mc=mc)
-            for j in j_values:
-                try:
-                    fam = family_maker(j)
-                except SeqentError:
-                    continue
-                if getattr(fam, "truncated", False):
-                    warnings.append(f"geometric family j={fam.j} truncated by cap={fam.cap}")
-            rows = trace.as_dicts()
-            rows.append({"j": "max-proxy", "family_size": "", "entropy_bits": "",
-                         "h_j": trace.h_max_proxy(), "method": "", "ci_halfwidth": "", "error": ""})
-            rows.append({"j": "min-proxy", "family_size": "", "entropy_bits": "",
-                         "h_j": trace.h_min_proxy(), "method": "", "ci_halfwidth": "", "error": ""})
-            warnings.append(
-                "max/min over the computed j range are finite proxies, not limits"
-            )
-            return rows, warnings
-        depth = int(cfg.get("depth", 4))
-        traces, envelope = sup_over_partitions(system, depth, family_maker, j_values, mc=mc)
-        rows = []
-        for name, tr in traces.items():
-            for d in tr.as_dicts():
-                rows.append({"partition": name, **d})
-        for d in envelope.as_dicts():
-            rows.append({"partition": "envelope", **d})
-        warnings.append("envelope is a lower bound for the sup over all partitions")
-        return rows, warnings
-
-    if experiment == "boundary-growth":
-        part_spec = _require(cfg, "partition")
-        if part_spec.get("kind") == "sources":
-            xi = RectanglePartition(tuple((r, i) for i, r in enumerate(system.sources)))
-        else:
-            xi = build_partition(part_spec)
-        N = int(_require(cfg, "N"))
-        lengths = boundary_growth(system, xi, N)
-        D = discontinuity_length(system)
-        rows = [
-            {
-                "n": n,
-                "boundary_length": str(v),
-                "excess_over_linear": str(v - lengths[0] - n * D),
-            }
-            for n, v in enumerate(lengths)
-        ]
-        return rows, warnings
-
-    if experiment in ("mixing-scan", "rigidity-scan"):
-        family = build_test_family(cfg.get("test_family", {}), system)
-        m_cap = int(_require(cfg, "m_cap"))
-        if experiment == "mixing-scan":
-            report = mixing_time_scan(system, int(cfg.get("j", 0)),
-                                      float(_require(cfg, "r")), m_cap, family)
-        else:
-            report = rigidity_scan(system, m_cap, float(_require(cfg, "epsilon")), family)
-        rows = report.as_dicts()
-        rows.append({"m": "min_time", "value": report.min_time, "event": ""})
-        return rows, warnings
-
-    if experiment == "triple-correlation":
-        A = build_test_set(_require(cfg, "set"))
-        pairs = [(int(m), int(n)) for m, n in _require(cfg, "pairs")]
-        lim_mix, lim_ind = triple_correlation_limits(A.measure)
-        rows = []
-        for m, n in pairs:
-            value = triple_correlation(system, A, m, n)
-            rows.append({
-                "m": m, "n": n, "value": str(value),
-                "limit_mixing_formula": str(lim_mix),
-                "limit_independence_formula": str(lim_ind),
-            })
-        return rows, warnings
-
-    if experiment == "asymmetry-ratio":
-        xi = build_partition(_require(cfg, "partition"))
-        N, m, n = int(_require(cfg, "N")), int(_require(cfg, "m")), int(_require(cfg, "n"))
-        rows = [
-            {"direction": d, "ratio": asymmetry_ratio(system, xi, N, m, n, direction=d)}
-            for d in ("forward", "backward")
-        ]
-        return rows, warnings
-
-    if experiment == "mc-entropy":
-        if seed is None:
-            raise ConfigError("Monte Carlo experiments need an explicit seed")
-        xi = build_partition(_require(cfg, "partition"))
-        family = build_family_maker(_require(cfg, "family"))(int(cfg.get("j", 1)))
-        res = mc_join_entropy(system, xi, family, int(cfg.get("n_samples", 10000)), int(seed))
-        rows = [{
-            "family_size": len(family),
-            "entropy_bits": res.entropy_bits,
-            "h": res.entropy_bits / len(family),
-            "observed_support": res.atom_count,
-            "ci_halfwidth": res.ci_halfwidth,
-        }]
-        return rows, warnings
-
-    raise ConfigError(f"unknown experiment {cfg.get('experiment')!r}; choose from {EXPERIMENTS}")
+def _fit(system, obj, one_d: type, two_d: type, what: str):
+    """obj if it has the dimension of the system's domain, else a ConfigError."""
+    want = one_d if isinstance(system, IntervalExchange) else two_d
+    if not isinstance(obj, want):
+        raise ConfigError(f"{what} does not fit {type(system).__name__}; use {want.__name__}")
+    return obj
 
 
-def validate_config(cfg: dict) -> list[tuple[str, type[Exception] | None]]:
-    """Static validation; returns (diagnostic, error class or None) pairs."""
+def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
+    """Check a config against its ``EXPERIMENTS`` entry before any work; returns
+    (diagnostic, error class or None) pairs and the runner's keyword arguments,
+    or None after the first error."""
     diagnostics: list[tuple[str, type[Exception] | None]] = []
     try:
-        if cfg.get("experiment") not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {cfg.get('experiment')!r}")
-        system = build_system(cfg.get("system", {}))
-        if isinstance(system, RectangleExchange):
-            report = system.validate()
-            if report:
-                diagnostics.append(
-                    (f"ERROR[ValidationError]: tiling check failed: {report}", ValidationError))
-        if "partition" in cfg and cfg["partition"].get("kind") != "sources":
-            build_partition(cfg["partition"])
-        if "family" in cfg:
+        name = cfg.get("experiment")
+        if name not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
+        experiment = EXPERIMENTS[name]
+        system = build_system(_require(cfg, "system"))
+        if not isinstance(system, experiment.systems):
+            accepted = ", ".join(cls.__name__ for cls in experiment.systems)
+            raise ConfigError(f"{name} does not run on {type(system).__name__}; use {accepted}")
+        for field in experiment.fields:
+            if field != "partition" or not isinstance(system, BernoulliSystem):
+                _require(cfg, field)
+        built = {"system": system}
+        if "partition" in experiment.fields and isinstance(system, BernoulliSystem):
+            built["partition"] = int(cfg.get("window", 1))  # a shift's coordinate window
+        elif "partition" in experiment.fields:
+            spec = cfg["partition"]
+            built["partition"] = _fit(system, build_partition(spec, system), IntervalPartition,
+                                      RectanglePartition, f"partition kind {spec.get('kind')!r}")
+        if "set" in experiment.fields:
+            built["test_set"] = _fit(system, build_test_set(cfg["set"]), TestSet1D, TestSet2D,
+                                     "test set")
+        if "m_cap" in experiment.fields and isinstance(system, IntervalExchange):
+            check_powers(system, [int(cfg["m_cap"])])
+        if "family" in experiment.fields:
+            if isinstance(system, (RectangleExchange, BakerMap)):
+                if cfg.get("seed") is None:
+                    raise ConfigError("Monte Carlo experiments need an explicit seed")
+                built["mc"] = McOptions(int(cfg.get("n_samples", 10000)), int(cfg["seed"]))
             maker = build_family_maker(cfg["family"])
-            for j in cfg.get("j_values", [cfg.get("j", 1)]):
-                fam = maker(int(j))
+            families = built["families"] = {}
+            for j in cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]:
+                fam = families[int(j)] = maker(int(j))
                 if isinstance(system, IntervalExchange):
-                    system.check_alias(max(fam.members))
-                    part = build_partition(cfg["partition"]) if "partition" in cfg else None
-                    cuts = estimate_join_cuts(system, part, fam)
+                    check_powers(system, [max(fam.members)])
+                    cuts = estimate_join_cuts(system, built.get("partition"), fam)
                     if cuts > MAX_JOIN_CUTS:
                         raise BudgetError(
                             f"predicted {cuts} join cut points exceed budget {MAX_JOIN_CUTS}"
                         )
                     diagnostics.append((f"j={j}: predicted cut budget {cuts} (ok)", None))
-        if "m_cap" in cfg and isinstance(system, IntervalExchange):
-            system.check_alias(int(cfg["m_cap"]))
-        if cfg.get("experiment") in ("mc-entropy",) and cfg.get("seed") is None:
-            raise ConfigError("Monte Carlo experiments need an explicit seed")
+        return diagnostics, built
     except (SeqentError, KeyError) as exc:
         diagnostics.append((f"ERROR[{type(exc).__name__}]: {exc}", type(exc)))
-    return diagnostics
+        return diagnostics, None
 
 
 def _exit_code(error: type[Exception]) -> int:
     """2 for budget and aliasing errors, 1 for every other config or library error."""
     return 2 if issubclass(error, (AliasingError, BudgetError)) else 1
+
+
+# -- experiments -----------------------------------------------------------------
+
+
+def _run_trace(cfg, system, partition, families, mc=None):
+    j_values = [int(j) for j in cfg["j_values"]]
+    trace = entropy_trace(system, partition, families.__getitem__, j_values, mc=mc)
+    warnings = [f"geometric family j={families[j].j} truncated by cap={families[j].cap}"
+                for j in j_values if families[j].truncated]
+    rows = trace.as_dicts()
+    for j, h in (("max-proxy", trace.h_max_proxy()), ("min-proxy", trace.h_min_proxy())):
+        rows.append({"j": j, "family_size": "", "entropy_bits": "",
+                     "h_j": h, "method": "", "ci_halfwidth": "", "error": ""})
+    warnings.append("max/min over the computed j range are finite proxies, not limits")
+    return rows, warnings
+
+
+def _run_envelope(cfg, system, families, mc=None):
+    traces, envelope = sup_over_partitions(system, int(cfg.get("depth", 4)), families.__getitem__,
+                                           [int(j) for j in cfg["j_values"]], mc=mc)
+    rows = []
+    for name, tr in traces.items():
+        for d in tr.as_dicts():
+            rows.append({"partition": name, **d})
+    for d in envelope.as_dicts():
+        rows.append({"partition": "envelope", **d})
+    return rows, ["envelope is a lower bound for the sup over all partitions"]
+
+
+def _run_boundary(cfg, system, partition):
+    lengths = boundary_growth(system, partition, int(cfg["N"]))
+    D = discontinuity_length(system)
+    rows = [
+        {
+            "n": n,
+            "boundary_length": str(v),
+            "excess_over_linear": str(v - lengths[0] - n * D),
+        }
+        for n, v in enumerate(lengths)
+    ]
+    return rows, []
+
+
+def _scan_rows(report):
+    rows = report.as_dicts()
+    rows.append({"m": "min_time", "value": report.min_time, "event": ""})
+    return rows, []
+
+
+def _run_mixing(cfg, system):
+    family = build_test_family(cfg.get("test_family", {}), system)
+    return _scan_rows(mixing_time_scan(system, int(cfg.get("j", 0)), float(cfg["r"]),
+                                       int(cfg["m_cap"]), family))
+
+
+def _run_rigidity(cfg, system):
+    family = build_test_family(cfg.get("test_family", {}), system)
+    return _scan_rows(rigidity_scan(system, int(cfg["m_cap"]), float(cfg["epsilon"]), family))
+
+
+def _run_triple(cfg, system, test_set):
+    pairs = [(int(m), int(n)) for m, n in cfg["pairs"]]
+    lim_mix, lim_ind = triple_correlation_limits(test_set.measure)
+    rows = []
+    for m, n in pairs:
+        value = triple_correlation(system, test_set, m, n)
+        rows.append({
+            "m": m, "n": n, "value": str(value),
+            "limit_mixing_formula": str(lim_mix),
+            "limit_independence_formula": str(lim_ind),
+        })
+    return rows, []
+
+
+def _run_ratio(cfg, system, partition):
+    N, m, n = int(cfg["N"]), int(cfg["m"]), int(cfg["n"])
+    rows = [
+        {"direction": d, "ratio": asymmetry_ratio(system, partition, N, m, n, direction=d)}
+        for d in ("forward", "backward")
+    ]
+    return rows, []
+
+
+def _run_mc(cfg, system, partition, families, mc):
+    family = families[int(cfg.get("j", 1))]
+    res = mc_join_entropy(system, partition, family, mc.n_samples, mc.seed)
+    rows = [{
+        "family_size": len(family),
+        "entropy_bits": res.entropy_bits,
+        "h": res.entropy_bits / len(family),
+        "observed_support": res.atom_count,
+        "ci_halfwidth": res.ci_halfwidth,
+    }]
+    return rows, []
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """System classes accepted, config fields required besides ``system``, and
+    ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them."""
+
+    systems: tuple[type, ...]
+    fields: tuple[str, ...]
+    run: Callable[..., tuple[list[dict], list[str]]]
+
+
+ANY_SYSTEM = (IntervalExchange, BernoulliSystem, RectangleExchange, BakerMap)
+EXACT_CORRELATIONS = (IntervalExchange, BakerMap)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "entropy-trace": Experiment(ANY_SYSTEM, ("partition", "family", "j_values"), _run_trace),
+    "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
+    "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary),
+    "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing),
+    "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity),
+    "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple),
+    "asymmetry-ratio": Experiment((IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio),
+    "mc-entropy": Experiment((RectangleExchange, BakerMap), ("partition", "family"), _run_mc),
+}
+
+
+def run_experiment(cfg: dict, built: dict) -> tuple[list[dict], list[str]]:
+    """Run a config with the arguments validate_config built; returns (rows, warnings)."""
+    return EXPERIMENTS[cfg["experiment"]].run(cfg, **built)
 
 
 # -- presets ----------------------------------------------------------------------
@@ -502,8 +505,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out-dir", default="results")
     p_run.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p_run.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker hint; results are identical at any level")
 
     p_val = sub.add_parser("validate", help="statically validate a config")
     p_val.add_argument("--config", required=True)
@@ -519,25 +520,23 @@ def main(argv=None) -> int:
             return 0
 
         cfg = load_config(args.config)
+        if args.command == "run" and args.seed is not None:
+            cfg["seed"] = args.seed
+        diagnostics, built = validate_config(cfg)
         if args.command == "validate":
-            diagnostics = validate_config(cfg)
             for text, _ in diagnostics:
                 print(text)
-            errors = [error for _, error in diagnostics if error is not None]
-            if errors:
-                return _exit_code(errors[0])
+            if built is None:
+                return _exit_code(diagnostics[-1][1])
             print("ok")
             return 0
 
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        errors = [(text, error) for text, error in validate_config(cfg) if error is not None]
-        if errors:
-            for text, _ in errors:
-                print(text, file=sys.stderr)
-            return _exit_code(errors[0][1])
+        if built is None:
+            text, error = diagnostics[-1]
+            print(text, file=sys.stderr)
+            return _exit_code(error)
         start = time.time()
-        rows, warnings = run_experiment(cfg)
+        rows, warnings = run_experiment(cfg, built)
         write_outputs(cfg, rows, warnings, Path(args.out_dir), args.format,
                       wall_time=time.time() - start)
         for w in warnings:

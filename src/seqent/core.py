@@ -8,16 +8,15 @@ working precision and rounds the result to a float.
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
 
 import mpmath
 
 from .errors import ValidationError
-
-ExactRational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -80,11 +79,6 @@ def shannon_entropy(p: ProbabilityVector | Sequence[Fraction]) -> float:
             x = mpmath.mpf(mass.numerator) / mass.denominator
             total -= count * x * mpmath.log(x, 2)
         return float(total)
-
-
-def entropy_of_masses(masses: Sequence[Fraction]) -> float:
-    """Entropy of an unvalidated mass list (must still sum to 1)."""
-    return shannon_entropy(ProbabilityVector(tuple(masses)))
 
 
 @dataclass(frozen=True)
@@ -156,16 +150,6 @@ class IntervalPartition:
             out[label] = out.get(label, ZERO) + length
         return out
 
-    def relabeled_canonical(self) -> "IntervalPartition":
-        """Same partition with labels replaced by 0,1,... in order of first use."""
-        seen: dict[Hashable, int] = {}
-        new = []
-        for lab in self.labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-            new.append(seen[lab])
-        return IntervalPartition(self.cuts, tuple(new))
-
 
 def partition_measures(xi) -> ProbabilityVector:
     """Exact atom-measure vector of a labeled partition (one entry per label)."""
@@ -217,6 +201,20 @@ class Rect:
         return self.intersect(other) is not None
 
 
+def check_tiling(rects: Sequence[Rect], what: str) -> None:
+    """Raise ValidationError unless the rectangles tile the unit square
+    exactly: each inside it, pairwise disjoint, areas summing to 1.
+    ``what`` names the rectangles in the message ("source", "image", ...)."""
+    for i, r in enumerate(rects):
+        if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
+            raise ValidationError(f"{what} rectangle {i} leaves the unit square")
+    for i, j in itertools.combinations(range(len(rects)), 2):
+        if rects[i].overlaps(rects[j]):
+            raise ValidationError(f"{what} rectangles overlap at indices ({i},{j})")
+    if sum(r.area for r in rects) != 1:
+        raise ValidationError(f"{what} rectangle areas do not sum to 1 (gap in the tiling)")
+
+
 @dataclass(frozen=True)
 class RectanglePartition:
     """Labeled partition of the unit square into axis-parallel rectangles."""
@@ -226,18 +224,7 @@ class RectanglePartition:
     def __post_init__(self):
         atoms = tuple((r, lab) for r, lab in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise ValidationError("rectangle partition must be nonempty")
-        rects = [r for r, _ in atoms]
-        for r in rects:
-            if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
-                raise ValidationError(f"rectangle {r} leaves the unit square")
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if rects[i].overlaps(rects[j]):
-                    raise ValidationError(f"rectangles {i} and {j} overlap")
-        if sum(r.area for r in rects) != 1:
-            raise ValidationError("rectangle areas do not sum to 1")
+        check_tiling([r for r, _ in atoms], "partition")
 
     @classmethod
     def quadrants(cls) -> "RectanglePartition":

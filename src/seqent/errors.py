@@ -28,7 +28,7 @@ class DegenerateInputError(SeqentError, ValueError):
 
 
 # Hard budgets.  Chosen so every shipped experiment finishes in minutes
-# on a desktop; the CLI may lower but never raise them.
+# on a desktop; no CLI flag or config field changes them.
 MAX_FAMILY_SIZE = 4096
 MAX_POWER = 10**6
 MAX_JOIN_CUTS = 10**7

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, shannon_entropy
+from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, check_tiling, shannon_entropy
 from .errors import AliasingError, BudgetError, DomainError, ValidationError, MAX_POWER
 
 # Aliasing guard: a rotation by p/q may only be iterated while
@@ -130,18 +129,6 @@ class IntervalExchange:
     def power(self, m: int) -> "IntervalExchange":
         """m-fold iterate (see :func:`powers_of`)."""
         return powers_of(self, [m])[m]
-
-
-def iet_apply(T: IntervalExchange, x) -> Fraction:
-    return T.apply(x)
-
-
-def iet_compose(A: IntervalExchange, B: IntervalExchange) -> IntervalExchange:
-    return A.compose(B)
-
-
-def iet_power(T: IntervalExchange, m: int) -> IntervalExchange:
-    return T.power(m)
 
 
 def int_dtype(bound: int):
@@ -324,31 +311,8 @@ class RectangleExchange:
         object.__setattr__(self, "translations", translations)
         if len(sources) != len(translations):
             raise ValidationError("need one translation per source rectangle")
-        report = self.validate()
-        if report is not None:
-            raise ValidationError(report)
-
-    def validate(self) -> str | None:
-        """Exact tiling check; returns None if valid, else the first violation."""
-        rects = self.sources
-        for i, r in enumerate(rects):
-            if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
-                return f"source rectangle {i} leaves the unit square"
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if rects[i].overlaps(rects[j]):
-                    return f"source rectangles overlap at indices ({i},{j})"
-        if sum(r.area for r in rects) != 1:
-            return "source areas do not sum to 1 (gap in the tiling)"
-        images = self.images()
-        for i, r in enumerate(images):
-            if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
-                return f"image rectangle {i} leaves the unit square (image-out-of-bounds)"
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if images[i].overlaps(images[j]):
-                    return f"image rectangles overlap at indices ({i},{j})"
-        return None
+        check_tiling(sources, "source")
+        check_tiling(self.images(), "image")
 
     def images(self) -> tuple[Rect, ...]:
         return tuple(
@@ -398,14 +362,6 @@ class RectangleExchange:
         return RectangleExchange(
             self.images(), tuple((-dx, -dy) for dx, dy in self.translations)
         )
-
-
-def rect_apply(T: RectangleExchange, pt) -> tuple[Fraction, Fraction]:
-    return T.apply(pt)
-
-
-def rect_validate(T: RectangleExchange) -> str | None:
-    return T.validate()
 
 
 def interior_discontinuity_segments(T: RectangleExchange, side: str = "image"):
@@ -471,50 +427,6 @@ class BakerMap:
 # -- Bernoulli systems -------------------------------------------------------
 
 
-def _bit_of(value: Fraction, k: int) -> int:
-    """k-th binary digit (k >= 1) of a rational in [0,1)."""
-    return int((value * 2**k) % 2 >= 1)
-
-
-class SymbolPoint:
-    """A point of the two-sided shift: a lazily evaluated symbol sequence.
-
-    Backed either by an explicit coordinate mapping (default symbol 0), a
-    reproducible seeded draw independent across coordinates, or the binary
-    digits of a planar baker point.
-    """
-
-    def __init__(self, system: "BernoulliSystem", seed=None, values=None, planar=None):
-        self.system = system
-        self.seed = seed
-        self.values = dict(values) if values else {}
-        self.planar = planar
-        if planar is not None and len(system.symbol_masses) != 2:
-            raise ValidationError("planar points exist only for the 2-symbol system")
-
-    def __getitem__(self, t: int) -> int:
-        t = int(t)
-        if t in self.values:
-            return self.values[t]
-        if self.planar is not None:
-            x, y = self.planar
-            symbol = _bit_of(x, t + 1) if t >= 0 else _bit_of(y, -t)
-        elif self.seed is not None:
-            rng = random.Random(f"{self.seed}:{t}")
-            u = rng.random()
-            acc = 0.0
-            symbol = len(self.system.symbol_masses) - 1
-            for k, mass in enumerate(self.system.symbol_masses):
-                acc += float(mass)
-                if u < acc:
-                    symbol = k
-                    break
-        else:
-            symbol = 0
-        self.values[t] = symbol
-        return symbol
-
-
 @dataclass(frozen=True)
 class BernoulliSystem:
     """Two-sided Bernoulli shift with exact product measure."""
@@ -542,15 +454,3 @@ class BernoulliSystem:
         if not self.has_planar_model:
             raise ValidationError("the planar baker model exists only for the fair 2-symbol system")
         return BakerMap()
-
-    def point(self, seed=None, values=None) -> SymbolPoint:
-        return SymbolPoint(self, seed=seed, values=values)
-
-    def point_from_planar(self, x, y) -> SymbolPoint:
-        self.planar_model()  # raises unless fair 2-symbol
-        return SymbolPoint(self, planar=(as_fraction(x), as_fraction(y)))
-
-
-def bernoulli_label(B: BernoulliSystem, point: SymbolPoint, t: int) -> int:
-    """Symbol of the orbit point at time t (coordinate t of the sequence)."""
-    return point[t]

@@ -23,7 +23,6 @@ correctly rounded integer division above, equal to float(Fraction(c, G)).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -36,7 +35,6 @@ from .systems import (
     BakerMap,
     IetLattice,
     IntervalExchange,
-    RectangleExchange,
     check_powers,
     int_dtype,
 )
@@ -279,7 +277,8 @@ def _numerators(T, ms, sets) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
     if isinstance(T, BakerMap):
         return 4 ** max(s.level for s in sets), _baker_matrices(ms, sets)
     raise ValidationError(
-        f"no exact correlation path for {type(T).__name__}; use correlation_mc"
+        f"no exact correlation path for {type(T).__name__}: only interval exchanges "
+        "and the baker map have one"
     )
 
 
@@ -298,36 +297,11 @@ def correlation(T, A, B, m: int) -> Fraction:
     """mu(T^-m A intersect B), exact.
 
     Supports interval exchanges with dyadic-interval test sets and the baker
-    map with dyadic-rectangle test sets; use :func:`correlation_mc` for
-    general rectangle exchanges.
+    map with dyadic-rectangle test sets; general rectangle exchanges have no
+    exact path.
     """
     G, mats = _numerators(T, [m], (A, B))
     return Fraction(int(next(mats)[1][0, 1]), G)
-
-
-def correlation_mc(T: RectangleExchange, A: TestSet2D, B: TestSet2D, m: int,
-                   n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo mu(T^-m A intersect B) for a rectangle exchange.
-
-    Returns (estimate, 95% normal-approximation half-width).
-    """
-    import random as _random
-
-    rng = _random.Random(seed)
-    rect_a, rect_b = A.rect, B.rect
-    denom = 2**64
-    hits = 0
-    for _ in range(n_samples):
-        pt = (Fraction(rng.getrandbits(64), denom), Fraction(rng.getrandbits(64), denom))
-        if not rect_b.contains(pt):
-            continue
-        q = pt
-        for _ in range(m):
-            q = T.apply(q)
-        if rect_a.contains(q):
-            hits += 1
-    p = hits / n_samples
-    return p, 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
 
 
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:

@@ -1,8 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import seqent.cli
+from seqent import SeqentError
 from seqent.cli import PRESETS, main
 
 
@@ -165,10 +168,59 @@ class TestValidate:
         assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 1
 
 
+EXPLICIT_FAMILY = {"kind": "explicit", "members": [1, 2]}
+
+# experiments given a system class, partition or test set they cannot run on
+MISMATCHED_CONFIGS = {
+    "boundary-growth-on-baker": {
+        "experiment": "boundary-growth", "system": {"kind": "baker"},
+        "partition": {"kind": "quadrants"}, "N": 5,
+    },
+    "asymmetry-ratio-on-bernoulli": {
+        "experiment": "asymmetry-ratio", "system": {"kind": "bernoulli", "masses": ["1/2", "1/2"]},
+        "partition": {"kind": "dyadic", "depth": 1}, "N": 8, "m": 3, "n": 5,
+    },
+    "entropy-trace-on-baker-without-seed": {
+        "experiment": "entropy-trace", "system": {"kind": "baker"},
+        "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
+    "triple-correlation-2d-set-on-rotation": {
+        "experiment": "triple-correlation", "system": {"kind": "golden-rotation"},
+        "set": {"x_level": 1, "x_index": 0}, "pairs": [[1, 2]],
+    },
+    "entropy-trace-quadrants-on-rotation": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "quadrants"}, "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
+    "mc-entropy-on-rotation": {
+        "experiment": "mc-entropy", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY, "seed": 1,
+    },
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("name", sorted(MISMATCHED_CONFIGS))
+    def test_typed_error_from_validate_and_run(self, tmp_path, capsys, name):
+        path = write_config(tmp_path, MISMATCHED_CONFIGS[name])
+        for argv in (("validate", "--config", path),
+                     ("run", "--config", path, "--out-dir", str(tmp_path))):
+            assert run_cli(*argv) == 1
+            captured = capsys.readouterr()
+            errors = re.findall(r"ERROR\[(\w+)\]", captured.out + captured.err)
+            assert errors, captured
+            assert issubclass(getattr(seqent.cli, errors[0]), SeqentError)
+            assert "internal error" not in captured.err
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestPresetsRunnable:
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_preset_runs(self, tmp_path, name):
+    def test_preset_runs(self, tmp_path, capsys, name):
         assert run_cli("run", "--config", f"preset:{name}",
                        "--out-dir", str(tmp_path), "--format", "both") == 0
         assert (tmp_path / f"{name}.csv").exists()
         assert (tmp_path / f"{name}.json").exists()
+        capsys.readouterr()
+        assert run_cli("validate", "--config", f"preset:{name}") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ok"

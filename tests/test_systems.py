@@ -11,16 +11,10 @@ from seqent import (
     IntervalExchange,
     RectangleExchange,
     ValidationError,
-    bernoulli_label,
     fibonacci_numbers,
     golden_rotation,
-    iet_apply,
-    iet_compose,
-    iet_power,
-    rect_apply,
-    rect_validate,
 )
-from seqent.core import Rect
+from seqent.core import Rect, check_tiling
 from seqent.systems import powers_of
 
 F = Fraction
@@ -46,19 +40,19 @@ REVERSING_3IET = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))
 
 class TestIetApply:
     def test_identity(self):
-        assert iet_apply(IntervalExchange.identity(), F(1, 3)) == F(1, 3)
+        assert IntervalExchange.identity().apply(F(1, 3)) == F(1, 3)
 
     def test_rotation_as_two_interval_exchange(self):
         alpha = F(5, 13)
         T = IntervalExchange((1 - alpha, alpha), (1, 0))
-        assert iet_apply(T, F(0)) == alpha
+        assert T.apply(F(0)) == alpha
 
     def test_reversing_three_iet_at_zero(self):
-        assert iet_apply(REVERSING_3IET, F(0)) == F(1, 2)
+        assert REVERSING_3IET.apply(F(0)) == F(1, 2)
 
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
-            iet_apply(REVERSING_3IET, F(3, 2))
+            REVERSING_3IET.apply(F(3, 2))
 
     def test_inverse_round_trip(self):
         rng = random.Random(1)
@@ -77,7 +71,7 @@ class TestIetApply:
 class TestIetCompose:
     def test_identity_neutral(self):
         A = REVERSING_3IET
-        C = iet_compose(A, IntervalExchange.identity())
+        C = A.compose(IntervalExchange.identity())
         rng = random.Random(2)
         for _ in range(30):
             x = random_point(rng)
@@ -85,32 +79,32 @@ class TestIetCompose:
 
     def test_rotation_group_law(self):
         a, b = F(3, 10), F(2, 7)
-        C = iet_compose(IntervalExchange.rotation(a), IntervalExchange.rotation(b))
+        C = IntervalExchange.rotation(a).compose(IntervalExchange.rotation(b))
         assert C == IntervalExchange.rotation((a + b) % 1)
 
     def test_compose_with_inverse_is_identity(self):
         A = REVERSING_3IET
-        C = iet_compose(A, A.inverse())
+        C = A.compose(A.inverse())
         assert C.is_identity()
 
     def test_interval_count_bound(self):
         rng = random.Random(3)
         for _ in range(10):
             A, B = random_iet(rng), random_iet(rng)
-            assert len(iet_compose(A, B)) <= len(A) + len(B) - 1
+            assert len(A.compose(B)) <= len(A) + len(B) - 1
 
 
 class TestIetPower:
     def test_zeroth_power(self):
-        assert iet_power(REVERSING_3IET, 0).is_identity()
+        assert REVERSING_3IET.power(0).is_identity()
 
     def test_rotation_power(self):
         alpha = F(4, 11)
-        assert iet_power(IntervalExchange.rotation(alpha), 5) == IntervalExchange.rotation(5 * alpha)
+        assert IntervalExchange.rotation(alpha).power(5) == IntervalExchange.rotation(5 * alpha)
 
     def test_pointwise_oracle(self):
         rng = random.Random(4)
-        P = iet_power(REVERSING_3IET, 5)
+        P = REVERSING_3IET.power(5)
         for _ in range(200):
             x = random_point(rng)
             y = x
@@ -120,8 +114,8 @@ class TestIetPower:
 
     def test_negative_power(self):
         rng = random.Random(5)
-        P = iet_power(REVERSING_3IET, -3)
-        Q = iet_power(REVERSING_3IET, 3)
+        P = REVERSING_3IET.power(-3)
+        Q = REVERSING_3IET.power(3)
         for _ in range(50):
             x = random_point(rng)
             assert P.apply(Q.apply(x)) == x
@@ -129,15 +123,15 @@ class TestIetPower:
     def test_interval_count_bound(self):
         n = len(REVERSING_3IET)
         for m in (1, 2, 5, 9):
-            assert len(iet_power(REVERSING_3IET, m)) <= m * (n - 1) + 1
+            assert len(REVERSING_3IET.power(m)) <= m * (n - 1) + 1
 
     def test_composition_consistency(self):
         rng = random.Random(6)
         T = random_iet(rng, max_intervals=4)
         for _ in range(5):
             a, b = rng.randint(-10, 10), rng.randint(-10, 10)
-            lhs = iet_power(T, a + b)
-            rhs = iet_compose(iet_power(T, a), iet_power(T, b))
+            lhs = T.power(a + b)
+            rhs = T.power(a).compose(T.power(b))
             for _ in range(20):
                 x = random_point(rng)
                 assert lhs.apply(x) == rhs.apply(x)
@@ -147,7 +141,7 @@ class TestIetPower:
         out = powers_of(REVERSING_3IET, times)
         rng = random.Random(7)
         for t in times:
-            P = iet_power(REVERSING_3IET, t)
+            P = REVERSING_3IET.power(t)
             for _ in range(10):
                 x = random_point(rng)
                 assert out[t].apply(x) == P.apply(x)
@@ -178,16 +172,16 @@ class TestRotationSpec:
 class TestRectangleExchange:
     def test_identity(self):
         T = RectangleExchange.identity()
-        assert rect_apply(T, (F(1, 3), F(2, 5))) == (F(1, 3), F(2, 5))
+        assert T.apply((F(1, 3), F(2, 5))) == (F(1, 3), F(2, 5))
 
     def test_vertical_swap(self):
         T = RectangleExchange.vertical_swap()
-        assert rect_apply(T, (F(1, 4), F(1, 3))) == (F(3, 4), F(1, 3))
+        assert T.apply((F(1, 4), F(1, 3))) == (F(3, 4), F(1, 3))
 
     def test_product_rotations_at_origin(self):
         a, b = F(3, 8), F(2, 5)
         T = RectangleExchange.product_rotations(a, b)
-        assert rect_apply(T, (F(0), F(0))) == (a, b)
+        assert T.apply((F(0), F(0))) == (a, b)
 
     def test_product_rotations_is_translation_mod_one(self):
         a, b = F(3, 8), F(2, 5)
@@ -210,7 +204,9 @@ class TestRectangleExchange:
             RectangleExchange.identity().apply((F(1), F(1, 2)))
 
     def test_validate_ok(self):
-        assert rect_validate(RectangleExchange.vertical_swap()) is None
+        T = RectangleExchange.vertical_swap()
+        assert check_tiling(T.sources, "source") is None
+        assert check_tiling(T.images(), "image") is None
 
     def test_overlapping_sources_rejected(self):
         with pytest.raises(ValidationError, match=r"\(0,1\)"):
@@ -287,41 +283,18 @@ class TestBakerMap:
 
 
 class TestBernoulli:
-    def test_all_zero_seed(self):
-        B = BernoulliSystem.fair()
-        pt = B.point(values={})
-        for t in (-3, 0, 5):
-            assert bernoulli_label(B, pt, t) == 0
-
     def test_planar_bit_conjugacy(self):
-        B = BernoulliSystem.fair()
-        baker = B.planar_model()
+        baker = BernoulliSystem.fair().planar_model()
         rng = random.Random(12)
         for _ in range(20):
             x = F(rng.randrange(2**12), 2**12)
             y = F(rng.randrange(2**12), 2**12)
-            pt = B.point_from_planar(x, y)
-            planar = (x, y)
+            cur = (x, y)
             for t in range(10):
-                # label at time t = vertical half of the t-step image
-                cur = planar
-                for _ in range(t):
-                    cur = baker.apply(cur)
-                expected = 1 if cur[0] >= F(1, 2) else 0
-                assert bernoulli_label(B, pt, t) == expected
-
-    def test_seeded_draw_reproducible(self):
-        B = BernoulliSystem.fair()
-        a = B.point(seed=42)
-        b = B.point(seed=42)
-        assert [a[t] for t in range(-5, 5)] == [b[t] for t in range(-5, 5)]
-
-    def test_empirical_symbol_frequency(self):
-        B = BernoulliSystem.fair()
-        n = 20000
-        ones = sum(B.point(seed=s)[7] for s in range(n))
-        # 3 sigma binomial band around n/2
-        assert abs(ones - n / 2) <= 3 * (n ** 0.5) / 2
+                # vertical half of the t-step image = binary digit t+1 of x
+                bit = int(x * 2 ** (t + 1)) % 2
+                assert (1 if cur[0] >= F(1, 2) else 0) == bit
+                cur = baker.apply(cur)
 
     def test_planar_model_only_for_fair_two_symbols(self):
         with pytest.raises(ValidationError):

@@ -83,7 +83,7 @@ def build_system(spec: dict):
     if kind == "identity-iet":
         return IntervalExchange.identity()
     if kind == "iet":
-        return IntervalExchange.from_lengths_and_permutation(spec["lengths"], spec["permutation"])
+        return IntervalExchange(tuple(spec["lengths"]), tuple(spec["permutation"]))
     if kind == "rotation":
         return IntervalExchange.rotation(spec["alpha"], alias_limit=spec.get("alias_limit"))
     if kind == "golden-rotation":
@@ -185,6 +185,10 @@ def _fit(system, obj, one_d: type, two_d: type, what: str):
     return obj
 
 
+# Top-level scalar config fields and the types their runners read them as.
+SCALARS = dict(N=int, m=int, n=int, j=int, m_cap=int, depth=int, r=float, epsilon=float)
+
+
 def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
     """Check a config against its ``EXPERIMENTS`` entry before any work; returns
     (diagnostic, error class or None) pairs and the runner's keyword arguments,
@@ -202,6 +206,8 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         for field in experiment.fields:
             if field != "partition" or not isinstance(system, BernoulliSystem):
                 _require(cfg, field)
+        for field, kind in SCALARS.items():  # raises for a value of the wrong type
+            kind(cfg.get(field, 0))
         built = {"system": system}
         if "partition" in experiment.fields and isinstance(system, BernoulliSystem):
             built["partition"] = int(cfg.get("window", 1))  # a shift's coordinate window
@@ -212,8 +218,11 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         if "set" in experiment.fields:
             built["test_set"] = _fit(system, build_test_set(cfg["set"]), TestSet1D, TestSet2D,
                                      "test set")
-        if "m_cap" in experiment.fields and isinstance(system, IntervalExchange):
-            check_powers(system, [int(cfg["m_cap"])])
+        if "m_cap" in experiment.fields:
+            built["test_family"] = build_test_family(cfg.get("test_family", {}), system)
+        times = experiment.times(cfg)  # parsed for every system, budgeted for exchanges
+        if isinstance(system, IntervalExchange):
+            check_powers(system, times)
         if "family" in experiment.fields:
             if isinstance(system, (RectangleExchange, BakerMap)):
                 if cfg.get("seed") is None:
@@ -221,11 +230,14 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
                 built["mc"] = McOptions(int(cfg.get("n_samples", 10000)), int(cfg["seed"]))
             maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
+            # sup-envelope joins a dyadic library; its deepest partition has the most cuts
+            partition = (built["partition"] if "partition" in built
+                         else IntervalPartition.dyadic(int(cfg.get("depth", 4))))
             for j in cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]:
                 fam = families[int(j)] = maker(int(j))
                 if isinstance(system, IntervalExchange):
                     check_powers(system, [max(fam.members)])
-                    cuts = estimate_join_cuts(system, built.get("partition"), fam)
+                    cuts = estimate_join_cuts(system, partition, fam)
                     if cuts > MAX_JOIN_CUTS:
                         raise BudgetError(
                             f"predicted {cuts} join cut points exceed budget {MAX_JOIN_CUTS}"
@@ -233,8 +245,11 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
                     diagnostics.append((f"j={j}: predicted cut budget {cuts} (ok)", None))
         return diagnostics, built
     except (SeqentError, KeyError) as exc:
-        diagnostics.append((f"ERROR[{type(exc).__name__}]: {exc}", type(exc)))
-        return diagnostics, None
+        error = exc
+    except (ValueError, TypeError) as exc:  # a config value of the wrong type
+        error = ConfigError(f"bad config value: {exc}")
+    diagnostics.append((f"ERROR[{type(error).__name__}]: {error}", type(error)))
+    return diagnostics, None
 
 
 def _exit_code(error: type[Exception]) -> int:
@@ -290,15 +305,13 @@ def _scan_rows(report):
     return rows, []
 
 
-def _run_mixing(cfg, system):
-    family = build_test_family(cfg.get("test_family", {}), system)
+def _run_mixing(cfg, system, test_family):
     return _scan_rows(mixing_time_scan(system, int(cfg.get("j", 0)), float(cfg["r"]),
-                                       int(cfg["m_cap"]), family))
+                                       int(cfg["m_cap"]), test_family))
 
 
-def _run_rigidity(cfg, system):
-    family = build_test_family(cfg.get("test_family", {}), system)
-    return _scan_rows(rigidity_scan(system, int(cfg["m_cap"]), float(cfg["epsilon"]), family))
+def _run_rigidity(cfg, system, test_family):
+    return _scan_rows(rigidity_scan(system, int(cfg["m_cap"]), float(cfg["epsilon"]), test_family))
 
 
 def _run_triple(cfg, system, test_set):
@@ -339,12 +352,14 @@ def _run_mc(cfg, system, partition, families, mc):
 
 @dataclass(frozen=True)
 class Experiment:
-    """System classes accepted, config fields required besides ``system``, and
-    ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them."""
+    """System classes accepted, config fields required besides ``system``,
+    ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them,
+    and ``times(cfg)``: the powers the run takes besides its index families."""
 
     systems: tuple[type, ...]
     fields: tuple[str, ...]
     run: Callable[..., tuple[list[dict], list[str]]]
+    times: Callable[[dict], list[int]] = lambda cfg: []
 
 
 ANY_SYSTEM = (IntervalExchange, BernoulliSystem, RectangleExchange, BakerMap)
@@ -354,10 +369,15 @@ EXPERIMENTS: dict[str, Experiment] = {
     "entropy-trace": Experiment(ANY_SYSTEM, ("partition", "family", "j_values"), _run_trace),
     "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
     "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary),
-    "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing),
-    "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity),
-    "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple),
-    "asymmetry-ratio": Experiment((IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio),
+    "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
+                              lambda cfg: [int(cfg["m_cap"])]),
+    "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
+                                lambda cfg: [int(cfg["m_cap"])]),
+    "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
+                                     lambda cfg: [int(t) for m, n in cfg["pairs"] for t in (m, n)]),
+    "asymmetry-ratio": Experiment(  # joins xi^N with its shifts by +-m and +-n
+        (IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio,
+        lambda cfg: [int(cfg["N"]) - 1 + max(abs(int(cfg["m"])), abs(int(cfg["n"])))]),
     "mc-entropy": Experiment((RectangleExchange, BakerMap), ("partition", "family"), _run_mc),
 }
 

@@ -158,13 +158,8 @@ def partition_measures(xi) -> ProbabilityVector:
 
 def common_refinement(xi: IntervalPartition, eta: IntervalPartition) -> IntervalPartition:
     """Join of two interval partitions; labels become (xi-label, eta-label)."""
-    cuts = sorted(set(xi.cuts) | set(eta.cuts))
-    labels = []
-    hi = cuts[1:] + [ONE]
-    for a, b in zip(cuts, hi):
-        mid = (a + b) / 2
-        labels.append((xi.label_at(mid), eta.label_at(mid)))
-    return IntervalPartition(tuple(cuts), tuple(labels))
+    cuts = sorted(set(xi.cuts) | set(eta.cuts))  # gaps are right-open: label the left ends
+    return IntervalPartition(tuple(cuts), tuple((xi.label_at(c), eta.label_at(c)) for c in cuts))
 
 
 @dataclass(frozen=True)

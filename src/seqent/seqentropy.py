@@ -1,18 +1,18 @@
 """Sequence entropy along index families.
 
 The central quantity is H(join of T^p xi over p in a family)/|family|:
-exact for interval exchanges (cut-point arithmetic) and Bernoulli shifts
-(independence of coordinates), Monte Carlo with a Miller-Madow corrected
-plug-in estimator for planar systems.  Finite-range max/min of the per-j
-values are reported as *proxies* for the limsup/liminf invariants; no
-asymptotic claim is ever made by this code.
+exact for interval exchanges (integer cut points, one lattice join) and
+Bernoulli shifts (independence of coordinates), Monte Carlo with a
+Miller-Madow corrected plug-in estimator for planar systems.  Finite-range
+max/min of the per-j values are reported as *proxies* for the
+limsup/liminf invariants; no asymptotic claim is ever made by this code.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -20,10 +20,8 @@ import numpy as np
 
 from .core import (
     ONE,
-    ZERO,
     IntervalPartition,
     ProbabilityVector,
-    Rect,
     RectanglePartition,
     partition_measures,
     shannon_entropy,
@@ -41,13 +39,15 @@ from .segments import SegmentSet
 from .systems import (
     BakerMap,
     BernoulliSystem,
+    IetLattice,
     IntervalExchange,
     RectangleExchange,
+    check_powers,
     interior_discontinuity_segments,
-    powers_of,
 )
 
 LN2 = math.log(2.0)
+SAMPLE_BITS = 64  # per coordinate of a Monte Carlo sample k / 2^SAMPLE_BITS
 
 
 @dataclass(frozen=True)
@@ -74,31 +74,33 @@ def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[i
     """Common refinement of the partitions T^p xi, p in ``times``.
 
     The label of x in T^p xi is the xi-label of T^-p x, so forward joins
-    evaluate the inverse powers pointwise; ``signs="backward"`` joins
-    T^-p xi instead.  Labels of the result are tuples indexed like ``times``.
+    evaluate the inverse powers; ``signs="backward"`` joins T^-p xi instead.
+    Labels are tuples indexed like ``times``; equal neighbours are not merged.
+    On T's integer lattice scaled by xi's denominators, the cuts are each
+    power's cuts and preimages of xi's cuts; every gap then lies in one piece
+    of each power, so it is labelled at its left endpoint.
     """
     if signs not in ("forward", "backward"):
         raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
-    times = [int(t) for t in times]
     sign = -1 if signs == "forward" else 1
-    evaluators = powers_of(T, [sign * t for t in times])
-    maps = [evaluators[sign * t] for t in times]
-
-    cut_set = set()
-    for E in maps:
-        cut_set.update(E.cuts)
-        E_inv = E.inverse()
-        for c in xi.cuts:
-            cut_set.add(E_inv.apply(c))
-    if len(cut_set) > MAX_JOIN_CUTS:
-        raise BudgetError(f"join needs {len(cut_set)} cut points, budget {MAX_JOIN_CUTS}")
-    cuts = sorted(cut_set)
-    highs = cuts[1:] + [ONE]
-    labels = []
-    for a, b in zip(cuts, highs):
-        mid = (a + b) / 2
-        labels.append(tuple(xi.label_at(E.apply(mid)) for E in maps))
-    return IntervalPartition(tuple(cuts), tuple(labels))
+    signed = [sign * int(t) for t in times]
+    check_powers(T, signed)
+    lattice = IetLattice.of(T).scaled(math.lcm(*(c.denominator for c in xi.cuts)))
+    Q = lattice.Q
+    edges = np.array([c.numerator * (Q // c.denominator) for c in xi.cuts], dtype=lattice.cuts.dtype)
+    maps = list(map(dict(lattice.powers(signed)).__getitem__, signed))
+    # distinct cuts by the stable sort the map algebra uses (np.unique pages in another)
+    cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]),
+                   kind="stable")
+    cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    if len(cuts) > MAX_JOIN_CUTS:
+        raise BudgetError(f"join needs {len(cuts)} cut points, budget {MAX_JOIN_CUTS}")
+    # (gap, time) -> xi-gap in the smallest dtype: only the label tuples are large
+    gaps = np.empty((len(cuts), len(maps)), dtype=np.min_scalar_type(len(xi.cuts)))
+    for k, U in enumerate(maps):
+        gaps[:, k] = np.searchsorted(edges, U.apply(cuts), side="right") - 1
+    labels = tuple(tuple(map(xi.labels.__getitem__, row.tolist())) for row in gaps)
+    return IntervalPartition(tuple(Fraction(int(c), Q) for c in cuts), labels)
 
 
 def exact_join(T: IntervalExchange, xi: IntervalPartition, family: IndexFamily,
@@ -181,7 +183,6 @@ class McOptions:
     n_samples: int
     seed: int
     n_bootstrap: int = 200
-    level: float = 0.95
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
@@ -199,9 +200,11 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     """Monte Carlo join entropy for a planar system (rectangle exchange or baker).
 
     Sample coordinates are exact rationals, so every label vector is exact;
-    all error is statistical.  The estimate is plug-in entropy with the
-    Miller-Madow bias correction; the half-width is a 95% bootstrap
-    percentile interval from multinomial resamples of the counts.
+    all error is statistical.  The baker map shifts x one bit per step, so
+    labels that would read past the SAMPLE_BITS bits of x raise BudgetError
+    before sampling.  The estimate is plug-in entropy with the Miller-Madow
+    bias correction (exactly 0 for one atom); the half-width is a 95%
+    bootstrap percentile interval from multinomial resamples of the counts.
     """
     if n_samples < 1000:
         raise ValidationError("need n_samples >= 1000")
@@ -210,11 +213,16 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     rng = _random.Random(seed)
     times = list(family.members)
     tmax = times[-1]
+    if isinstance(T, BakerMap):  # the labels at time t read x bits t+1 .. t+x_depth
+        x_depth = max((c.denominator - 1).bit_length() for r, _ in xi.atoms for c in (r.x0, r.x1))
+        if tmax + x_depth > SAMPLE_BITS:
+            raise BudgetError(f"baker times up to {tmax} at x-depth {x_depth} read past "
+                              f"the {SAMPLE_BITS} bits of a sample")
     time_index = {t: i for i, t in enumerate(times)}
     counter: Counter = Counter()
-    denom = 2**64
+    denom = 2**SAMPLE_BITS
     for _ in range(n_samples):
-        pt = (Fraction(rng.getrandbits(64), denom), Fraction(rng.getrandbits(64), denom))
+        pt = tuple(Fraction(rng.getrandbits(SAMPLE_BITS), denom) for _ in range(2))
         label = [None] * len(times)
         for t in range(1, tmax + 1):
             pt = T.apply(pt)
@@ -223,7 +231,7 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
         counter[tuple(label)] += 1
 
     counts = np.array(sorted(counter.values(), reverse=True), dtype=np.int64)
-    estimate = float(_entropy_from_counts(counts, n_samples)[0])
+    estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
     boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=n_bootstrap)
     boot = _entropy_from_counts(boot_counts, n_samples)

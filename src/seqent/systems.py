@@ -62,11 +62,12 @@ class IntervalExchange:
         for v in lengths[:-1]:
             cuts.append(cuts[-1] + v)
         object.__setattr__(self, "_cuts", tuple(cuts))
-        # left endpoint of each interval's image
-        image_left = []
-        for i in range(len(lengths)):
-            left = sum((lengths[j] for j in range(len(lengths)) if perm[j] < perm[i]), ZERO)
-            image_left.append(left)
+        # left endpoint of each interval's image: a running sum in image order
+        image_left = [ZERO] * len(lengths)
+        left = ZERO
+        for i in sorted(range(len(lengths)), key=perm.__getitem__):
+            image_left[i] = left
+            left += lengths[i]
         object.__setattr__(self, "_translations", tuple(image_left[i] - cuts[i] for i in range(len(lengths))))
 
     # -- structure ---------------------------------------------------------
@@ -82,10 +83,6 @@ class IntervalExchange:
         if alpha == 0:
             return cls.identity()
         return cls((ONE - alpha, alpha), (1, 0), alias_limit=alias_limit)
-
-    @classmethod
-    def from_lengths_and_permutation(cls, lengths, permutation) -> "IntervalExchange":
-        return cls(tuple(as_fraction(v) for v in lengths), tuple(permutation))
 
     def __len__(self):
         return len(self.lengths)
@@ -119,12 +116,6 @@ class IntervalExchange:
         limits = [lim for lim in (self.alias_limit, other.alias_limit) if lim is not None]
         return IetLattice.of(self, Q).compose(IetLattice.of(other, Q)).to_iet(
             min(limits) if limits else None)
-
-    def check_alias(self, m: int) -> None:
-        if self.alias_limit is not None and abs(m) * len(self) > self.alias_limit:
-            raise AliasingError(
-                f"power {m} with {len(self)} intervals exceeds aliasing guard {self.alias_limit}"
-            )
 
     def power(self, m: int) -> "IntervalExchange":
         """m-fold iterate (see :func:`powers_of`)."""
@@ -222,7 +213,9 @@ def check_powers(T: IntervalExchange, times: Sequence[int]) -> None:
     m = max((abs(t) for t in times), default=0)
     if m > MAX_POWER:
         raise BudgetError(f"|power| {m} exceeds MAX_POWER {MAX_POWER}")
-    T.check_alias(m)
+    if T.alias_limit is not None and m * len(T) > T.alias_limit:
+        raise AliasingError(
+            f"power {m} with {len(T)} intervals exceeds aliasing guard {T.alias_limit}")
 
 
 def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalExchange]:
@@ -239,7 +232,8 @@ def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalEx
 # -- rotations via continued-fraction convergents ---------------------------
 
 
-def _fibonacci(n: int) -> list[int]:
+def fibonacci_numbers(n: int) -> list[int]:
+    """First n Fibonacci numbers, F_1 = F_2 = 1."""
     fibs = [1, 1]
     while len(fibs) < n:
         fibs.append(fibs[-1] + fibs[-2])
@@ -281,13 +275,8 @@ def golden_rotation(order: int = 41) -> RotationSpec:
     """Golden-mean convergent F_{order-1}/F_order with Fibonacci rigidity times."""
     if order < 20:
         raise ValidationError("order must be >= 20 to clear the aliasing guard")
-    fibs = _fibonacci(order)
+    fibs = fibonacci_numbers(order)
     return RotationSpec(Fraction(fibs[-2], fibs[-1]), tuple(fibs[:-1]))
-
-
-def fibonacci_numbers(n: int) -> list[int]:
-    """First n Fibonacci numbers, F_1 = F_2 = 1."""
-    return _fibonacci(n)
 
 
 # -- rectangle exchanges -----------------------------------------------------

@@ -19,6 +19,8 @@ map a test rectangle is a (mask, bits) pair over shift coordinates.  Arrays
 are int64 while every intermediate stays below 2^62, else Python integers;
 floats are c / G per entry, in numpy while G < 2^53 and by Python's
 correctly rounded integer division above, equal to float(Fraction(c, G)).
+An interval exchange's triple correlation is one atom of a lattice join
+(:func:`~seqent.seqentropy.join_partition`).
 """
 from __future__ import annotations
 
@@ -29,8 +31,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, Rect, as_fraction
+from .core import ONE, ZERO, IntervalPartition, Rect, as_fraction
 from .errors import ValidationError
+from .seqentropy import join_partition
 from .systems import (
     BakerMap,
     IetLattice,
@@ -310,17 +313,6 @@ def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
     return _fractions(G, next(mats)[1])
 
 
-def _identity_numerators(family: TestFamily) -> tuple[int, np.ndarray]:
-    identity = IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D) else BakerMap()
-    G, mats = _numerators(identity, [0], family.sets)
-    return G, next(mats)[1]
-
-
-def intersection_matrix(family: TestFamily) -> list[list[Fraction]]:
-    """Exact mu(A_i intersect A_j) (the identity-operator targets)."""
-    return _fractions(*_identity_numerators(family))
-
-
 # -- weak distances ---------------------------------------------------------------
 
 
@@ -329,7 +321,10 @@ def _targets(family: TestFamily, mode: str) -> np.ndarray:
         mu = np.array([float(m) for m in family.measures()])
         return np.outer(mu, mu)
     if mode == "identity":
-        return _floats(*_identity_numerators(family))
+        identity = (IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D)
+                    else BakerMap())
+        G, mats = _numerators(identity, [0], family.sets)
+        return _floats(G, next(mats)[1])
     raise ValidationError(f"unknown scan mode {mode!r}")
 
 
@@ -481,18 +476,10 @@ def triple_correlation(T, A, m: int, n: int) -> Fraction:
     if m == n:
         raise ValidationError("triple correlation needs distinct times m != n")
     if isinstance(T, IntervalExchange):
-        check_powers(T, [m, n])
-        lattice = IetLattice.of(T).scaled(1 << A.level)
-        G = lattice.Q
-        lo, hi = A.k * (G >> A.level), (A.k + 1) * (G >> A.level)
-        edges = np.array([e for e in (lo, hi) if e < G], dtype=lattice.cuts.dtype)
-        maps = [U for _, U in lattice.powers([0, m, n])]
-        x = np.unique(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]))
-        inside = np.ones(len(x), dtype=bool)
-        for U in maps:
-            y = U.apply(x)
-            inside &= (y >= lo) & (y < hi)
-        return Fraction(int(np.diff(np.append(x, G))[inside].sum()), G)
+        cuts = sorted({ZERO, A.lo, A.hi} - {ONE})
+        inside = IntervalPartition(tuple(cuts), tuple(A.lo <= c < A.hi for c in cuts))
+        atoms = join_partition(T, inside, (0, m, n), signs="backward").measures_by_label()
+        return atoms.get((True, True, True), ZERO)
     if isinstance(T, BakerMap):
         offset = A.ylevel + max(0, -m, -n)
         words = [_cylinder_word(A, offset + t) for t in (0, m, n)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from seqent import IntervalExchange
+from seqent import IntervalExchange, IntervalPartition
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -48,6 +48,27 @@ def fraction_power(T: IntervalExchange, m: int) -> IntervalExchange:
     for _ in range(abs(m)):
         result = fraction_compose(base, result)
     return result
+
+
+def fraction_join(T: IntervalExchange, xi: IntervalPartition, times,
+                  signs: str = "forward") -> IntervalPartition:
+    """The join of T^p xi (``signs="backward"``: T^-p xi) over ``times``:
+    every power's cuts and preimages of xi's cuts, each gap labelled at its
+    midpoint through ``label_at``; gaps are not merged."""
+    sign = -1 if signs == "forward" else 1
+    maps = [fraction_power(T, sign * int(t)) for t in times]
+    cut_set = set()
+    for E in maps:
+        cut_set.update(E.cuts)
+        E_inv = E.inverse()
+        for c in xi.cuts:
+            cut_set.add(E_inv.apply(c))
+    cuts = sorted(cut_set)
+    labels = []
+    for a, b in zip(cuts, cuts[1:] + [ONE]):
+        mid = (a + b) / 2
+        labels.append(tuple(xi.label_at(E.apply(mid)) for E in maps))
+    return IntervalPartition(tuple(cuts), tuple(labels))
 
 
 def iet_correlation(U: IntervalExchange, A, B) -> Fraction:

@@ -111,7 +111,7 @@ def test_criterion_02_identity_law():
 
 
 def test_criterion_03_zero_entropy_decay():
-    with Budget(3, "rotation and 3-IET joins stay small (cut-count bounds)", 60):
+    with Budget(3, "rotation, 3-IET and 4-IET joins stay small (cut-count bounds)", 60):
         halves = IntervalPartition.halves()
         T = golden_rotation().to_iet()
         res = exact_join(T, halves, explicit_family(range(1, 65)))
@@ -120,14 +120,17 @@ def test_criterion_03_zero_entropy_decay():
         assert h <= math.log2(130) / 64
         assert h < 0.2
 
-        iet = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))
-        n = len(iet)
-        for N in (8, 16, 32, 64):
-            res = exact_join(iet, halves, explicit_family(range(1, N + 1)))
-            quadratic_bound = N * (N * (n - 1) + 1) + 2 * N
-            assert res.atom_count <= quadratic_bound
-            if N == 64:
-                assert res.entropy_bits / N < 0.35
+        swap = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))
+        # a 4-IET whose join keeps growing, unlike the 2-atom joins of the swap
+        growing = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+        for iet in (swap, growing):
+            n = len(iet)
+            for N in (8, 16, 32, 64):
+                res = exact_join(iet, halves, explicit_family(range(1, N + 1)))
+                quadratic_bound = N * (N * (n - 1) + 1) + 2 * N
+                assert res.atom_count <= quadratic_bound
+                if N == 64:
+                    assert res.entropy_bits / N < 0.35
 
 
 def test_criterion_04_boundary_growth_ledger():

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 import seqent.cli
-from seqent import SeqentError
-from seqent.cli import PRESETS, main
+from seqent import IntervalPartition, SeqentError
+from seqent.cli import PRESETS, main, validate_config
+from seqent.seqentropy import join_partition
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -161,6 +162,33 @@ class TestValidate:
         assert run_cli("validate", "--config", path) == 2
         assert "aliasing" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "asymmetry-ratio", "system": {"kind": "golden-rotation"},
+         "partition": {"kind": "dyadic", "depth": 1}, "N": 8, "m": 100000, "n": 5},
+        {"experiment": "triple-correlation", "system": {"kind": "golden-rotation"},
+         "set": {"level": 1, "index": 0}, "pairs": [[1, 2], [3, 100000]]},
+    ], ids=["asymmetry-ratio", "triple-correlation"])
+    def test_power_budget_of_every_time_predicted(self, tmp_path, capsys, cfg):
+        path = write_config(tmp_path, cfg)
+        assert run_cli("validate", "--config", path) == 2
+        assert "aliasing" in capsys.readouterr().out.lower()
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
+
+    def test_envelope_cut_budget_covers_deepest_library_partition(self):
+        cfg = {
+            "experiment": "sup-envelope",
+            "system": {"kind": "iet", "lengths": ["1/5", "2/7", "3/11", "93/385"],
+                       "permutation": [3, 2, 1, 0]},
+            "family": {"kind": "progression", "L": {"form": "j"}},
+            "j_values": [4],
+            "depth": 6,
+        }
+        diagnostics, built = validate_config(cfg)
+        predicted = int(re.search(r"predicted cut budget (\d+)", diagnostics[0][0]).group(1))
+        deepest = join_partition(built["system"], IntervalPartition.dyadic(6),
+                                 built["families"][4].members)
+        assert predicted >= len(deepest.cuts) == 301
+
     def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "Budget-scan"})
         assert run_cli("validate", "--config", path) == 1
@@ -170,7 +198,8 @@ class TestValidate:
 
 EXPLICIT_FAMILY = {"kind": "explicit", "members": [1, 2]}
 
-# experiments given a system class, partition or test set they cannot run on
+# experiments given a system class, partition or test set they cannot run on,
+# or a value of the wrong type
 MISMATCHED_CONFIGS = {
     "boundary-growth-on-baker": {
         "experiment": "boundary-growth", "system": {"kind": "baker"},
@@ -195,6 +224,10 @@ MISMATCHED_CONFIGS = {
     "mc-entropy-on-rotation": {
         "experiment": "mc-entropy", "system": {"kind": "golden-rotation"},
         "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY, "seed": 1,
+    },
+    "boundary-growth-with-non-numeric-N": {
+        "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
+        "partition": {"kind": "quadrants"}, "N": "ten",
     },
 }
 

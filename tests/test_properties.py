@@ -1,19 +1,34 @@
 """Property tests: the integer-lattice kernels against the Fraction and
-cylinder-dictionary oracles in ``oracles.py``."""
+cylinder-dictionary oracles in ``oracles.py``, and invariants of joins."""
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqent import BakerMap, IntervalExchange, correlation, triple_correlation
+from seqent import (
+    BakerMap,
+    IntervalExchange,
+    IntervalPartition,
+    correlation,
+    partition_measures,
+    shannon_entropy,
+    triple_correlation,
+)
+from seqent.seqentropy import join_partition
 from seqent.systems import powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
 from seqent.weaklimits import correlation_matrix
 
-from oracles import cylinder_measure, fraction_power, oracle_correlation_matrix, shift_cylinder
+from oracles import (
+    cylinder_measure,
+    fraction_join,
+    fraction_power,
+    oracle_correlation_matrix,
+    shift_cylinder,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 TIMES = st.integers(-12, 12)
@@ -25,6 +40,16 @@ def iets(draw):
     weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
     perm = draw(st.permutations(range(n)))
     return IntervalExchange(tuple(Fraction(w, sum(weights)) for w in weights), tuple(perm))
+
+
+@st.composite
+def interval_partitions(draw):
+    """Up to five cuts with denominators up to 12, labels from a three-letter
+    alphabet (so non-adjacent gaps often share a label)."""
+    cuts = draw(st.sets(st.fractions(0, 1, max_denominator=12).filter(lambda c: 0 < c < 1),
+                        max_size=5))
+    cuts = [Fraction(0), *sorted(cuts)]
+    return IntervalPartition(tuple(cuts), tuple(draw(st.sampled_from("abc")) for _ in cuts))
 
 
 @st.composite
@@ -56,6 +81,23 @@ def interval_families(draw):
 @given(iets(), TIMES, interval_families())
 def test_correlation_matrix_matches_fraction_oracle(T, m, family):
     assert correlation_matrix(T, m, family) == oracle_correlation_matrix(T, m, family)
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.lists(TIMES, min_size=1, max_size=5), TIMES,
+       st.sampled_from(["forward", "backward"]))
+def test_join_matches_fraction_oracle(T, xi, times, extra, signs):
+    join = join_partition(T, xi, times, signs=signs)
+    assert join == fraction_join(T, xi, times, signs=signs)
+    # T is measure-preserving: the labels at each time are distributed as xi's
+    for i in range(len(times)):
+        marginal = {}
+        for label, mass in join.measures_by_label().items():
+            marginal[label[i]] = marginal.get(label[i], 0) + mass
+        assert marginal == xi.measures_by_label()
+    # refining by one more time cannot lower the join entropy
+    finer = join_partition(T, xi, times + [extra], signs=signs)
+    assert shannon_entropy(partition_measures(finer)) >= shannon_entropy(partition_measures(join))
 
 
 @SETTINGS

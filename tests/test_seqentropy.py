@@ -7,9 +7,11 @@ import pytest
 from seqent import (
     BernoulliSystem,
     BakerMap,
+    BudgetError,
     DegenerateInputError,
     IntervalExchange,
     IntervalPartition,
+    McOptions,
     RectanglePartition,
     RectangleExchange,
     ValidationError,
@@ -236,6 +238,21 @@ class TestMonteCarloJoin:
             mc_join_entropy(RectangleExchange.identity(),
                             RectanglePartition.quadrants(),
                             explicit_family([1]), 10, seed=1)
+
+    def test_baker_times_past_the_sample_bits_raise(self):
+        halves = RectanglePartition.vertical_halves()
+        family = explicit_family([70, 71, 72])  # 3 bits exactly; 64-bit samples read 0
+        with pytest.raises(BudgetError):
+            mc_join_entropy(BakerMap(), halves, family, 1000, seed=1)
+        trace = entropy_trace(BakerMap(), halves, lambda j: family, [1], mc=McOptions(1000, 1))
+        assert trace.rows[0].error.startswith("BudgetError")
+        # times up to 63 read bit 64 at most and still run
+        assert mc_join_entropy(BakerMap(), halves, explicit_family([63]), 1000, seed=1).atom_count == 2
+
+    def test_one_atom_is_exactly_zero_bits(self):
+        res = mc_join_entropy(RectangleExchange.identity(), RectanglePartition.trivial(),
+                              explicit_family([1, 2]), 1000, seed=1)
+        assert (res.atom_count, res.entropy_bits) == (1, 0.0)
 
     def test_deterministic_for_fixed_seed(self):
         args = (BakerMap(), RectanglePartition.vertical_halves(),

@@ -51,8 +51,10 @@ from .seqentropy import (
     McOptions,
     asymmetry_ratio,
     boundary_growth,
+    check_sample_bits,
     entropy_trace,
     mc_join_entropy,
+    partition_library,
     sup_over_partitions,
 )
 from .systems import (
@@ -168,13 +170,14 @@ def _require(cfg: dict, field: str):
 
 
 def estimate_join_cuts(system, partition, family: IndexFamily) -> int:
-    """Pessimistic predicted cut-point count for an exact join."""
+    """Upper bound on the cut points of an exact join: the discontinuities of
+    the powers T^-p, p <= M, are nested, so all of them lie among the at most
+    M(n-1)+1 cuts of T^-M; each power adds at most one preimage per cut of
+    the partition."""
     if not isinstance(system, IntervalExchange):
         return 0
-    n = len(system)
     k = len(partition.cuts) if partition is not None else 1
-    M = max(family.members)
-    return len(family) * ((M * (n - 1) + 1) + k)
+    return max(family.members) * (len(system) - 1) + 1 + len(family) * k
 
 
 def _fit(system, obj, one_d: type, two_d: type, what: str):
@@ -230,11 +233,16 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
                 built["mc"] = McOptions(int(cfg.get("n_samples", 10000)), int(cfg["seed"]))
             maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
-            # sup-envelope joins a dyadic library; its deepest partition has the most cuts
-            partition = (built["partition"] if "partition" in built
-                         else IntervalPartition.dyadic(int(cfg.get("depth", 4))))
+            if "partition" in built:
+                partition = built["partition"]
+            else:  # sup-envelope: the deepest library partition has the most cuts and x bits
+                depth = int(cfg.get("depth", 4))
+                if depth < 1:
+                    raise ConfigError(f"sup-envelope needs depth >= 1, got {depth}")
+                partition = list(partition_library(system, depth).values())[-1]
             for j in cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]:
                 fam = families[int(j)] = maker(int(j))
+                check_sample_bits(system, partition, fam)
                 if isinstance(system, IntervalExchange):
                     check_powers(system, [max(fam.members)])
                     cuts = estimate_join_cuts(system, partition, fam)

@@ -6,12 +6,17 @@ Bernoulli shifts (independence of coordinates), Monte Carlo with a
 Miller-Madow corrected plug-in estimator for planar systems.  Finite-range
 max/min of the per-j values are reported as *proxies* for the
 limsup/liminf invariants; no asymptotic claim is ever made by this code.
+
+Planar Monte Carlo samples and the boundary ledger are integer arrays too:
+cells of the lattice a rectangle exchange shares with its partition
+(:class:`~seqent.systems.RectLattice`), or 64-bit words under the baker map.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from collections import Counter
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -35,15 +40,17 @@ from .errors import (
     MAX_JOIN_CUTS,
 )
 from .families import IndexFamily
-from .segments import SegmentSet
 from .systems import (
     BakerMap,
     BernoulliSystem,
     IetLattice,
     IntervalExchange,
     RectangleExchange,
+    RectLattice,
     check_powers,
+    int_dtype,
     interior_discontinuity_segments,
+    lattice_ints,
 )
 
 LN2 = math.log(2.0)
@@ -87,7 +94,7 @@ def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[i
     check_powers(T, signed)
     lattice = IetLattice.of(T).scaled(math.lcm(*(c.denominator for c in xi.cuts)))
     Q = lattice.Q
-    edges = np.array([c.numerator * (Q // c.denominator) for c in xi.cuts], dtype=lattice.cuts.dtype)
+    edges = lattice_ints(xi.cuts, Q)
     maps = list(map(dict(lattice.powers(signed)).__getitem__, signed))
     # distinct cuts by the stable sort the map algebra uses (np.unique pages in another)
     cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]),
@@ -195,42 +202,129 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
     return plug + (support - 1) / (2.0 * n * LN2)
 
 
+def check_sample_bits(T, xi: RectanglePartition, family: IndexFamily) -> None:
+    """Raise BudgetError if baker labels at the family's times would read past
+    the SAMPLE_BITS bits of a sample: the label at time t reads the x bits
+    t+1 .. t+x_depth, x_depth being the bits of xi's largest x denominator."""
+    if not isinstance(T, BakerMap):
+        return
+    x_depth = max((c.denominator - 1).bit_length() for r, _ in xi.atoms for c in (r.x0, r.x1))
+    tmax = family.members[-1]
+    if tmax + x_depth > SAMPLE_BITS:
+        raise BudgetError(f"baker times up to {tmax} at x-depth {x_depth} read past "
+                          f"the {SAMPLE_BITS} bits of a sample")
+
+
+def _cells(xi: RectanglePartition):
+    """xi's distinct left edges, its distinct bottom edges, the label id of the
+    cell at each (x gap, y gap) between them, and the number of ids (one per
+    distinct label)."""
+    xs = sorted({r.x0 for r, _ in xi.atoms})
+    ys = sorted({r.y0 for r, _ in xi.atoms})
+    ids: dict = {}
+    table = np.empty((len(xs), len(ys)), dtype=np.intp)
+    for r, label in xi.atoms:
+        table[bisect.bisect_left(xs, r.x0):bisect.bisect_left(xs, r.x1),
+              bisect.bisect_left(ys, r.y0):bisect.bisect_left(ys, r.y1)] = ids.setdefault(label, len(ids))
+    return xs, ys, table, len(ids)
+
+
+def _below(edges: Sequence[Fraction], scale: int, dtype) -> np.ndarray:
+    """For each edge c > 0 the largest k whose point k/scale (or lattice cell
+    [k, k+1)/scale) lies below c, so that a coordinate's gap among
+    (0, *edges) is ``np.searchsorted(_below(edges, ...), k)``."""
+    return np.array([(c.numerator * scale - 1) // c.denominator for c in edges], dtype=dtype)
+
+
+def _exchange_gaps(T: RectangleExchange, xs, ys, x: np.ndarray, y: np.ndarray, times):
+    """(x gaps, y gaps) of the samples at each time under a rectangle exchange.
+    On the lattice of T and xi a sample k/2^SAMPLE_BITS is the cell
+    floor(Q k / 2^SAMPLE_BITS): that cell decides every comparison with a
+    multiple of 1/Q, and a translation by d/Q moves it by exactly d."""
+    lattice = RectLattice.of(T, xs + ys)
+    Q, dtype = lattice.Q, lattice.trans.dtype
+    X, Y = (np.fromiter((int(k) * Q >> SAMPLE_BITS for k in w), dtype, len(w)) for w in (x, y))
+    bx, by = _below(xs[1:], Q, dtype), _below(ys[1:], Q, dtype)
+    wanted = set(times)
+    for t in range(1, times[-1] + 1):
+        X, Y = lattice.apply(X, Y)
+        if t in wanted:
+            yield np.searchsorted(bx, X), np.searchsorted(by, Y)
+
+
+def _baker_gaps(xs, ys, x: np.ndarray, y: np.ndarray, times):
+    """(x gaps, y gaps) of the samples at each time under the baker map, on
+    SAMPLE_BITS-bit words: x shifts left, y shifts right with x's top bit
+    entering at the top.  After t <= SAMPLE_BITS steps x is its word exactly and
+    y is its word plus f = (y's first word mod 2^t) / 2^t, the bits the shifts
+    dropped; f decides y's gap only where the word equals floor(c 2^SAMPLE_BITS)
+    for a non-dyadic edge c."""
+    scale = 1 << SAMPLE_BITS
+    bx, by = _below(xs[1:], scale, np.uint64), _below(ys[1:], scale, np.uint64)
+    ties = [(k, c.denominator, c.numerator * scale % c.denominator)
+            for k, c in zip(by.tolist(), ys[1:]) if c.numerator * scale % c.denominator]
+    top = np.uint64(scale >> 1)
+    X, Y = x, y
+    wanted = set(times)
+    for t in range(1, times[-1] + 1):
+        X, Y = X << 1, (Y >> 1) | (X & top)
+        if t in wanted:
+            gy = np.searchsorted(by, Y)
+            for k, q, r in ties:  # y >= c iff f >= r/q
+                for i in np.flatnonzero(Y == k):
+                    gy[i] += (int(y[i]) % (1 << t)) * q >= r << t
+            yield np.searchsorted(bx, X), gy
+
+
+def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each entry among the distinct values of code, and their number."""
+    order = np.argsort(code, kind="stable")
+    ordered = code[order]
+    rank = np.empty_like(code)
+    rank[order] = np.cumsum(np.append(0, ordered[1:] != ordered[:-1]))
+    return rank, int(rank[order[-1]]) + 1
+
+
+def _label_counts(T, xi: RectanglePartition, times: Sequence[int], n_samples: int,
+                  seed: int) -> np.ndarray:
+    """Samples per distinct label vector at ``times``, in decreasing order;
+    label vectors are grouped by one integer code, re-ranked densely before
+    it could overflow int64."""
+    xs, ys, table, n_labels = _cells(xi)
+    draws = random.Random(seed).getrandbits(2 * SAMPLE_BITS * n_samples)
+    words = np.frombuffer(draws.to_bytes(SAMPLE_BITS // 4 * n_samples, "little"), dtype="<u8")
+    x, y = words[0::2], words[1::2]  # getrandbits(64) twice per sample, x then y
+    gaps = (_baker_gaps(xs, ys, x, y, times) if isinstance(T, BakerMap)
+            else _exchange_gaps(T, xs, ys, x, y, times))
+    code, size = np.zeros(n_samples, dtype=np.int64), 1
+    for gx, gy in gaps:
+        if size * n_labels >= 2**63:
+            code, size = _dense(code)
+        code, size = code * n_labels + table[gx, gy], size * n_labels
+    return np.sort(np.bincount(_dense(code)[0]), kind="stable")[::-1]
+
+
 def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
                     n_samples: int, seed: int, n_bootstrap: int = 200) -> JoinResult:
     """Monte Carlo join entropy for a planar system (rectangle exchange or baker).
 
-    Sample coordinates are exact rationals, so every label vector is exact;
-    all error is statistical.  The baker map shifts x one bit per step, so
-    labels that would read past the SAMPLE_BITS bits of x raise BudgetError
-    before sampling.  The estimate is plug-in entropy with the Miller-Madow
-    bias correction (exactly 0 for one atom); the half-width is a 95%
-    bootstrap percentile interval from multinomial resamples of the counts.
+    Samples are 2 * n_samples draws of ``random.Random(seed).getrandbits(64)``,
+    x then y, read as k / 2^SAMPLE_BITS.  They step together in integer arrays
+    (lattice cells under an exchange, 64-bit words under the baker map), so
+    every label vector is exact and all error is statistical.  Baker labels
+    that would read past the SAMPLE_BITS bits of x raise BudgetError before
+    sampling (:func:`check_sample_bits`).  The estimate is plug-in entropy
+    with the Miller-Madow bias correction (exactly 0 for one atom); the
+    half-width is a 95% bootstrap percentile interval from multinomial
+    resamples of the counts, sorted in decreasing order.
     """
     if n_samples < 1000:
         raise ValidationError("need n_samples >= 1000")
-    import random as _random
-
-    rng = _random.Random(seed)
-    times = list(family.members)
-    tmax = times[-1]
-    if isinstance(T, BakerMap):  # the labels at time t read x bits t+1 .. t+x_depth
-        x_depth = max((c.denominator - 1).bit_length() for r, _ in xi.atoms for c in (r.x0, r.x1))
-        if tmax + x_depth > SAMPLE_BITS:
-            raise BudgetError(f"baker times up to {tmax} at x-depth {x_depth} read past "
-                              f"the {SAMPLE_BITS} bits of a sample")
-    time_index = {t: i for i, t in enumerate(times)}
-    counter: Counter = Counter()
-    denom = 2**SAMPLE_BITS
-    for _ in range(n_samples):
-        pt = tuple(Fraction(rng.getrandbits(SAMPLE_BITS), denom) for _ in range(2))
-        label = [None] * len(times)
-        for t in range(1, tmax + 1):
-            pt = T.apply(pt)
-            if t in time_index:
-                label[time_index[t]] = xi.label_at(pt)
-        counter[tuple(label)] += 1
-
-    counts = np.array(sorted(counter.values(), reverse=True), dtype=np.int64)
+    if not isinstance(T, (RectangleExchange, BakerMap)):
+        raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
+                              f"not {type(T).__name__}")
+    check_sample_bits(T, xi, family)
+    counts = _label_counts(T, xi, family.members, n_samples, seed)
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
     boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=n_bootstrap)
@@ -381,32 +475,34 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
 # -- boundary-growth ledger ----------------------------------------------------
 
 
-def _partition_boundary(xi: RectanglePartition) -> SegmentSet:
-    s = SegmentSet()
-    for r, _ in xi.atoms:
-        s.add_vertical(r.x0, r.y0, r.y1)
-        s.add_vertical(r.x1, r.y0, r.y1)
-        s.add_horizontal(r.y0, r.x0, r.x1)
-        s.add_horizontal(r.y1, r.x0, r.x1)
-    return s
+def _image(segs: np.ndarray, rects: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Forward image of segment rows (line, lo, hi): each row clipped to every
+    source whose [line0, line1) holds its line, then translated.  ``rects``
+    rows are (line0, line1, lo, hi) and ``shifts`` rows (line shift, span shift)."""
+    line, lo, hi = segs.T
+    parts = []
+    for (l0, l1, s0, s1), (dl, ds) in zip(rects, shifts):
+        a, b = np.maximum(lo, s0), np.minimum(hi, s1)
+        keep = (l0 <= line) & (line < l1) & (a < b)
+        parts.append(np.stack([line[keep] + dl, a[keep] + ds, b[keep] + ds], axis=1))
+    return np.concatenate(parts)
 
 
-def _image_segments(T: RectangleExchange, s: SegmentSet) -> SegmentSet:
-    """Forward image of a segment set: split along source rectangles, translate."""
-    out = SegmentSet()
-    for x, lo, hi in s.iter_vertical():
-        for r, (dx, dy) in zip(T.sources, T.translations):
-            if r.x0 <= x < r.x1:
-                a, b = max(lo, r.y0), min(hi, r.y1)
-                if a < b:
-                    out.add_vertical(x + dx, a + dy, b + dy)
-    for y, lo, hi in s.iter_horizontal():
-        for r, (dx, dy) in zip(T.sources, T.translations):
-            if r.y0 <= y < r.y1:
-                a, b = max(lo, r.x0), min(hi, r.x1)
-                if a < b:
-                    out.add_horizontal(y + dy, a + dx, b + dx)
-    return out
+def _merge(segs: np.ndarray, Q: int) -> np.ndarray:
+    """Per-line unions of the closed intervals [lo, hi] of rows (line, lo, hi)
+    with coordinates in [0, Q]: one stable sort by lo and one by line, then a
+    row starts a new interval unless lo is within the running maximum of hi
+    on its line."""
+    segs = segs[np.argsort(segs[:, 1], kind="stable")]
+    segs = segs[np.argsort(segs[:, 0], kind="stable")]
+    line, lo, hi = segs.T
+    start = np.append(True, line[1:] != line[:-1])
+    offset = (np.cumsum(start) - 1).astype(int_dtype(len(segs) * (Q + 1))) * (Q + 1)
+    reach = np.maximum.accumulate(offset + hi) - offset  # running max of hi on each line
+    start[1:] |= lo[1:] > reach[:-1]
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], len(segs)) - 1
+    return np.stack([line[first], lo[first], reach[last].astype(segs.dtype)], axis=1)
 
 
 def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> list[Fraction]:
@@ -416,28 +512,36 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     of the n-step join; each step images the previous set, then unions in the
     partition boundary and the exchange's image-side seams, so
     B(n) - B(0) <= n * discontinuity_length(T) whenever the partition
-    boundary stays inside the evolving set.
+    boundary stays inside the evolving set.  Vertical segments (x; y0, y1)
+    and horizontal ones (y; x0, x1) are integer rows on the lattice of T and
+    xi (:class:`RectLattice`), imaged with one mask-and-clip per source and
+    merged per line after each step; B(n) is the sum of lengths over Q.
     """
     if N < 0:
         raise ValidationError("N must be >= 0")
     if N > 10**4:
         raise BudgetError("boundary ledger limited to N <= 10^4")
-    base = _partition_boundary(xi)
-    seams = SegmentSet()
-    vertical, horizontal = interior_discontinuity_segments(T, side="image")
-    for x, lo, hi in vertical:
-        seams.add_vertical(x, lo, hi)
-    for y, lo, hi in horizontal:
-        seams.add_horizontal(y, lo, hi)
+    corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
+    lattice = RectLattice.of(T, corners)
+    Q = lattice.Q
+    atoms = lattice_ints(corners, Q).reshape(-1, 4)
+    base = [np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]]]),   # vertical
+            np.concatenate([atoms[:, [2, 0, 1]], atoms[:, [3, 0, 1]]])]   # horizontal
+    seams = [lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
+             for side in interior_discontinuity_segments(T, side="image")]
+    fixed = [_merge(np.concatenate(pair), Q) for pair in zip(base, seams)]
+    # a vertical segment meets a source as (x range, y range), a horizontal one the other way
+    sources = [(lattice.sources, lattice.trans), (lattice.sources[:, [2, 3, 0, 1]], lattice.trans[:, ::-1])]
 
-    current = base.copy()
-    lengths = [current.total_length()]
+    def length(sets) -> Fraction:  # Python ints: a sum of many lengths near Q overflows int64
+        return Fraction(sum(sum(s[:, 2].tolist()) - sum(s[:, 1].tolist()) for s in sets), Q)
+
+    current = [_merge(b, Q) for b in base]
+    lengths = [length(current)]
     for _ in range(N):
-        nxt = _image_segments(T, current)
-        nxt.union_with(base)
-        nxt.union_with(seams)
-        current = nxt
-        lengths.append(current.total_length())
+        current = [_merge(np.concatenate([_image(s, *src), f]), Q)
+                   for s, src, f in zip(current, sources, fixed)]
+        lengths.append(length(current))
     return lengths
 
 

@@ -128,6 +128,12 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**62 else object
 
 
+def lattice_ints(values: Iterable[Fraction], Q: int) -> np.ndarray:
+    """Rationals on the lattice of step 1/Q (each denominator divides Q), in
+    units of 1/Q, as an array of :func:`int_dtype` (Q)."""
+    return np.array([v.numerator * (Q // v.denominator) for v in values], dtype=int_dtype(Q))
+
+
 @dataclass(frozen=True, eq=False)
 class IetLattice:
     """An interval exchange on the integer lattice of step 1/Q.
@@ -147,10 +153,7 @@ class IetLattice:
     def of(cls, T: IntervalExchange, Q: int | None = None) -> "IetLattice":
         """T on the lattice of step 1/Q (default: the lcm of its length denominators)."""
         Q = Q or math.lcm(*(v.denominator for v in T.lengths))
-        dtype = int_dtype(Q)
-        cuts = np.array([v.numerator * (Q // v.denominator) for v in T.cuts], dtype=dtype)
-        trans = np.array([v.numerator * (Q // v.denominator) for v in T.translations], dtype=dtype)
-        return cls(Q, cuts, trans)
+        return cls(Q, lattice_ints(T.cuts, Q), lattice_ints(T.translations, Q))
 
     def scaled(self, factor: int) -> "IetLattice":
         """The same map on the lattice of step 1/(Q*factor)."""
@@ -351,6 +354,37 @@ class RectangleExchange:
         return RectangleExchange(
             self.images(), tuple((-dx, -dy) for dx, dy in self.translations)
         )
+
+
+@dataclass(frozen=True, eq=False)
+class RectLattice:
+    """A rectangle exchange on the integer lattice of step 1/Q.
+
+    Row k of ``sources`` is source rectangle k as (x0, x1, y0, y1) and row k
+    of ``trans`` its translation (dx, dy), in units of 1/Q.  Q is the lcm of
+    the denominators of the sources, the translations and the ``extra``
+    values (a partition's edges), so every comparison the exchange and the
+    partition make is exact integer arithmetic (see :func:`int_dtype`).
+    """
+
+    Q: int
+    sources: np.ndarray
+    trans: np.ndarray
+
+    @classmethod
+    def of(cls, T: RectangleExchange, extra: Iterable[Fraction] = ()) -> "RectLattice":
+        corners = [v for r in T.sources for v in (r.x0, r.x1, r.y0, r.y1)]
+        shifts = [v for d in T.translations for v in d]
+        Q = math.lcm(*(v.denominator for v in (*corners, *shifts, *extra)))
+        return cls(Q, lattice_ints(corners, Q).reshape(-1, 4), lattice_ints(shifts, Q).reshape(-1, 2))
+
+    def apply(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exchange on arrays of lattice cells: cell (X, Y) is the square
+        [X, X+1) x [Y, Y+1) / Q, which lies in one source and moves with it."""
+        k = np.zeros(len(X), dtype=np.intp)
+        for i, (x0, x1, y0, y1) in enumerate(self.sources[1:], 1):
+            k[(x0 <= X) & (X < x1) & (y0 <= Y) & (Y < y1)] = i
+        return X + self.trans[k, 0], Y + self.trans[k, 1]
 
 
 def interior_discontinuity_segments(T: RectangleExchange, side: str = "image"):

@@ -1,14 +1,20 @@
 """Slow exact reference implementations for differential tests.
 
-Each oracle works pair by pair in ``Fraction`` arithmetic (or, for the baker
-map, on cylinder dictionaries) and shares no code with the integer-lattice
-kernels of ``seqent.systems`` and ``seqent.weaklimits``.
+Each oracle works pair by pair (or point by point, or segment by segment) in
+``Fraction`` arithmetic (or, for the baker map, on cylinder dictionaries) and
+shares no code with the integer-lattice kernels of ``seqent.systems``,
+``seqent.seqentropy`` and ``seqent.weaklimits``.
 """
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from seqent import IntervalExchange, IntervalPartition
+from seqent import IntervalExchange, IntervalPartition, ProbabilityVector
+from seqent.segments import SegmentSet
+from seqent.seqentropy import SAMPLE_BITS, JoinResult, _entropy_from_counts, check_sample_bits
+from seqent.systems import interior_discontinuity_segments
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -128,3 +134,86 @@ def oracle_distance(corr, family, mode: str, normalized: bool = True) -> float:
 def _overlap(a, b) -> Fraction:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     return hi - lo if hi > lo else ZERO
+
+
+def fraction_mc_join_entropy(T, xi, family, n_samples: int, seed: int,
+                             n_bootstrap: int = 200) -> JoinResult:
+    """Monte Carlo join entropy with one ``Fraction`` point per sample, moved
+    by ``T.apply`` and labelled by ``xi.label_at`` one step at a time; label
+    tuples are counted in a dict."""
+    check_sample_bits(T, xi, family)
+    rng = random.Random(seed)
+    times = list(family.members)
+    time_index = {t: i for i, t in enumerate(times)}
+    counter: Counter = Counter()
+    denom = 2**SAMPLE_BITS
+    for _ in range(n_samples):
+        pt = tuple(Fraction(rng.getrandbits(SAMPLE_BITS), denom) for _ in range(2))
+        label = [None] * len(times)
+        for t in range(1, times[-1] + 1):
+            pt = T.apply(pt)
+            if t in time_index:
+                label[time_index[t]] = xi.label_at(pt)
+        counter[tuple(label)] += 1
+    counts = np.array(sorted(counter.values(), reverse=True), dtype=np.int64)
+    estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
+    nprng = np.random.default_rng(seed)
+    boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=n_bootstrap)
+    boot = _entropy_from_counts(boot_counts, n_samples)
+    lo, hi = np.percentile(boot, [2.5, 97.5])
+    return JoinResult(
+        entropy_bits=estimate,
+        atom_count=len(counts),
+        method="monte_carlo",
+        measures=ProbabilityVector(tuple(Fraction(int(c), n_samples) for c in counts)),
+        ci_halfwidth=float(hi - lo) / 2.0,
+    )
+
+
+def _partition_boundary(xi) -> SegmentSet:
+    s = SegmentSet()
+    for r, _ in xi.atoms:
+        s.add_vertical(r.x0, r.y0, r.y1)
+        s.add_vertical(r.x1, r.y0, r.y1)
+        s.add_horizontal(r.y0, r.x0, r.x1)
+        s.add_horizontal(r.y1, r.x0, r.x1)
+    return s
+
+
+def _image_segments(T, s: SegmentSet) -> SegmentSet:
+    """Forward image of a segment set: split along source rectangles, translate."""
+    out = SegmentSet()
+    for x, lo, hi in s.iter_vertical():
+        for r, (dx, dy) in zip(T.sources, T.translations):
+            if r.x0 <= x < r.x1:
+                a, b = max(lo, r.y0), min(hi, r.y1)
+                if a < b:
+                    out.add_vertical(x + dx, a + dy, b + dy)
+    for y, lo, hi in s.iter_horizontal():
+        for r, (dx, dy) in zip(T.sources, T.translations):
+            if r.y0 <= y < r.y1:
+                a, b = max(lo, r.x0), min(hi, r.x1)
+                if a < b:
+                    out.add_horizontal(y + dy, a + dx, b + dx)
+    return out
+
+
+def segmentset_boundary_growth(T, xi, N: int) -> list:
+    """Boundary lengths B(0..N) on ``SegmentSet``s of ``Fraction`` segments:
+    image the set, union in the partition boundary and the image-side seams."""
+    base = _partition_boundary(xi)
+    seams = SegmentSet()
+    vertical, horizontal = interior_discontinuity_segments(T, side="image")
+    for x, lo, hi in vertical:
+        seams.add_vertical(x, lo, hi)
+    for y, lo, hi in horizontal:
+        seams.add_horizontal(y, lo, hi)
+    current = base.copy()
+    lengths = [current.total_length()]
+    for _ in range(N):
+        nxt = _image_segments(T, current)
+        nxt.union_with(base)
+        nxt.union_with(seams)
+        current = nxt
+        lengths.append(current.total_length())
+    return lengths

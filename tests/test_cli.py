@@ -189,6 +189,31 @@ class TestValidate:
                                  built["families"][4].members)
         assert predicted >= len(deepest.cuts) == 301
 
+    def test_baker_sample_bits_predicted(self, tmp_path, capsys):
+        # j=8 and j=16 reach times 64 and 256: with the halves' one x bit, their
+        # labels would read past the 64 bits of a sample
+        path = write_config(tmp_path, {
+            "experiment": "entropy-trace", "system": {"kind": "baker"},
+            "partition": {"kind": "vertical-halves"},
+            "family": {"kind": "progression", "L": {"form": "j"}},
+            "j_values": [4, 8, 16], "n_samples": 2000, "seed": 1,
+        })
+        assert run_cli("validate", "--config", path) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().out
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_join_cut_estimate_is_a_union_bound(self):
+        # 1..4096 on golden-rotation halves: 8,193 cuts, far inside MAX_JOIN_CUTS
+        diagnostics, built = validate_config({
+            "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+            "partition": {"kind": "dyadic", "depth": 1},
+            "family": {"kind": "progression", "L": {"form": "c", "c": 4096}}, "j_values": [1],
+        })
+        assert built is not None
+        assert diagnostics == [("j=1: predicted cut budget 12289 (ok)", None)]
+
     def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "Budget-scan"})
         assert run_cli("validate", "--config", path) == 1
@@ -224,6 +249,10 @@ MISMATCHED_CONFIGS = {
     "mc-entropy-on-rotation": {
         "experiment": "mc-entropy", "system": {"kind": "golden-rotation"},
         "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY, "seed": 1,
+    },
+    "sup-envelope-with-depth-0": {
+        "experiment": "sup-envelope", "system": {"kind": "golden-rotation"},
+        "family": EXPLICIT_FAMILY, "j_values": [1], "depth": 0,
     },
     "boundary-growth-with-non-numeric-N": {
         "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},

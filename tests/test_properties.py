@@ -1,5 +1,6 @@
-"""Property tests: the integer-lattice kernels against the Fraction and
-cylinder-dictionary oracles in ``oracles.py``, and invariants of joins."""
+"""Property tests: the integer-lattice kernels against the Fraction,
+SegmentSet and cylinder-dictionary oracles in ``oracles.py``, and invariants
+of joins."""
 import math
 from fractions import Fraction
 
@@ -10,11 +11,17 @@ from seqent import (
     BakerMap,
     IntervalExchange,
     IntervalPartition,
+    Rect,
+    RectangleExchange,
+    RectanglePartition,
+    boundary_growth,
     correlation,
+    explicit_family,
     partition_measures,
     shannon_entropy,
     triple_correlation,
 )
+from seqent.cli import estimate_join_cuts
 from seqent.seqentropy import join_partition
 from seqent.systems import powers_of
 from seqent.weaklimits import TestFamily as Family
@@ -27,6 +34,7 @@ from oracles import (
     fraction_join,
     fraction_power,
     oracle_correlation_matrix,
+    segmentset_boundary_growth,
     shift_cylinder,
 )
 
@@ -98,6 +106,49 @@ def test_join_matches_fraction_oracle(T, xi, times, extra, signs):
     # refining by one more time cannot lower the join entropy
     finer = join_partition(T, xi, times + [extra], signs=signs)
     assert shannon_entropy(partition_measures(finer)) >= shannon_entropy(partition_measures(join))
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.sets(st.integers(1, 24), min_size=1, max_size=6),
+       st.sampled_from(["forward", "backward"]))
+def test_join_cut_estimate_bounds_the_join(T, xi, times, signs):
+    family = explicit_family(sorted(times))
+    join = join_partition(T, xi, family.members, signs=signs)
+    assert estimate_join_cuts(T, xi, family) >= len(join.cuts)
+
+
+@st.composite
+def product_rotations(draw):
+    def angle():
+        q = draw(st.integers(2, 40))
+        return Fraction(draw(st.integers(1, q - 1)), q)
+    return RectangleExchange.product_rotations(angle(), angle())
+
+
+@st.composite
+def bricks(draw):
+    """Four atoms: a vertical cut at a, then a horizontal cut on each side, so
+    boundary lines are covered only in part."""
+    cut = st.fractions(0, 1, max_denominator=12).filter(lambda c: 0 < c < 1)
+    a, b, c = draw(cut), draw(cut), draw(cut)
+    return RectanglePartition(((Rect(0, a, 0, b), 0), (Rect(0, a, b, 1), 1),
+                               (Rect(a, 1, 0, c), 2), (Rect(a, 1, c, 1), 3)))
+
+
+@SETTINGS
+@given(product_rotations(), st.sampled_from(["sources", "quadrants", "bricks"]), bricks(),
+       st.integers(0, 12))
+def test_boundary_growth_matches_segmentset_oracle(T, kind, brick, N):
+    xi = {"sources": RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources))),
+          "quadrants": RectanglePartition.quadrants(), "bricks": brick}[kind]
+    assert boundary_growth(T, xi, N) == segmentset_boundary_growth(T, xi, N)
+
+
+def test_boundary_growth_matches_segmentset_oracle_past_int64():
+    # Q = (2^61 + 1)(2^62 + 7) >= 2^62: the ledger runs on Python-int arrays
+    T = RectangleExchange.product_rotations(Fraction(1, 2**61 + 1), Fraction(3, 2**62 + 7))
+    xi = RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources)))
+    assert boundary_growth(T, xi, 8) == segmentset_boundary_growth(T, xi, 8)
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from seqent import (
     IntervalExchange,
     IntervalPartition,
     McOptions,
+    Rect,
     RectanglePartition,
     RectangleExchange,
     ValidationError,
@@ -29,6 +30,8 @@ from seqent import (
     sup_over_partitions,
 )
 from seqent.systems import discontinuity_length
+
+from oracles import fraction_mc_join_entropy
 
 F = Fraction
 
@@ -261,6 +264,91 @@ class TestMonteCarloJoin:
         b = mc_join_entropy(*args, seed=9)
         assert a.entropy_bits == b.entropy_bits
         assert a.ci_halfwidth == b.ci_halfwidth
+
+
+SAMPLE_SCALE = 2**64
+THIRDS = RectanglePartition(tuple(
+    (Rect(F(i, 3), F(i + 1, 3), F(j, 3), F(j + 1, 3)), 3 * i + j) for i in range(3) for j in range(3)))
+# labels repeat across non-adjacent atoms; edges at 1/3 and 5/8
+MIXED = RectanglePartition((
+    (Rect(0, F(1, 3), 0, 1), "a"),
+    (Rect(F(1, 3), 1, 0, F(5, 8)), "b"),
+    (Rect(F(1, 3), F(2, 3), F(5, 8), 1), "a"),
+    (Rect(F(2, 3), 1, F(5, 8), 1), "c"),
+))
+HUGE_ROTATIONS = RectangleExchange.product_rotations(F(1, 2**61 + 1), F(3, 2**62 + 7))
+
+MC_CASES = {
+    "identity-quadrants": (RectangleExchange.identity(), RectanglePartition.quadrants(), [1, 2, 3]),
+    "swap-dyadic": (RectangleExchange.vertical_swap(), RectanglePartition.dyadic(2, 1), [1, 2, 5]),
+    "rotations-quadrants": (RectangleExchange.product_rotations(F(610, 987), F(377, 610)),
+                            RectanglePartition.quadrants(), [1, 2, 3, 4, 5, 6]),
+    "rotations-mixed": (RectangleExchange.product_rotations(F(2, 7), F(5, 11)), MIXED, [1, 3, 4]),
+    "huge-rotations": (HUGE_ROTATIONS, RectanglePartition.quadrants(), [1, 2, 3]),
+    "baker-halves": (BakerMap(), RectanglePartition.vertical_halves(), [1, 2, 3, 4, 5]),
+    "baker-dyadic": (BakerMap(), RectanglePartition.dyadic(2, 3), [1, 4, 7]),
+    "baker-thirds": (BakerMap(), THIRDS, [1, 2, 4, 8]),
+    "baker-mixed": (BakerMap(), MIXED, [2, 3, 12]),
+}
+
+
+def same_estimate(a, b) -> bool:
+    return ((a.entropy_bits, a.atom_count, a.ci_halfwidth, a.measures)
+            == (b.entropy_bits, b.atom_count, b.ci_halfwidth, b.measures))
+
+
+class WordStream:
+    """Stands in for random.Random: hands out the given 64-bit words in order."""
+
+    def __init__(self, words):
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        return sum(next(self.words) << (64 * i) for i in range(k // 64))
+
+
+class TestMonteCarloMatchesFractionOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(MC_CASES))
+    def test_same_estimate(self, case, seed):
+        T, xi, times = MC_CASES[case]
+        family = explicit_family(times)
+        assert same_estimate(mc_join_entropy(T, xi, family, 1000, seed),
+                             fraction_mc_join_entropy(T, xi, family, 1000, seed))
+
+    @pytest.mark.parametrize("t", [5, 62])
+    def test_baker_labels_at_word_ties(self, monkeypatch, t):
+        # samples whose y word at time t is floor(c 2^64) for c = 1/3 or 2/3, so
+        # the bits the shifts dropped decide y's label, next to x words on both
+        # sides of 1/3
+        x_edge = -(-SAMPLE_SCALE // 3)
+        x_words = [(x_edge >> t << t) + d for d in (0, 1 << t)]
+        y_points = [F((c * SAMPLE_SCALE // 3 << t) + r, SAMPLE_SCALE << t)
+                    for c in (1, 2) for r in ((c << t) // 3, ((c << t) // 3) + 1)]
+        words = []
+        for xw in x_words:
+            for y in y_points:
+                pt = (F(xw, SAMPLE_SCALE), y)
+                for _ in range(t):
+                    pt = BakerMap().apply_inverse(pt)
+                words += [int(v * SAMPLE_SCALE) for v in pt]
+        fill = random.Random(0)
+        words += [fill.getrandbits(64) for _ in range(2000 - len(words))]
+        monkeypatch.setattr(random, "Random", lambda seed: WordStream(words))
+        family = explicit_family([t])
+        fast = mc_join_entropy(BakerMap(), THIRDS, family, 1000, seed=0)
+        assert same_estimate(fast, fraction_mc_join_entropy(BakerMap(), THIRDS, family, 1000, seed=0))
+
+    def test_label_codes_past_int64(self, monkeypatch):
+        # quadrants at 40 baker times: 4^40 label vectors, but the x words differ
+        # only in their top 4 bits, so at most 16 atoms, told apart by early times
+        fill = random.Random(0)
+        words = [w for i in range(1000) for w in ((i % 16) << 60 | 12345, fill.getrandbits(64))]
+        monkeypatch.setattr(random, "Random", lambda seed: WordStream(words))
+        args = (BakerMap(), RectanglePartition.quadrants(), explicit_family(range(1, 41)), 1000)
+        fast = mc_join_entropy(*args, seed=0)
+        assert fast.atom_count == 16
+        assert same_estimate(fast, fraction_mc_join_entropy(*args, seed=0))
 
 
 class TestBoundaryGrowth:

@@ -222,6 +222,9 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
             built["test_set"] = _fit(system, build_test_set(cfg["set"]), TestSet1D, TestSet2D,
                                      "test set")
         if "m_cap" in experiment.fields:
+            first, last = experiment.times(cfg)  # the scanned range
+            if last < first:
+                raise ConfigError(f"m_cap {last} leaves no time to scan from m = {first}")
             built["test_family"] = build_test_family(cfg.get("test_family", {}), system)
         times = experiment.times(cfg)  # parsed for every system, budgeted for exchanges
         if isinstance(system, IntervalExchange):
@@ -362,7 +365,8 @@ def _run_mc(cfg, system, partition, families, mc):
 class Experiment:
     """System classes accepted, config fields required besides ``system``,
     ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them,
-    and ``times(cfg)``: the powers the run takes besides its index families."""
+    and ``times(cfg)``: the powers the run takes besides its index families (a
+    scan's first and last time)."""
 
     systems: tuple[type, ...]
     fields: tuple[str, ...]
@@ -378,9 +382,9 @@ EXPERIMENTS: dict[str, Experiment] = {
     "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
     "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary),
     "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
-                              lambda cfg: [int(cfg["m_cap"])]),
+                              lambda cfg: [int(cfg.get("j", 0)) + 1, int(cfg["m_cap"])]),
     "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
-                                lambda cfg: [int(cfg["m_cap"])]),
+                                lambda cfg: [1, int(cfg["m_cap"])]),
     "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
                                      lambda cfg: [int(t) for m, n in cfg["pairs"] for t in (m, n)]),
     "asymmetry-ratio": Experiment(  # joins xi^N with its shifts by +-m and +-n

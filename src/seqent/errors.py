@@ -32,3 +32,6 @@ class DegenerateInputError(SeqentError, ValueError):
 MAX_FAMILY_SIZE = 4096
 MAX_POWER = 10**6
 MAX_JOIN_CUTS = 10**7
+# Ordered test-set pairs per power of a weak-limit scan: 1-D depth 11 (4,095
+# sets) fits, 1-D depth 12 and 2-D depth 12 (127^2 sets) do not.
+MAX_TEST_PAIRS = 2**24

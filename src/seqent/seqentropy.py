@@ -454,6 +454,8 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
     The envelope is a *lower bound* for the sup over all partitions; the
     genuine sup is never computed.
     """
+    if depth < 1:
+        raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
     j_values = list(j_values)
     traces = {
         name: entropy_trace(T, xi, family_for_j, j_values, signs=signs, mc=mc)

@@ -9,30 +9,43 @@ coefficient deviation normalized to the centered indicators
 the rigidity/mixing diagnostics would be dominated by a handful of coarse
 sets.
 
-All correlations come from one exact integer kernel, :func:`_numerators`.
-For an interval exchange whose lengths have lcm denominator Q and test sets
-of depth d, every cut, translation and dyadic endpoint of every power is a
-multiple of 1/G, G = Q * 2^d: the powers are integer arrays
-(:class:`~seqent.systems.IetLattice`), and the dyadic block sums of each
-power's finest-cell matrix give every correlation at once.  For the baker
-map a test rectangle is a (mask, bits) pair over shift coordinates.  Arrays
-are int64 while every intermediate stays below 2^62, else Python integers;
-floats are c / G per entry, in numpy while G < 2^53 and by Python's
-correctly rounded integer division above, equal to float(Fraction(c, G)).
-An interval exchange's triple correlation is one atom of a lattice join
+All correlations come from one exact integer kernel, :func:`_numerators`,
+which evaluates the requested times in windows [m0, m0 + B) of consecutive
+powers and returns each window as one stacked (B, N, N) array for a family
+of N sets.  For an interval exchange B comes from the element budget
+BLOCK_ENTRIES (B * N^2 entries, at least one power per window); a single
+time, and every power of the baker map, is a window of one.  For an
+interval exchange whose lengths have lcm denominator Q and test sets of
+depth d, every cut, translation and dyadic endpoint of every power is a
+multiple of 1/G, G = Q * 2^d, so the powers are integer arrays
+(:class:`~seqent.systems.IetLattice`).  Time m0 + k is the step power
+T^k, built once per call, composed with T^m0 from one lattice sweep over
+the window starts; one sort of all the gap points of a window (offset by
+k * G), searches for their pieces and cells, and one scatter-add of the
+gap lengths fill the window, whose rows are then summed over the dyadic
+blocks (prefix sums over the sets' own endpoints for any other family).
+Sums of lengths accumulate in float64 while G < 2^53, where every sum up to
+G is exact, else in int64 while every intermediate stays below 2^62, else
+in Python integers.  For the baker map a test rectangle is a (mask, bits)
+pair over shift coordinates.  Floats are c / G per entry, in numpy while
+G < 2^53 and by Python's correctly rounded integer division above, equal to
+float(Fraction(c, G)); the distances then run the same operations in the
+same order on every matrix, so they do not depend on the window size.  An
+interval exchange's triple correlation is one atom of a lattice join
 (:func:`~seqent.seqentropy.join_partition`).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ONE, ZERO, IntervalPartition, Rect, as_fraction
-from .errors import ValidationError
+from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
 from .seqentropy import join_partition
 from .systems import (
     BakerMap,
@@ -44,6 +57,14 @@ from .systems import (
 
 
 # -- test sets and families ----------------------------------------------------
+
+
+def check_test_pairs(n_sets: int) -> None:
+    """Raise before any work if a family of n_sets has more than MAX_TEST_PAIRS
+    ordered pairs, each of which every scanned power evaluates."""
+    if n_sets * n_sets > MAX_TEST_PAIRS:
+        raise BudgetError(
+            f"{n_sets} test sets make {n_sets * n_sets} pairs per power, budget {MAX_TEST_PAIRS}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +164,7 @@ class TestFamily:
     @classmethod
     def dyadic_intervals(cls, depth: int) -> "TestFamily":
         """All dyadic intervals of level 0..depth (2^(depth+1)-1 sets)."""
+        check_test_pairs(2 ** (min(depth, 62) + 1) - 1)  # (any depth past 62 is over)
         sets = [TestSet1D(l, k) for l in range(depth + 1) for k in range(2**l)]
         return cls(tuple(sets))
 
@@ -150,6 +172,7 @@ class TestFamily:
     def dyadic_rectangles(cls, depth: int) -> "TestFamily":
         """All dyadic rectangles with per-axis level <= depth // 2."""
         per_axis = depth // 2
+        check_test_pairs((2 ** (min(per_axis, 31) + 1) - 1) ** 2)
         sets = [
             TestSet2D(i, a, j, b)
             for i in range(per_axis + 1)
@@ -180,42 +203,86 @@ class TestFamily:
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
-
-def _halvings(x: np.ndarray, depth: int) -> np.ndarray:
-    """Rows of x summed over every dyadic block of rows, coarsest level first."""
-    levels = [x]
-    for _ in range(depth):
-        x = x[0::2] + x[1::2]
-        levels.append(x)
-    return np.concatenate(levels[::-1])
+# Entries of one window of stacked correlation matrices: a family of N sets
+# evaluates about BLOCK_ENTRIES // N^2 consecutive powers per window.
+BLOCK_ENTRIES = 2**16
 
 
-def _dyadic_sums(M: np.ndarray, depth: int) -> np.ndarray:
-    """Block sums of a finest-cell matrix over every pair of dyadic intervals
-    of level <= depth, ordered by (level, k) along both axes."""
-    return _halvings(_halvings(M.T, depth).T, depth)
+def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
+    """(G, iterator of (m0, C)) for an interval exchange: see :func:`_numerators`.
 
-
-def _range_sums(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sums of M over every pair of cell ranges [lo_a, hi_a) x [lo_b, hi_b)."""
-    S = np.zeros((len(M) + 1, len(M) + 1), dtype=M.dtype)
-    S[1:, 1:] = M.cumsum(axis=0).cumsum(axis=1)
-    return S[np.ix_(hi, hi)] - S[np.ix_(lo, hi)] - S[np.ix_(hi, lo)] + S[np.ix_(lo, lo)]
-
-
-def _cell_matrix(U: IetLattice, edges: np.ndarray) -> np.ndarray:
-    """G * mu(U^-1 I_i intersect I_j) over the cells I_i = [edges[i], edges[i+1]).
-
-    Every gap between the piece cuts, the cell edges and the cell edges'
-    preimages lies in one piece and one cell and maps into one cell, so its
-    length is added to that single entry (repeated points leave empty gaps).
+    Time m0 + k is P_k o V with V = T^m0 from one lattice sweep over the
+    window starts and the step powers P_k = T^k built once.  Every gap between
+    V's cuts, the cell edges and the V-preimages of P_k's cuts and of
+    P_k^-1(edges) lies in one piece of P_k o V and one cell, and maps into one
+    cell; the offsets k * G put all k of a window in one sorted array.  One
+    scatter-add puts each gap's length in window k, in the row of its image
+    cell and the column of every set holding its own cell.  The rows are then
+    summed over each set: by halving them level by level for a complete
+    dyadic family, by prefix sums over the cells between the sets' own
+    endpoints otherwise.
     """
-    n = len(edges) - 1
-    x = np.sort(np.concatenate((U.cuts, edges, U.inverse().apply(edges[:-1]))), kind="stable")
-    cells = np.searchsorted(edges, np.stack((U.apply(x[:-1]), x[:-1])), side="right") - 1
-    M = np.zeros(n * n, dtype=U.cuts.dtype)
-    np.add.at(M, cells[0] * n + cells[1], x[1:] - x[:-1])
-    return M.reshape(n, n)
+    N = len(sets)
+    depth = max(s.level for s in sets)
+    D = 1 << depth
+    lo = [s.k << (depth - s.level) for s in sets]  # in cells of level depth
+    hi = [(s.k + 1) << (depth - s.level) for s in sets]
+    complete = N == 2 * D - 1 and [(s.level, s.k) for s in sets] == [
+        (l, k) for l in range(depth + 1) for k in range(1 << l)]
+    grid = sorted({0, D, *lo, *hi})  # range(D + 1) for a complete family
+    n = len(grid) - 1
+    a, b = np.searchsorted(grid, lo), np.searchsorted(grid, hi)  # cell ranges of the sets
+    inside = (a <= np.arange(n)[:, None]) & (np.arange(n)[:, None] < b)
+    members = np.argsort(~inside, axis=1, kind="stable")[:, :inside.sum(axis=1).max()]
+    # the sets (columns) holding each cell; cells in fewer sets are padded
+    # with an extra column N, dropped at the end
+    present = np.take_along_axis(inside, members, axis=1)
+    cols = N + (not present.all())
+    members = np.where(present, members, N)
+    lattice = IetLattice.of(T).scaled(D)
+    G, dtype = lattice.Q, int_dtype(lattice.Q * width)
+    lattice = IetLattice(G, lattice.cuts.astype(dtype), lattice.trans.astype(dtype))
+    acc = np.float64 if G < 2**53 else dtype  # float64 sums of lengths up to G are exact
+    # over k * n + cell: the flat offset of the row of the cell's image
+    # (row 2^l - 1 + j is dyadic interval (l, j) of a complete family; row 0
+    # stays zero for the prefix sums otherwise) and the columns of its sets
+    rows, cell_row = (N, np.arange(N - D, N)) if complete else (n + 1, np.arange(1, n + 1))
+    row_offset = ((np.arange(width)[:, None] * rows + cell_row) * cols).ravel()
+    columns = np.tile(members, (width, 1))
+    R = np.zeros((width, rows, cols), dtype=acc)  # [k, image cell or set, set], reused
+    edges = np.array([g * (G >> depth) for g in grid[:-1]], dtype=dtype)  # cells' left ends
+    shifts = np.arange(width, dtype=dtype) * G
+    cells = (edges + shifts[:, None]).ravel()
+    end = np.array([width * G], dtype=dtype)
+    steps = [P for _, P in lattice.powers(range(width))]
+    step_cuts = np.concatenate([P.cuts + s for P, s in zip(steps, shifts)])
+    step_trans = np.concatenate([P.trans for P in steps])
+    marks = [np.concatenate((P.cuts, P.inverse().apply(edges))) for P in steps]
+    mark_shifts = np.repeat(shifts, [len(y) for y in marks])
+    marks = np.concatenate(marks)
+
+    def block(V: IetLattice) -> np.ndarray:
+        x = np.sort(np.concatenate(((np.concatenate((V.cuts, edges)) + shifts[:, None]).ravel(),
+                                    V.inverse().apply(marks) + mark_shifts, end)), kind="stable")
+        left = x[:-1]
+        pieces = np.searchsorted((V.cuts + shifts[:, None]).ravel(), left, side="right") - 1
+        y = left + V.trans[pieces % len(V.cuts)]
+        z = y + step_trans[np.searchsorted(step_cuts, y, side="right") - 1]
+        src = np.searchsorted(cells, left, side="right") - 1  # k * n + cell
+        dst = np.searchsorted(cells, z, side="right") - 1
+        index = (row_offset[dst][:, None] + columns[src]).ravel()
+        lengths = np.repeat(np.diff(x).astype(acc), members.shape[1])
+        R[:, rows - n:] = 0  # the rows of image cells; the others are overwritten or stay 0
+        np.add.at(R.reshape(-1), index, lengths)
+        if complete:
+            for level in range(depth - 1, -1, -1):
+                first, mid = (1 << level) - 1, (2 << level) - 1
+                np.add(R[:, mid:2 * mid + 1:2], R[:, mid + 1:2 * mid + 2:2], out=R[:, first:mid])
+            return R
+        np.cumsum(R, axis=1, out=R)  # row r: the cells below r
+        return np.take(R[:, :, :N], b, axis=1) - np.take(R[:, :, :N], a, axis=1)
+
+    return G, ((m0, block(V)) for m0, V in lattice.powers(starts))
 
 
 def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
@@ -224,9 +291,10 @@ def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
             sum(b << (c + offset) for c, b in s.cylinder().items()))
 
 
-def _baker_matrices(ms, sets) -> Iterator[tuple[int, np.ndarray]]:
-    """4^level * mu(S^-m A intersect B) for shift cylinders: A shifted by m
-    and B are consistent iff their bits agree where both masks are set, and
+def _baker_blocks(times: list[int], sets):
+    """(G, iterator of (m, C)) for the baker map, one power per window, with
+    C[0] = 4^level * mu(S^-m A intersect B) for shift cylinders: A shifted by
+    m and B are consistent iff their bits agree where both masks are set, and
     then the measure is 2^-(number of bits fixed by either)."""
     xl = np.array([s.xlevel for s in sets])
     yl = np.array([s.ylevel for s in sets])
@@ -237,52 +305,51 @@ def _baker_matrices(ms, sets) -> Iterator[tuple[int, np.ndarray]]:
     offset = int(yl.max()) + span
     mask, bits = np.array([_cylinder_word(s, offset) for s in sets], dtype=dtype).T
     one = np.ones((), dtype=dtype)
-    for m in ms:
+
+    def block(m: int) -> np.ndarray:
         if abs(m) >= span:
-            yield m, np.outer(one << (top // 2 - level), one << (top // 2 - level))
-            continue
+            return np.outer(one << (top // 2 - level), one << (top // 2 - level))[None]
         sa, sb = (mask << m, bits << m) if m >= 0 else (mask >> -m, bits >> -m)
         clash = (sb[:, None] ^ bits) & sa[:, None] & mask != 0
         shared = np.maximum(np.minimum(xl[:, None] + m, xl) - np.maximum(m - yl[:, None], -yl), 0)
         C = one << (top - level[:, None] - level + shared)
         C[clash] = 0
-        yield m, C
+        return C[None]
+
+    return 2**top, ((m, block(m)) for m in times)
 
 
-def _numerators(T, ms, sets) -> tuple[int, Iterator[tuple[int, np.ndarray]]]:
-    """(G, iterator of (m, C)) with C[a, b] = G * mu(T^-m A_a intersect A_b).
+def _numerators(T, ms, sets):
+    """(G, iterator of (m0, C)) with C[k, a, b] = G * mu(T^-(m0+k) A_a intersect A_b)
+    for k < len(C), covering every requested m.
 
-    For an interval exchange of unit Q and sets of depth d, G = Q * 2^d and
-    the powers come from one lattice sweep per sign; for the baker map the
-    sets are shift cylinders.  Entries are exact integers (int64 or Python
-    ints, see :func:`int_dtype`).
+    For an interval exchange the times are taken in windows of B =
+    BLOCK_ENTRIES // N^2 consecutive powers for N sets, at least one and at
+    most sqrt(BLOCK_ENTRIES / pieces), since the step powers T^k, k < B, have
+    up to B^2 * pieces cuts; with unit Q and sets of depth d, G = Q * 2^d.
+    For the baker map the sets are shift cylinders and each window is one
+    power.  Entries are exact integers, in float64 for an interval exchange
+    while G < 2^53, else of :func:`int_dtype`.  A window may be a reused
+    buffer, valid until the next.
     """
-    ms = [int(m) for m in ms]
-    if isinstance(T, IntervalExchange):
-        check_powers(T, ms)
-        depth = max(s.level for s in sets)
-        lattice = IetLattice.of(T).scaled(1 << depth)
-        D = 1 << depth
-        lo = [s.k << (depth - s.level) for s in sets]  # in cells of level depth
-        hi = [(s.k + 1) << (depth - s.level) for s in sets]
-        # every dyadic interval up to depth in (level, k) order: dyadic block
-        # sums; otherwise cells between the sets' own endpoints
-        complete = len(sets) == 2 * D - 1 and [(s.level, s.k) for s in sets] == [
-            (l, k) for l in range(depth + 1) for k in range(1 << l)]
-        grid = range(D + 1) if complete else sorted({0, D, *lo, *hi})
-        a, b = np.searchsorted(grid, lo), np.searchsorted(grid, hi)
-        edges = np.array([g * (lattice.Q >> depth) for g in grid], dtype=lattice.cuts.dtype)
-
-        def sums(M):
-            return _dyadic_sums(M, depth) if complete else _range_sums(M, a, b)
-
-        return lattice.Q, ((m, sums(_cell_matrix(U, edges))) for m, U in lattice.powers(ms))
-    if isinstance(T, BakerMap):
-        return 4 ** max(s.level for s in sets), _baker_matrices(ms, sets)
-    raise ValidationError(
-        f"no exact correlation path for {type(T).__name__}: only interval exchanges "
-        "and the baker map have one"
-    )
+    if not isinstance(T, (IntervalExchange, BakerMap)):
+        raise ValidationError(
+            f"no exact correlation path for {type(T).__name__}: only interval exchanges "
+            "and the baker map have one"
+        )
+    times = sorted({int(m) for m in ms})
+    check_test_pairs(len(sets))
+    if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
+        return _baker_blocks(times, sets)
+    check_powers(T, times)
+    B = max(1, min(BLOCK_ENTRIES // len(sets) ** 2, math.isqrt(BLOCK_ENTRIES // len(T))))
+    starts, width = [], 1  # windows [m0, m0 + B) over the times; width: largest offset + 1
+    for m in times:
+        if starts and m < starts[-1] + B:
+            width = max(width, m - starts[-1] + 1)
+        else:
+            starts.append(m)
+    return _iet_blocks(T, starts, width, sets)
 
 
 def _fractions(G: int, C: np.ndarray) -> list[list[Fraction]]:
@@ -290,9 +357,10 @@ def _fractions(G: int, C: np.ndarray) -> list[list[Fraction]]:
 
 
 def _floats(G: int, C: np.ndarray) -> np.ndarray:
-    """C / G rounded per entry exactly as float(Fraction(c, G))."""
+    """C / G rounded per entry exactly as float(Fraction(c, G)); a float64 C
+    is divided in place."""
     if G < 2**53:  # both operands exact in float64: one correctly rounded division
-        return C / G
+        return np.divide(C, G, out=C if C.dtype == np.float64 else None)
     return (C.astype(object) / G).astype(float)
 
 
@@ -303,14 +371,14 @@ def correlation(T, A, B, m: int) -> Fraction:
     map with dyadic-rectangle test sets; general rectangle exchanges have no
     exact path.
     """
-    G, mats = _numerators(T, [m], (A, B))
-    return Fraction(int(next(mats)[1][0, 1]), G)
+    G, blocks = _numerators(T, [m], (A, B))
+    return Fraction(int(next(blocks)[1][0, 0, 1]), G)
 
 
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
     """Exact mu(T^-m A_i intersect A_j) for every ordered pair."""
-    G, mats = _numerators(T, [m], family.sets)
-    return _fractions(G, next(mats)[1])
+    G, blocks = _numerators(T, [m], family.sets)
+    return _fractions(G, next(blocks)[1][0])
 
 
 # -- weak distances ---------------------------------------------------------------
@@ -323,29 +391,32 @@ def _targets(family: TestFamily, mode: str) -> np.ndarray:
     if mode == "identity":
         identity = (IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D)
                     else BakerMap())
-        G, mats = _numerators(identity, [0], family.sets)
-        return _floats(G, next(mats)[1])
+        G, blocks = _numerators(identity, [0], family.sets)
+        return _floats(G, next(blocks)[1])[0]
     raise ValidationError(f"unknown scan mode {mode!r}")
 
 
-def _distance_to(targets: np.ndarray, family: TestFamily, normalized: bool = True):
-    """The weighted deviation of a float correlation matrix from ``targets``
-    (the matrix is overwritten)."""
+def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray,
+               normalized: bool = True) -> list[float]:
+    """The weighted deviation of T^m's float correlation matrix from
+    ``targets`` for each m in ``ms``, one window of stacked matrices at a time."""
     w = family.pair_weight_matrix()
     s = family.sigmas()
-    ss = np.outer(s, s)
-    # x / inf = 0: a set of zero variance contributes no deviation
-    scale = np.where(ss > 0, ss, np.inf)
-
-    def distance(c: np.ndarray) -> float:
+    scale = np.outer(s, s)
+    scale[scale == 0] = np.inf  # x / inf = 0: a set of zero variance contributes no deviation
+    G, blocks = _numerators(T, ms, family.sets)
+    values = {}
+    for m0, C in blocks:
+        c = _floats(G, C)
         np.subtract(c, targets, out=c)
         np.abs(c, out=c)
         if normalized:
             np.divide(c, scale, out=c)
         np.multiply(w, c, out=c)
-        return float(c.sum())
-
-    return distance
+        for k, dev in enumerate(c):  # one sum per matrix: numpy's row-wise order
+            values[m0 + k] = float(dev.sum())  # over a stack differs for short rows
+        del C, c  # free this window before the next one is built
+    return [values[int(m)] for m in ms]
 
 
 def dist_to_theta(T, m: int, family: TestFamily, normalized: bool = True) -> float:
@@ -395,10 +466,8 @@ def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily,
         for i in range(n):
             for j in range(n):
                 targets[i][j] += coeff * term[i][j]
-    G, mats = _numerators(T, [m], family.sets)
-    distance = _distance_to(np.array([[float(v) for v in row] for row in targets]),
-                            family, normalized)
-    return distance(_floats(G, next(mats)[1]))
+    return _distances(T, [m], family, np.array([[float(v) for v in row] for row in targets]),
+                      normalized)[0]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -427,13 +496,7 @@ class ScanReport:
 
 def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
                     normalized: bool = True) -> list[float]:
-    ms = list(ms)
-    if not ms:
-        return []
-    distance = _distance_to(_targets(family, mode), family, normalized)
-    G, mats = _numerators(T, ms, family.sets)
-    values = {m: distance(_floats(G, C)) for m, C in mats}
-    return [values[m] for m in ms]
+    return _distances(T, ms, family, _targets(family, mode), normalized)
 
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
@@ -456,6 +519,8 @@ def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
 def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
                   normalized: bool = True) -> ScanReport:
     """List all m <= m_cap with dist-to-identity below eps (rigidity times)."""
+    if m_cap < 1:
+        raise ValidationError("m_cap must be at least 1")
     ms = list(range(1, m_cap + 1))
     values = _scan_distances(T, ms, family, "identity", normalized)
     events = tuple((m, v) for m, v in zip(ms, values) if v < eps)

@@ -113,8 +113,8 @@ def oracle_correlation_matrix(T, m: int, family) -> list:
 
 
 def oracle_distance(corr, family, mode: str, normalized: bool = True) -> float:
-    """The weak distance of a dyadic-interval family's Fraction correlations,
-    float-converted entry by entry."""
+    """The weak distance of a dyadic-interval or dyadic-rectangle family's
+    Fraction correlations, float-converted entry by entry."""
     mu = family.measures()
     if mode == "theta":
         targets = [[a * b for b in mu] for a in mu]
@@ -132,6 +132,8 @@ def oracle_distance(corr, family, mode: str, normalized: bool = True) -> float:
 
 
 def _overlap(a, b) -> Fraction:
+    if hasattr(a, "cylinder"):
+        return cylinder_measure([a.cylinder(), b.cylinder()])
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     return hi - lo if hi > lo else ZERO
 

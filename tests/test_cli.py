@@ -214,6 +214,27 @@ class TestValidate:
         assert built is not None
         assert diagnostics == [("j=1: predicted cut budget 12289 (ok)", None)]
 
+    @pytest.mark.parametrize("system,depth", [("golden-rotation", 13), ("golden-rotation", 12),
+                                              ("baker", 12)])
+    def test_test_family_size_budgeted(self, tmp_path, capsys, system, depth):
+        path = write_config(tmp_path, {
+            "experiment": "rigidity-scan", "system": {"kind": system}, "m_cap": 4,
+            "epsilon": 0.02, "test_family": {"depth": depth},
+        })
+        assert run_cli("validate", "--config", path) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().out
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_deepest_test_family_validates(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"}, "m_cap": 4,
+            "epsilon": 0.02, "test_family": {"depth": 11},
+        })
+        assert run_cli("validate", "--config", path) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
     def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "Budget-scan"})
         assert run_cli("validate", "--config", path) == 1
@@ -257,6 +278,14 @@ MISMATCHED_CONFIGS = {
     "boundary-growth-with-non-numeric-N": {
         "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
         "partition": {"kind": "quadrants"}, "N": "ten",
+    },
+    "mixing-scan-with-m_cap-not-past-j": {
+        "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 3, "j": 5, "r": 0.05,
+    },
+    "rigidity-scan-with-m_cap-0": {
+        "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 0, "epsilon": 0.02,
     },
 }
 

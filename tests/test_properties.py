@@ -1,6 +1,7 @@
 """Property tests: the integer-lattice kernels against the Fraction,
 SegmentSet and cylinder-dictionary oracles in ``oracles.py``, and invariants
 of joins."""
+import contextlib
 import math
 from fractions import Fraction
 
@@ -20,20 +21,22 @@ from seqent import (
     partition_measures,
     shannon_entropy,
     triple_correlation,
+    weaklimits,
 )
 from seqent.cli import estimate_join_cuts
 from seqent.seqentropy import join_partition
-from seqent.systems import powers_of
+from seqent.systems import golden_rotation, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import correlation_matrix
+from seqent.weaklimits import _numerators, _scan_distances, correlation_matrix
 
 from oracles import (
     cylinder_measure,
     fraction_join,
     fraction_power,
     oracle_correlation_matrix,
+    oracle_distance,
     segmentset_boundary_growth,
     shift_cylinder,
 )
@@ -89,6 +92,90 @@ def interval_families(draw):
 @given(iets(), TIMES, interval_families())
 def test_correlation_matrix_matches_fraction_oracle(T, m, family):
     assert correlation_matrix(T, m, family) == oracle_correlation_matrix(T, m, family)
+
+
+@st.composite
+def scan_times(draw, far=40):
+    """Unsorted times with repeats and negative values, and a few far ones
+    that leave gaps wider than any window."""
+    near = draw(st.lists(TIMES, min_size=1, max_size=10))
+    times = near + draw(st.lists(st.integers(-far, far), max_size=2)) + near[:draw(
+        st.integers(0, 2))]
+    return draw(st.permutations(times))
+
+
+@contextlib.contextmanager
+def windows_of(width: int, n_sets: int):
+    """Scan in windows of at most ``width`` powers for a family of n_sets sets."""
+    saved = weaklimits.BLOCK_ENTRIES
+    weaklimits.BLOCK_ENTRIES = width * n_sets**2
+    try:
+        yield
+    finally:
+        weaklimits.BLOCK_ENTRIES = saved
+
+
+def check_blocked_kernel(T, times, family, width, normalized):
+    """Every window's numerators and every scan distance equal the oracle's."""
+    oracle = {m: oracle_correlation_matrix(T, m, family) for m in times}
+    with windows_of(width, len(family)):
+        G, blocks = _numerators(T, times, family.sets)
+        seen = {}
+        for m0, C in blocks:  # a window is valid until the next one
+            for k, matrix in enumerate(C):
+                seen[m0 + k] = [[Fraction(int(v), G) for v in row] for row in matrix]
+        assert all(seen[m] == oracle[m] for m in times)
+        for mode in ("theta", "identity"):
+            assert _scan_distances(T, times, family, mode, normalized) == [
+                oracle_distance(oracle[m], family, mode, normalized) for m in times]
+
+
+@st.composite
+def wide_iets(draw):
+    """IETs whose lattice unit Q is near 2^bits: the scaled lattice G = Q * 2^d
+    then runs past 2^53 (integer sums) and past 2^62 (Python integers)."""
+    bits = draw(st.integers(48, 62))
+    weights = draw(st.lists(st.integers(2**bits, 2**bits + 99), min_size=2, max_size=4))
+    perm = draw(st.permutations(range(len(weights))))
+    return IntervalExchange(tuple(Fraction(w, sum(weights)) for w in weights), tuple(perm))
+
+
+@SETTINGS
+@given(st.one_of(iets(), wide_iets(), st.just(golden_rotation().to_iet())), scan_times(),
+       interval_families(), st.integers(1, 5), st.booleans())
+def test_blocked_kernel_matches_fraction_oracle(T, times, family, width, normalized):
+    check_blocked_kernel(T, times, family, width, normalized)
+
+
+@st.composite
+def rectangle_families(draw):
+    """A full dyadic-rectangle family of depth <= 4, or the full square plus up
+    to six dyadic rectangles."""
+    if draw(st.booleans()):
+        return Family.dyadic_rectangles(draw(st.integers(0, 4)))
+    return Family((Dyadic2D(0, 0, 0, 0), *draw(st.lists(dyadic_rectangles(), max_size=6))))
+
+
+@SETTINGS
+@given(scan_times(far=20), rectangle_families(), st.booleans())
+def test_blocked_baker_kernel_matches_cylinder_oracle(times, family, normalized):
+    check_blocked_kernel(BakerMap(), times, family, 1, normalized)
+
+
+@SETTINGS
+@given(st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+       st.integers(1, 40))
+def test_rotation_join_has_at_most_three_gap_lengths(angle, n):
+    # Sos (1958): the points {-p alpha mod 1}, 0 <= p < n, cut the circle into
+    # gaps of at most three lengths, the largest the sum of the other two
+    alpha = Fraction(*angle)
+    one_atom = IntervalPartition((Fraction(0),), ("x",))
+    join = join_partition(IntervalExchange.rotation(alpha), one_atom, range(n), signs="backward")
+    assert set(join.cuts) == {-p * alpha % 1 for p in range(n)}
+    lengths = sorted({b - a for a, b in zip(join.cuts, (*join.cuts[1:], Fraction(1)))})
+    assert len(lengths) <= 3
+    if len(lengths) == 3:
+        assert lengths[2] == lengths[0] + lengths[1]
 
 
 @SETTINGS

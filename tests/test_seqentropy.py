@@ -222,6 +222,14 @@ class TestSupOverPartitions:
                                           [2, 4])
         assert [r.h for r in env.rows] == [depth / 2, depth / 4]
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_empty_library_rejected_before_any_trace(self, depth):
+        asked = []
+        with pytest.raises(ValidationError):
+            sup_over_partitions(IntervalExchange.identity(), depth,
+                                lambda j: asked.append(j) or make_progression_family(j, j), [2])
+        assert asked == []
+
 
 class TestMonteCarloJoin:
     def test_identity_quadrants(self):

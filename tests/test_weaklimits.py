@@ -6,6 +6,7 @@ import pytest
 from seqent import (
     AdmissibleSpec,
     BakerMap,
+    BudgetError,
     IntervalExchange,
     ValidationError,
     correlation,
@@ -22,7 +23,7 @@ from seqent import (
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import _scan_distances, correlation_matrix
+from seqent.weaklimits import _numerators, _scan_distances, correlation_matrix
 
 from oracles import oracle_correlation_matrix, oracle_distance
 
@@ -250,6 +251,28 @@ class TestScans:
         detected = {m for m, _ in report.events}
         fibs = [f for f in fibonacci_numbers(25) if 30 <= f <= 2000]
         assert fibs and set(fibs) <= detected
+
+    def test_empty_rigidity_scan_rejected(self):
+        with pytest.raises(ValidationError):
+            rigidity_scan(ROT, 0, 0.01, FAM4)
+
+
+class TestFamilyBudget:
+    def test_deepest_families_within_budget(self):
+        assert len(Family.dyadic_intervals(11)) ** 2 <= 2**24
+        assert len(Family.dyadic_rectangles(11)) == 63**2
+
+    @pytest.mark.parametrize("build", [lambda: Family.dyadic_intervals(12),
+                                       lambda: Family.dyadic_rectangles(12)],
+                             ids=["intervals-12", "rectangles-12"])
+    def test_family_past_budget_raises_before_it_is_built(self, build):
+        with pytest.raises(BudgetError):
+            build()
+
+    def test_kernel_checks_any_family_before_work(self):
+        sets = (Dyadic1D(0, 0), *(Dyadic1D(13, k) for k in range(4096)))
+        with pytest.raises(BudgetError):
+            _numerators(ROT, [1], sets)
 
 
 class TestTripleCorrelation:

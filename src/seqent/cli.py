@@ -39,6 +39,8 @@ from .errors import (
     SeqentError,
     ValidationError,
     MAX_JOIN_CUTS,
+    MAX_LEDGER_STEPS,
+    MIN_MC_SAMPLES,
 )
 from .families import (
     IndexFamily,
@@ -89,7 +91,7 @@ def build_system(spec: dict):
     if kind == "rotation":
         return IntervalExchange.rotation(spec["alpha"], alias_limit=spec.get("alias_limit"))
     if kind == "golden-rotation":
-        return golden_rotation(int(spec.get("order", 41))).to_iet()
+        return golden_rotation(spec.get("order", 41)).to_iet()
     if kind == "bernoulli":
         return BernoulliSystem(tuple(spec["masses"]))
     if kind == "baker":
@@ -111,11 +113,11 @@ def build_partition(spec: dict, system):
     if kind == "sources" and isinstance(system, RectangleExchange):  # one atom per source
         return RectanglePartition(tuple((r, i) for i, r in enumerate(system.sources)))
     if kind == "dyadic":
-        return IntervalPartition.dyadic(int(spec["depth"]))
+        return IntervalPartition.dyadic(spec["depth"])
     if kind == "cuts":
         return IntervalPartition.from_cut_list(spec["cuts"], spec.get("labels"))
     if kind == "dyadic-rect":
-        return RectanglePartition.dyadic(int(spec["x_depth"]), int(spec["y_depth"]))
+        return RectanglePartition.dyadic(spec["x_depth"], spec["y_depth"])
     if kind == "quadrants":
         return RectanglePartition.quadrants()
     if kind == "vertical-halves":
@@ -132,7 +134,7 @@ def build_family_maker(spec: dict):
         c = spec.get("L", {}).get("c")
         return lambda j: make_progression_family(j, resolve_growth(form, j, c))
     if kind == "geometric":
-        cap = int(spec["cap"])
+        cap = spec["cap"]
         return lambda j: make_geometric_family(j, cap)
     if kind == "explicit":
         members = spec["members"]
@@ -141,7 +143,7 @@ def build_family_maker(spec: dict):
 
 
 def build_test_family(spec: dict, system) -> TestFamily:
-    depth = int(spec.get("depth", 6))
+    depth = spec.get("depth", 6)
     if isinstance(system, (BakerMap, RectangleExchange)):
         return TestFamily.dyadic_rectangles(depth)
     return TestFamily.dyadic_intervals(depth)
@@ -149,11 +151,9 @@ def build_test_family(spec: dict, system) -> TestFamily:
 
 def build_test_set(spec: dict):
     if "x_level" in spec:
-        return TestSet2D(
-            int(spec["x_level"]), int(spec["x_index"]),
-            int(spec.get("y_level", 0)), int(spec.get("y_index", 0)),
-        )
-    return TestSet1D(int(spec["level"]), int(spec["index"]))
+        return TestSet2D(spec["x_level"], spec["x_index"],
+                         spec.get("y_level", 0), spec.get("y_index", 0))
+    return TestSet1D(spec["level"], spec["index"])
 
 
 # -- validation -----------------------------------------------------------------
@@ -176,8 +176,7 @@ def estimate_join_cuts(system, partition, family: IndexFamily) -> int:
     the partition."""
     if not isinstance(system, IntervalExchange):
         return 0
-    k = len(partition.cuts) if partition is not None else 1
-    return max(family.members) * (len(system) - 1) + 1 + len(family) * k
+    return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 
 def _fit(system, obj, one_d: type, two_d: type, what: str):
@@ -188,8 +187,23 @@ def _fit(system, obj, one_d: type, two_d: type, what: str):
     return obj
 
 
-# Top-level scalar config fields and the types their runners read them as.
-SCALARS = dict(N=int, m=int, n=int, j=int, m_cap=int, depth=int, r=float, epsilon=float)
+# Config keys whose values, at any depth, are integers or lists of them.
+INTEGER_KEYS = {"N", "m", "n", "j", "m_cap", "depth", "window", "n_samples", "seed", "order",
+                "alias_limit", "permutation", "x_depth", "y_depth", "c", "cap", "members",
+                "j_values", "pairs", "level", "index", "x_level", "x_index", "y_level", "y_index"}
+
+
+def _check_integers(value, key) -> None:
+    """Raise ConfigError for a float, a bool or a string under an integer key,
+    at any depth of the config, where ``int()`` would truncate or accept it."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_integers(v, k)
+    elif isinstance(value, list):
+        for v in value:
+            _check_integers(v, key)
+    elif key in INTEGER_KEYS and value is not None and type(value) is not int:  # bool is not int
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
@@ -202,6 +216,10 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
         experiment = EXPERIMENTS[name]
+        stem = cfg.get("name", name)  # the output files' name, inside --out-dir
+        if not isinstance(stem, str) or stem in ("", ".", "..") or Path(stem).name != stem:
+            raise ConfigError(f"name {stem!r} must be a plain file name")
+        _check_integers(cfg, None)
         system = build_system(_require(cfg, "system"))
         if not isinstance(system, experiment.systems):
             accepted = ", ".join(cls.__name__ for cls in experiment.systems)
@@ -209,11 +227,11 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         for field in experiment.fields:
             if field != "partition" or not isinstance(system, BernoulliSystem):
                 _require(cfg, field)
-        for field, kind in SCALARS.items():  # raises for a value of the wrong type
-            kind(cfg.get(field, 0))
+        for field in ("r", "epsilon"):  # raises for a value of the wrong type
+            float(cfg.get(field, 0))
         built = {"system": system}
         if "partition" in experiment.fields and isinstance(system, BernoulliSystem):
-            built["partition"] = int(cfg.get("window", 1))  # a shift's coordinate window
+            built["partition"] = cfg.get("window", 1)  # a shift's coordinate window
         elif "partition" in experiment.fields:
             spec = cfg["partition"]
             built["partition"] = _fit(system, build_partition(spec, system), IntervalPartition,
@@ -233,18 +251,23 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
             if isinstance(system, (RectangleExchange, BakerMap)):
                 if cfg.get("seed") is None:
                     raise ConfigError("Monte Carlo experiments need an explicit seed")
-                built["mc"] = McOptions(int(cfg.get("n_samples", 10000)), int(cfg["seed"]))
+                built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
+                if built["mc"].n_samples < MIN_MC_SAMPLES:
+                    raise ConfigError(f"n_samples must be at least {MIN_MC_SAMPLES}")
             maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
             if "partition" in built:
                 partition = built["partition"]
             else:  # sup-envelope: the deepest library partition has the most cuts and x bits
-                depth = int(cfg.get("depth", 4))
+                depth = cfg.get("depth", 4)
                 if depth < 1:
                     raise ConfigError(f"sup-envelope needs depth >= 1, got {depth}")
                 partition = list(partition_library(system, depth).values())[-1]
-            for j in cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]:
-                fam = families[int(j)] = maker(int(j))
+            j_values = cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]
+            if not j_values:
+                raise ConfigError("j_values must not be empty")
+            for j in j_values:
+                fam = families[j] = maker(j)
                 check_sample_bits(system, partition, fam)
                 if isinstance(system, IntervalExchange):
                     check_powers(system, [max(fam.members)])
@@ -272,10 +295,9 @@ def _exit_code(error: type[Exception]) -> int:
 
 
 def _run_trace(cfg, system, partition, families, mc=None):
-    j_values = [int(j) for j in cfg["j_values"]]
-    trace = entropy_trace(system, partition, families.__getitem__, j_values, mc=mc)
-    warnings = [f"geometric family j={families[j].j} truncated by cap={families[j].cap}"
-                for j in j_values if families[j].truncated]
+    trace = entropy_trace(system, partition, families.__getitem__, cfg["j_values"], mc=mc)
+    warnings = [f"geometric family j={j} truncated by cap={cfg['family']['cap']}"
+                for j in cfg["j_values"] if families[j].truncated]
     rows = trace.as_dicts()
     for j, h in (("max-proxy", trace.h_max_proxy()), ("min-proxy", trace.h_min_proxy())):
         rows.append({"j": j, "family_size": "", "entropy_bits": "",
@@ -285,8 +307,8 @@ def _run_trace(cfg, system, partition, families, mc=None):
 
 
 def _run_envelope(cfg, system, families, mc=None):
-    traces, envelope = sup_over_partitions(system, int(cfg.get("depth", 4)), families.__getitem__,
-                                           [int(j) for j in cfg["j_values"]], mc=mc)
+    traces, envelope = sup_over_partitions(system, cfg.get("depth", 4), families.__getitem__,
+                                           cfg["j_values"], mc=mc)
     rows = []
     for name, tr in traces.items():
         for d in tr.as_dicts():
@@ -296,8 +318,17 @@ def _run_envelope(cfg, system, families, mc=None):
     return rows, ["envelope is a lower bound for the sup over all partitions"]
 
 
+def _ledger_steps(cfg) -> list[int]:
+    """The ledger takes the powers 1..N of the exchange, 0 <= N <= MAX_LEDGER_STEPS."""
+    if cfg["N"] < 0:
+        raise ConfigError(f"boundary-growth needs N >= 0, got {cfg['N']}")
+    if cfg["N"] > MAX_LEDGER_STEPS:
+        raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}, got {cfg['N']}")
+    return [cfg["N"]]
+
+
 def _run_boundary(cfg, system, partition):
-    lengths = boundary_growth(system, partition, int(cfg["N"]))
+    lengths = boundary_growth(system, partition, cfg["N"])
     D = discontinuity_length(system)
     rows = [
         {
@@ -317,19 +348,25 @@ def _scan_rows(report):
 
 
 def _run_mixing(cfg, system, test_family):
-    return _scan_rows(mixing_time_scan(system, int(cfg.get("j", 0)), float(cfg["r"]),
-                                       int(cfg["m_cap"]), test_family))
+    return _scan_rows(mixing_time_scan(system, cfg.get("j", 0), float(cfg["r"]), cfg["m_cap"],
+                                       test_family))
 
 
 def _run_rigidity(cfg, system, test_family):
-    return _scan_rows(rigidity_scan(system, int(cfg["m_cap"]), float(cfg["epsilon"]), test_family))
+    return _scan_rows(rigidity_scan(system, cfg["m_cap"], float(cfg["epsilon"]), test_family))
+
+
+def _pair_times(cfg) -> list[int]:
+    """The times of the (m, n) pairs of triple correlations, m != n in each."""
+    if any(m == n for m, n in cfg["pairs"]):
+        raise ConfigError(f"triple correlations need m != n in each pair, got {cfg['pairs']}")
+    return [t for pair in cfg["pairs"] for t in pair]
 
 
 def _run_triple(cfg, system, test_set):
-    pairs = [(int(m), int(n)) for m, n in cfg["pairs"]]
     lim_mix, lim_ind = triple_correlation_limits(test_set.measure)
     rows = []
-    for m, n in pairs:
+    for m, n in cfg["pairs"]:
         value = triple_correlation(system, test_set, m, n)
         rows.append({
             "m": m, "n": n, "value": str(value),
@@ -339,8 +376,15 @@ def _run_triple(cfg, system, test_set):
     return rows, []
 
 
+def _ratio_times(cfg) -> list[int]:
+    """xi^N (N >= 1) joined with its shifts by +-m and +-n reaches N - 1 + max(|m|, |n|)."""
+    if cfg["N"] < 1:
+        raise ConfigError(f"asymmetry-ratio needs N >= 1, got {cfg['N']}")
+    return [cfg["N"] - 1 + max(abs(cfg["m"]), abs(cfg["n"]))]
+
+
 def _run_ratio(cfg, system, partition):
-    N, m, n = int(cfg["N"]), int(cfg["m"]), int(cfg["n"])
+    N, m, n = cfg["N"], cfg["m"], cfg["n"]
     rows = [
         {"direction": d, "ratio": asymmetry_ratio(system, partition, N, m, n, direction=d)}
         for d in ("forward", "backward")
@@ -349,7 +393,7 @@ def _run_ratio(cfg, system, partition):
 
 
 def _run_mc(cfg, system, partition, families, mc):
-    family = families[int(cfg.get("j", 1))]
+    family = families[cfg.get("j", 1)]
     res = mc_join_entropy(system, partition, family, mc.n_samples, mc.seed)
     rows = [{
         "family_size": len(family),
@@ -366,7 +410,7 @@ class Experiment:
     """System classes accepted, config fields required besides ``system``,
     ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them,
     and ``times(cfg)``: the powers the run takes besides its index families (a
-    scan's first and last time)."""
+    scan's first and last time), raising for a value the run would reject."""
 
     systems: tuple[type, ...]
     fields: tuple[str, ...]
@@ -380,16 +424,16 @@ EXACT_CORRELATIONS = (IntervalExchange, BakerMap)
 EXPERIMENTS: dict[str, Experiment] = {
     "entropy-trace": Experiment(ANY_SYSTEM, ("partition", "family", "j_values"), _run_trace),
     "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
-    "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary),
+    "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary,
+                                  _ledger_steps),
     "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
-                              lambda cfg: [int(cfg.get("j", 0)) + 1, int(cfg["m_cap"])]),
+                              lambda cfg: [cfg.get("j", 0) + 1, cfg["m_cap"]]),
     "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
-                                lambda cfg: [1, int(cfg["m_cap"])]),
+                                lambda cfg: [1, cfg["m_cap"]]),
     "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
-                                     lambda cfg: [int(t) for m, n in cfg["pairs"] for t in (m, n)]),
-    "asymmetry-ratio": Experiment(  # joins xi^N with its shifts by +-m and +-n
-        (IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio,
-        lambda cfg: [int(cfg["N"]) - 1 + max(abs(int(cfg["m"])), abs(int(cfg["n"])))]),
+                                     _pair_times),
+    "asymmetry-ratio": Experiment((IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio,
+                                  _ratio_times),
     "mc-entropy": Experiment((RectangleExchange, BakerMap), ("partition", "family"), _run_mc),
 }
 

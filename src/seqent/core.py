@@ -132,10 +132,6 @@ class IntervalPartition:
     def __len__(self):
         return len(self.cuts)
 
-    def gap_lengths(self) -> tuple[Fraction, ...]:
-        hi = self.cuts[1:] + (ONE,)
-        return tuple(b - a for a, b in zip(self.cuts, hi))
-
     def label_at(self, x: Fraction) -> Hashable:
         """Label of the gap containing x (gaps are right-open)."""
         if not 0 <= x < 1:
@@ -146,8 +142,8 @@ class IntervalPartition:
     def measures_by_label(self) -> dict[Hashable, Fraction]:
         """Exact total measure per distinct label, in first-occurrence order."""
         out: dict[Hashable, Fraction] = {}
-        for label, length in zip(self.labels, self.gap_lengths()):
-            out[label] = out.get(label, ZERO) + length
+        for label, a, b in zip(self.labels, self.cuts, self.cuts[1:] + (ONE,)):
+            out[label] = out.get(label, ZERO) + (b - a)
         return out
 
 
@@ -192,9 +188,6 @@ class Rect:
             return Rect(x0, x1, y0, y1)
         return None
 
-    def overlaps(self, other: "Rect") -> bool:
-        return self.intersect(other) is not None
-
 
 def check_tiling(rects: Sequence[Rect], what: str) -> None:
     """Raise ValidationError unless the rectangles tile the unit square
@@ -204,7 +197,7 @@ def check_tiling(rects: Sequence[Rect], what: str) -> None:
         if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
             raise ValidationError(f"{what} rectangle {i} leaves the unit square")
     for i, j in itertools.combinations(range(len(rects)), 2):
-        if rects[i].overlaps(rects[j]):
+        if rects[i].intersect(rects[j]) is not None:
             raise ValidationError(f"{what} rectangles overlap at indices ({i},{j})")
     if sum(r.area for r in rects) != 1:
         raise ValidationError(f"{what} rectangle areas do not sum to 1 (gap in the tiling)")

@@ -32,6 +32,8 @@ class DegenerateInputError(SeqentError, ValueError):
 MAX_FAMILY_SIZE = 4096
 MAX_POWER = 10**6
 MAX_JOIN_CUTS = 10**7
+MAX_LEDGER_STEPS = 10**4  # steps of the boundary-growth ledger
+MIN_MC_SAMPLES = 1000  # fewest samples behind a Monte Carlo join entropy
 # Ordered test-set pairs per power of a weak-limit scan: 1-D depth 11 (4,095
 # sets) fits, 1-D depth 12 and 2-D depth 12 (127^2 sets) do not.
 MAX_TEST_PAIRS = 2**24

@@ -1,29 +1,31 @@
 """Index families: the finite time sets a sequence-entropy join runs over."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 from .errors import BudgetError, ValidationError, MAX_FAMILY_SIZE, MAX_POWER
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; a float, a bool or a string raises instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IndexFamily:
-    """Finite set of distinct positive integer times.
-
-    ``kind`` records how the set was generated: arithmetic progression
-    {j, 2j, ..., L*j}, geometric {2^j, ..., 2^min(j*j, cap)}, or explicit.
-    ``truncated`` marks a geometric family cut short by its exponent cap.
+    """Finite set of distinct positive integer times; a float or a bool
+    member raises ValidationError.  ``truncated`` marks a geometric family
+    {2^j, ..., 2^min(j*j, cap)} cut short by its exponent cap.
     """
 
-    kind: str
     members: tuple[int, ...]
-    j: int | None = None
-    L: int | None = None
-    cap: int | None = None
     truncated: bool = False
 
     def __post_init__(self):
-        members = tuple(int(m) for m in self.members)
+        members = tuple(_integer(m, "index family member") for m in self.members)
         object.__setattr__(self, "members", members)
         if not members:
             raise ValidationError("index family must be nonempty")
@@ -42,20 +44,20 @@ class IndexFamily:
 
 
 def make_progression_family(j: int, L: int) -> IndexFamily:
-    """Progression {j, 2j, ..., L*j}."""
-    j, L = int(j), int(L)
+    """Progression {j, 2j, ..., L*j}; j and L must be integers."""
+    j, L = _integer(j, "j"), _integer(L, "progression length L")
     if j < 1:
         raise ValidationError("j must be >= 1")
     if L < 1:
         raise ValidationError("progression length L must be >= 1")
     if L > MAX_FAMILY_SIZE:
         raise BudgetError(f"L={L} exceeds family-size budget {MAX_FAMILY_SIZE}")
-    return IndexFamily("progression", tuple(j * i for i in range(1, L + 1)), j=j, L=L)
+    return IndexFamily(tuple(j * i for i in range(1, L + 1)))
 
 
 def make_geometric_family(j: int, cap: int) -> IndexFamily:
-    """Geometric family {2^j, 2^(j+1), ..., 2^min(j*j, cap)}."""
-    j, cap = int(j), int(cap)
+    """Geometric family {2^j, 2^(j+1), ..., 2^min(j*j, cap)}; j and cap must be integers."""
+    j, cap = _integer(j, "j"), _integer(cap, "cap")
     if j < 2:
         raise ValidationError("j must be >= 2 for geometric families")
     top = min(j * j, cap)
@@ -63,17 +65,11 @@ def make_geometric_family(j: int, cap: int) -> IndexFamily:
         raise ValidationError(f"cap {cap} leaves no exponents >= j={j}")
     if 2**top > MAX_POWER:
         raise BudgetError(f"2^{top} exceeds max power budget {MAX_POWER}")
-    return IndexFamily(
-        "geometric",
-        tuple(2**e for e in range(j, top + 1)),
-        j=j,
-        cap=cap,
-        truncated=cap < j * j,
-    )
+    return IndexFamily(tuple(2**e for e in range(j, top + 1)), truncated=cap < j * j)
 
 
 def explicit_family(members) -> IndexFamily:
-    return IndexFamily("explicit", tuple(sorted(set(int(m) for m in members))))
+    return IndexFamily(tuple(sorted({_integer(m, "index family member") for m in members})))
 
 
 # Whitelisted growth forms for L(j) in declarative configs.
@@ -82,16 +78,14 @@ GROWTH_FORMS = ("c", "j", "j2", "cj")
 
 def resolve_growth(form: str, j: int, c: int | None = None) -> int:
     """Evaluate a whitelisted growth spec L(j)."""
+    if form in ("c", "cj") and c is None:
+        raise ValidationError(f"growth form {form!r} needs a constant c")
     if form == "c":
-        if c is None:
-            raise ValidationError("growth form 'c' needs a constant c")
-        return int(c)
+        return c
     if form == "j":
-        return int(j)
+        return j
     if form == "j2":
-        return int(j) * int(j)
+        return j * j
     if form == "cj":
-        if c is None:
-            raise ValidationError("growth form 'cj' needs a constant c")
-        return int(c) * int(j)
+        return c * j
     raise ValidationError(f"unknown growth form {form!r}; choose one of {GROWTH_FORMS}")

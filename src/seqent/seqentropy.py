@@ -38,6 +38,8 @@ from .errors import (
     ValidationError,
     MAX_FAMILY_SIZE,
     MAX_JOIN_CUTS,
+    MAX_LEDGER_STEPS,
+    MIN_MC_SAMPLES,
 )
 from .families import IndexFamily
 from .systems import (
@@ -55,6 +57,7 @@ from .systems import (
 
 LN2 = math.log(2.0)
 SAMPLE_BITS = 64  # per coordinate of a Monte Carlo sample k / 2^SAMPLE_BITS
+N_BOOTSTRAP = 200  # multinomial resamples behind a Monte Carlo confidence interval
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,6 @@ def baker_join_measures_grid(times: Sequence[int]) -> tuple[np.ndarray, int]:
 class McOptions:
     n_samples: int
     seed: int
-    n_bootstrap: int = 200
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
@@ -305,7 +307,7 @@ def _label_counts(T, xi: RectanglePartition, times: Sequence[int], n_samples: in
 
 
 def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
-                    n_samples: int, seed: int, n_bootstrap: int = 200) -> JoinResult:
+                    n_samples: int, seed: int) -> JoinResult:
     """Monte Carlo join entropy for a planar system (rectangle exchange or baker).
 
     Samples are 2 * n_samples draws of ``random.Random(seed).getrandbits(64)``,
@@ -315,11 +317,12 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     that would read past the SAMPLE_BITS bits of x raise BudgetError before
     sampling (:func:`check_sample_bits`).  The estimate is plug-in entropy
     with the Miller-Madow bias correction (exactly 0 for one atom); the
-    half-width is a 95% bootstrap percentile interval from multinomial
-    resamples of the counts, sorted in decreasing order.
+    half-width is a 95% bootstrap percentile interval from N_BOOTSTRAP
+    multinomial resamples of the counts, sorted in decreasing order.
+    n_samples below MIN_MC_SAMPLES raises ValidationError.
     """
-    if n_samples < 1000:
-        raise ValidationError("need n_samples >= 1000")
+    if n_samples < MIN_MC_SAMPLES:
+        raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}")
     if not isinstance(T, (RectangleExchange, BakerMap)):
         raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
                               f"not {type(T).__name__}")
@@ -327,7 +330,7 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     counts = _label_counts(T, xi, family.members, n_samples, seed)
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
-    boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=n_bootstrap)
+    boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=N_BOOTSTRAP)
     boot = _entropy_from_counts(boot_counts, n_samples)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     measures = ProbabilityVector(tuple(Fraction(int(c), n_samples) for c in counts))
@@ -343,14 +346,12 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
 # -- dispatch and traces -------------------------------------------------------
 
 
-def h_j(T, xi, family: IndexFamily, signs: str = "forward",
-        mc: McOptions | None = None) -> float:
+def h_j(T, xi, family: IndexFamily, mc: McOptions | None = None) -> float:
     """Join entropy per family element (bits)."""
-    return join_for(T, xi, family, signs=signs, mc=mc).entropy_bits / len(family)
+    return join_for(T, xi, family, mc=mc).entropy_bits / len(family)
 
 
-def join_for(T, xi, family: IndexFamily, signs: str = "forward",
-             mc: McOptions | None = None) -> JoinResult:
+def join_for(T, xi, family: IndexFamily, mc: McOptions | None = None) -> JoinResult:
     """Dispatch a join to the exact 1D, analytic symbolic, or MC 2D path."""
     if isinstance(T, BernoulliSystem):
         window = xi if isinstance(xi, int) else 1
@@ -358,13 +359,13 @@ def join_for(T, xi, family: IndexFamily, signs: str = "forward",
     if isinstance(T, IntervalExchange):
         if not isinstance(xi, IntervalPartition):
             raise ValidationError("interval exchanges need an IntervalPartition")
-        return exact_join(T, xi, family, signs=signs)
+        return exact_join(T, xi, family)
     if isinstance(T, (RectangleExchange, BakerMap)):
         if not isinstance(xi, RectanglePartition):
             raise ValidationError("planar systems need a RectanglePartition")
         if mc is None:
             raise ValidationError("planar joins are Monte Carlo; pass McOptions")
-        return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed, mc.n_bootstrap)
+        return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed)
     raise ValidationError(f"unsupported system type {type(T).__name__}")
 
 
@@ -417,14 +418,14 @@ class EntropyTrace:
 
 
 def entropy_trace(T, xi, family_for_j: Callable[[int], IndexFamily],
-                  j_values: Iterable[int], signs: str = "forward",
-                  mc: McOptions | None = None) -> EntropyTrace:
-    """One row per j; per-row failures are recorded, not raised."""
+                  j_values: Iterable[int], mc: McOptions | None = None) -> EntropyTrace:
+    """One row per j; per-row failures are recorded, not raised.  A trace of
+    backward joins T^-p xi is the trace of ``T.inverse()``."""
     rows = []
     for j in j_values:
         try:
             family = family_for_j(j)
-            res = join_for(T, xi, family, signs=signs, mc=mc)
+            res = join_for(T, xi, family, mc=mc)
             rows.append(
                 TraceRow(j, len(family), res.entropy_bits,
                          res.entropy_bits / len(family), res.method, res.ci_halfwidth)
@@ -447,8 +448,7 @@ def partition_library(T, depth: int):
 
 
 def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily],
-                        j_values: Iterable[int], signs: str = "forward",
-                        mc: McOptions | None = None):
+                        j_values: Iterable[int], mc: McOptions | None = None):
     """Traces for each library partition plus their pointwise max envelope.
 
     The envelope is a *lower bound* for the sup over all partitions; the
@@ -458,7 +458,7 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
         raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
     j_values = list(j_values)
     traces = {
-        name: entropy_trace(T, xi, family_for_j, j_values, signs=signs, mc=mc)
+        name: entropy_trace(T, xi, family_for_j, j_values, mc=mc)
         for name, xi in partition_library(T, depth).items()
     }
     env_rows = []
@@ -521,8 +521,8 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     """
     if N < 0:
         raise ValidationError("N must be >= 0")
-    if N > 10**4:
-        raise BudgetError("boundary ledger limited to N <= 10^4")
+    if N > MAX_LEDGER_STEPS:
+        raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}")
     corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
     lattice = RectLattice.of(T, corners)
     Q = lattice.Q
@@ -530,7 +530,7 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     base = [np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]]]),   # vertical
             np.concatenate([atoms[:, [2, 0, 1]], atoms[:, [3, 0, 1]]])]   # horizontal
     seams = [lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
-             for side in interior_discontinuity_segments(T, side="image")]
+             for side in interior_discontinuity_segments(T)]
     fixed = [_merge(np.concatenate(pair), Q) for pair in zip(base, seams)]
     # a vertical segment meets a source as (x range, y range), a horizontal one the other way
     sources = [(lattice.sources, lattice.trans), (lattice.sources[:, [2, 3, 0, 1]], lattice.trans[:, ::-1])]

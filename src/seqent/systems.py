@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, check_tiling, shannon_entropy
 from .errors import AliasingError, BudgetError, DomainError, ValidationError, MAX_POWER
+from .segments import SegmentSet
 
 # Aliasing guard: a rotation by p/q may only be iterated while
 # (iteration time) * (interval count) stays below q / ALIAS_SAFETY.
@@ -247,14 +248,11 @@ def fibonacci_numbers(n: int) -> list[int]:
 class RotationSpec:
     """A rational convergent standing in for an irrational rotation angle.
 
-    ``alpha = p/q`` in lowest terms; ``convergents`` are the continued
-    fraction convergent denominators of the target irrational, usable as
-    candidate rigidity times; all iteration requests must respect
-    ``alias_limit = q // ALIAS_SAFETY``.
+    ``alpha = p/q`` in lowest terms, with q > ALIAS_SAFETY; all iteration
+    requests must respect ``alias_limit = q // ALIAS_SAFETY``.
     """
 
     alpha: Fraction
-    convergents: tuple[int, ...]
 
     def __post_init__(self):
         alpha = as_fraction(self.alpha)
@@ -275,11 +273,12 @@ class RotationSpec:
 
 
 def golden_rotation(order: int = 41) -> RotationSpec:
-    """Golden-mean convergent F_{order-1}/F_order with Fibonacci rigidity times."""
+    """Golden-mean convergent F_{order-1}/F_order; its rigidity times are the
+    Fibonacci numbers below F_order (:func:`fibonacci_numbers`)."""
     if order < 20:
         raise ValidationError("order must be >= 20 to clear the aliasing guard")
     fibs = fibonacci_numbers(order)
-    return RotationSpec(Fraction(fibs[-2], fibs[-1]), tuple(fibs[:-1]))
+    return RotationSpec(Fraction(fibs[-2], fibs[-1]))
 
 
 # -- rectangle exchanges -----------------------------------------------------
@@ -387,17 +386,16 @@ class RectLattice:
         return X + self.trans[k, 0], Y + self.trans[k, 1]
 
 
-def interior_discontinuity_segments(T: RectangleExchange, side: str = "image"):
-    """Axis-parallel boundary segments of the exchange's rectangles that lie
-    strictly inside the unit square.  ``side="image"`` gives the seams the
-    forward map creates; ``side="source"`` gives the set where T is
-    discontinuous.  Returns (vertical, horizontal) segment lists
-    as (coordinate, lo, hi) triples.
+def interior_discontinuity_segments(T: RectangleExchange):
+    """Axis-parallel boundary segments of the exchange's image rectangles that
+    lie strictly inside the unit square: the seams the forward map creates.
+    The set where T is discontinuous (its source-side seams) is this set for
+    ``T.inverse()``.  Returns (vertical, horizontal) segment lists as
+    (coordinate, lo, hi) triples.
     """
-    rects = T.images() if side == "image" else T.sources
     vertical = []
     horizontal = []
-    for r in rects:
+    for r in T.images():
         for x in (r.x0, r.x1):
             if 0 < x < 1:
                 vertical.append((x, r.y0, r.y1))
@@ -407,12 +405,10 @@ def interior_discontinuity_segments(T: RectangleExchange, side: str = "image"):
     return vertical, horizontal
 
 
-def discontinuity_length(T: RectangleExchange, side: str = "image") -> Fraction:
-    """Exact total length of the interior discontinuity segments."""
-    from .segments import SegmentSet  # local import to avoid a cycle
-
+def discontinuity_length(T: RectangleExchange) -> Fraction:
+    """Exact total length of the interior image-side discontinuity segments."""
     s = SegmentSet()
-    vertical, horizontal = interior_discontinuity_segments(T, side)
+    vertical, horizontal = interior_discontinuity_segments(T)
     for x, lo, hi in vertical:
         s.add_vertical(x, lo, hi)
     for y, lo, hi in horizontal:
@@ -462,18 +458,14 @@ class BernoulliSystem:
         ProbabilityVector(masses)  # validates
 
     @classmethod
-    def fair(cls, k: int = 2) -> "BernoulliSystem":
-        return cls(tuple(Fraction(1, k) for _ in range(k)))
+    def fair(cls) -> "BernoulliSystem":
+        return cls((Fraction(1, 2), Fraction(1, 2)))
 
     @property
     def symbol_entropy_bits(self) -> float:
         return shannon_entropy(ProbabilityVector(self.symbol_masses))
 
-    @property
-    def has_planar_model(self) -> bool:
-        return self.symbol_masses == (Fraction(1, 2), Fraction(1, 2))
-
     def planar_model(self) -> BakerMap:
-        if not self.has_planar_model:
+        if self.symbol_masses != (Fraction(1, 2), Fraction(1, 2)):
             raise ValidationError("the planar baker model exists only for the fair 2-symbol system")
         return BakerMap()

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, IntervalPartition, Rect, as_fraction
+from .core import ONE, ZERO, IntervalPartition, as_fraction
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
 from .seqentropy import join_partition
 from .systems import (
@@ -116,15 +116,6 @@ class TestSet2D:
         return self.xlevel + self.ylevel
 
     @property
-    def rect(self) -> Rect:
-        return Rect(
-            Fraction(self.xk, 2**self.xlevel),
-            Fraction(self.xk + 1, 2**self.xlevel),
-            Fraction(self.yk, 2**self.ylevel),
-            Fraction(self.yk + 1, 2**self.ylevel),
-        )
-
-    @property
     def measure(self) -> Fraction:
         return Fraction(1, 2**self.level)
 
@@ -138,9 +129,9 @@ class TestSet2D:
         return out
 
 
-def vertical_half(k: int = 0) -> TestSet2D:
-    """[k/2,(k+1)/2) x [0,1): the generating partition atom of the baker map."""
-    return TestSet2D(1, k, 0, 0)
+def vertical_half() -> TestSet2D:
+    """[0, 1/2) x [0, 1): the generating partition atom of the baker map."""
+    return TestSet2D(1, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -185,11 +176,8 @@ class TestFamily:
     def __len__(self):
         return len(self.sets)
 
-    def set_weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1, 2**s.level) for s in self.sets)
-
     def pair_weight_matrix(self) -> np.ndarray:
-        w = np.array([float(x) for x in self.set_weights()])
+        w = np.array([2.0 ** -s.level for s in self.sets])
         mat = np.outer(w, w)
         return mat / mat.sum()
 
@@ -352,10 +340,6 @@ def _numerators(T, ms, sets):
     return _iet_blocks(T, starts, width, sets)
 
 
-def _fractions(G: int, C: np.ndarray) -> list[list[Fraction]]:
-    return [[Fraction(int(v), G) for v in row] for row in C]
-
-
 def _floats(G: int, C: np.ndarray) -> np.ndarray:
     """C / G rounded per entry exactly as float(Fraction(c, G)); a float64 C
     is divided in place."""
@@ -378,7 +362,7 @@ def correlation(T, A, B, m: int) -> Fraction:
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
     """Exact mu(T^-m A_i intersect A_j) for every ordered pair."""
     G, blocks = _numerators(T, [m], family.sets)
-    return _fractions(G, next(blocks)[1][0])
+    return [[Fraction(int(v), G) for v in row] for row in next(blocks)[1][0]]
 
 
 # -- weak distances ---------------------------------------------------------------
@@ -458,16 +442,11 @@ class AdmissibleSpec:
 def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily,
                        normalized: bool = True) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
-    mu = family.measures()
-    n = len(family)
-    targets = [[Q.theta_weight * mu[i] * mu[j] for j in range(n)] for i in range(n)]
+    mu = np.array(family.measures(), dtype=object)
+    targets = Q.theta_weight * np.outer(mu, mu)  # exact Fractions, rounded once below
     for power, coeff in Q.terms:
-        term = correlation_matrix(T, power, family)
-        for i in range(n):
-            for j in range(n):
-                targets[i][j] += coeff * term[i][j]
-    return _distances(T, [m], family, np.array([[float(v) for v in row] for row in targets]),
-                      normalized)[0]
+        targets += coeff * np.array(correlation_matrix(T, power, family), dtype=object)
+    return _distances(T, [m], family, targets.astype(float), normalized)[0]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -481,8 +460,6 @@ class ScanReport:
     (the minimal mixing time for theta scans), or None if no crossing.
     """
 
-    kind: str
-    threshold: float
     values: tuple[tuple[int, float], ...]
     events: tuple[tuple[int, float], ...]
     min_time: int | None
@@ -508,8 +485,6 @@ def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
     values = _scan_distances(T, ms, family, "theta", normalized)
     events = tuple((m, v) for m, v in zip(ms, values) if v > r)
     return ScanReport(
-        kind="mixing",
-        threshold=r,
         values=tuple(zip(ms, values)),
         events=events,
         min_time=events[0][0] if events else None,
@@ -525,8 +500,6 @@ def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
     values = _scan_distances(T, ms, family, "identity", normalized)
     events = tuple((m, v) for m, v in zip(ms, values) if v < eps)
     return ScanReport(
-        kind="rigidity",
-        threshold=eps,
         values=tuple(zip(ms, values)),
         events=events,
         min_time=events[0][0] if events else None,

@@ -205,7 +205,7 @@ def segmentset_boundary_growth(T, xi, N: int) -> list:
     image the set, union in the partition boundary and the image-side seams."""
     base = _partition_boundary(xi)
     seams = SegmentSet()
-    vertical, horizontal = interior_discontinuity_segments(T, side="image")
+    vertical, horizontal = interior_discontinuity_segments(T)
     for x, lo, hi in vertical:
         seams.add_vertical(x, lo, hi)
     for y, lo, hi in horizontal:

@@ -245,7 +245,7 @@ class TestValidate:
 EXPLICIT_FAMILY = {"kind": "explicit", "members": [1, 2]}
 
 # experiments given a system class, partition or test set they cannot run on,
-# or a value of the wrong type
+# a value of the wrong type, or a value the run would reject
 MISMATCHED_CONFIGS = {
     "boundary-growth-on-baker": {
         "experiment": "boundary-growth", "system": {"kind": "baker"},
@@ -287,6 +287,57 @@ MISMATCHED_CONFIGS = {
         "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
         "m_cap": 0, "epsilon": 0.02,
     },
+    # integer fields: a float or a bool is rejected, not truncated
+    "rigidity-scan-with-float-m_cap": {
+        "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 20.9, "epsilon": 0.02,
+    },
+    "rigidity-scan-with-float-test-family-depth": {
+        "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 20, "epsilon": 0.02, "test_family": {"depth": 3.7},
+    },
+    "entropy-trace-with-float-members": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1},
+        "family": {"kind": "explicit", "members": [1, 2.5, 3.9]}, "j_values": [1],
+    },
+    "entropy-trace-with-float-j_values": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1},
+        "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [1.5, 2],
+    },
+    "boundary-growth-with-boolean-N": {
+        "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
+        "partition": {"kind": "quadrants"}, "N": True,
+    },
+    # the output files must stay inside --out-dir
+    "name-with-a-path-separator": {
+        "name": "sub/dir/x", "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
+        "partition": {"kind": "quadrants"}, "N": 3,
+    },
+    # values the library rejects at run time
+    "triple-correlation-with-equal-times": {
+        "experiment": "triple-correlation", "system": {"kind": "baker"},
+        "set": {"x_level": 1, "x_index": 0}, "pairs": [[2, 2]],
+    },
+    "mc-entropy-with-10-samples": {
+        "experiment": "mc-entropy", "system": {"kind": "baker"},
+        "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY,
+        "n_samples": 10, "seed": 1,
+    },
+    "asymmetry-ratio-with-N-0": {
+        "experiment": "asymmetry-ratio", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1}, "N": 0, "m": 3, "n": 5,
+    },
+    "boundary-growth-with-negative-N": {
+        "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
+        "partition": {"kind": "quadrants"}, "N": -1,
+    },
+    "entropy-trace-with-no-j_values": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1},
+        "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [],
+    },
 }
 
 
@@ -302,6 +353,18 @@ class TestConfigErrors:
             assert errors, captured
             assert issubclass(getattr(seqent.cli, errors[0]), SeqentError)
             assert "internal error" not in captured.err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_ledger_steps_budgeted_by_validate_and_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
+            "partition": {"kind": "quadrants"}, "N": 20000,
+        })
+        for argv in (("validate", "--config", path),
+                     ("run", "--config", path, "--out-dir", str(tmp_path))):
+            assert run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert "ERROR[BudgetError]" in captured.out + captured.err
         assert not list(tmp_path.glob("*.csv"))
 
 

@@ -79,10 +79,25 @@ class TestExplicit:
 class TestIndexFamily:
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ValidationError):
-            IndexFamily("explicit", (3, 3, 5))
+            IndexFamily((3, 3, 5))
 
     def test_iteration(self):
         assert list(explicit_family([2, 4])) == [2, 4]
+
+    @pytest.mark.parametrize("make", [
+        lambda: IndexFamily((1, 2.5, 3.9)),
+        lambda: IndexFamily((1, True)),
+        lambda: explicit_family([1, 2.0]),
+        lambda: make_progression_family(1.5, 4),
+        lambda: make_progression_family(True, 4),
+        lambda: make_progression_family(2, resolve_growth("c", 2, 2.5)),
+        lambda: make_geometric_family(2.9, 12),
+        lambda: make_geometric_family(3, 5.5),
+    ], ids=["members", "bool-member", "explicit", "progression-j", "progression-bool-j",
+            "progression-L", "geometric-j", "geometric-cap"])
+    def test_non_integers_rejected_not_truncated(self, make):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            make()
 
 
 class TestGrowthForms:

@@ -17,7 +17,10 @@ from seqent import (
     RectanglePartition,
     boundary_growth,
     correlation,
+    entropy_trace,
+    exact_join,
     explicit_family,
+    make_progression_family,
     partition_measures,
     shannon_entropy,
     triple_correlation,
@@ -25,7 +28,7 @@ from seqent import (
 )
 from seqent.cli import estimate_join_cuts
 from seqent.seqentropy import join_partition
-from seqent.systems import golden_rotation, powers_of
+from seqent.systems import golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
@@ -196,6 +199,24 @@ def test_join_matches_fraction_oracle(T, xi, times, extra, signs):
 
 
 @SETTINGS
+@given(iets(), interval_partitions(), st.lists(TIMES, min_size=1, max_size=5))
+def test_backward_join_is_the_forward_join_of_the_inverse(T, xi, times):
+    assert join_partition(T, xi, times, signs="backward") == join_partition(T.inverse(), xi, times)
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.integers(1, 6))
+def test_backward_trace_is_the_forward_trace_of_the_inverse(T, xi, j_values, L):
+    def family(j):
+        return make_progression_family(j, L)
+    rows = entropy_trace(T.inverse(), xi, family, j_values).rows
+    assert [(r.j, r.family_size, r.entropy_bits, r.method) for r in rows] == [
+        (j, L, exact_join(T, xi, family(j), signs="backward").entropy_bits, "exact")
+        for j in j_values]
+
+
+@SETTINGS
 @given(iets(), interval_partitions(), st.sets(st.integers(1, 24), min_size=1, max_size=6),
        st.sampled_from(["forward", "backward"]))
 def test_join_cut_estimate_bounds_the_join(T, xi, times, signs):
@@ -220,6 +241,14 @@ def bricks(draw):
     a, b, c = draw(cut), draw(cut), draw(cut)
     return RectanglePartition(((Rect(0, a, 0, b), 0), (Rect(0, a, b, 1), 1),
                                (Rect(a, 1, 0, c), 2), (Rect(a, 1, c, 1), 3)))
+
+
+@SETTINGS
+@given(product_rotations())
+def test_source_seams_are_the_image_seams_of_the_inverse(T):
+    vertical = [(x, r.y0, r.y1) for r in T.sources for x in (r.x0, r.x1) if 0 < x < 1]
+    horizontal = [(y, r.x0, r.x1) for r in T.sources for y in (r.y0, r.y1) if 0 < y < 1]
+    assert interior_discontinuity_segments(T.inverse()) == (vertical, horizontal)
 
 
 @SETTINGS

@@ -166,7 +166,7 @@ class TestRotationSpec:
         from seqent.systems import RotationSpec
 
         with pytest.raises(ValidationError):
-            RotationSpec(F(5, 8), (1, 2))
+            RotationSpec(F(5, 8))
 
 
 class TestRectangleExchange:

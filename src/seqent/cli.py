@@ -32,6 +32,7 @@ from .core import (
     IntervalPartition,
     Rect,
     RectanglePartition,
+    as_integer,
 )
 from .errors import (
     AliasingError,
@@ -39,8 +40,6 @@ from .errors import (
     SeqentError,
     ValidationError,
     MAX_JOIN_CUTS,
-    MAX_LEDGER_STEPS,
-    MIN_MC_SAMPLES,
 )
 from .families import (
     IndexFamily,
@@ -52,8 +51,12 @@ from .families import (
 from .seqentropy import (
     McOptions,
     asymmetry_ratio,
+    asymmetry_times,
     boundary_growth,
-    check_sample_bits,
+    check_j_values,
+    check_join,
+    check_ledger_steps,
+    check_partition,
     entropy_trace,
     mc_join_entropy,
     partition_library,
@@ -72,10 +75,13 @@ from .weaklimits import (
     TestFamily,
     TestSet1D,
     TestSet2D,
+    check_sets,
     mixing_time_scan,
     rigidity_scan,
+    scan_times,
     triple_correlation,
     triple_correlation_limits,
+    triple_times,
 )
 
 
@@ -179,14 +185,6 @@ def estimate_join_cuts(system, partition, family: IndexFamily) -> int:
     return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 
-def _fit(system, obj, one_d: type, two_d: type, what: str):
-    """obj if it has the dimension of the system's domain, else a ConfigError."""
-    want = one_d if isinstance(system, IntervalExchange) else two_d
-    if not isinstance(obj, want):
-        raise ConfigError(f"{what} does not fit {type(system).__name__}; use {want.__name__}")
-    return obj
-
-
 # Config keys whose values, at any depth, are integers or lists of them.
 INTEGER_KEYS = {"N", "m", "n", "j", "m_cap", "depth", "window", "n_samples", "seed", "order",
                 "alias_limit", "permutation", "x_depth", "y_depth", "c", "cap", "members",
@@ -194,22 +192,22 @@ INTEGER_KEYS = {"N", "m", "n", "j", "m_cap", "depth", "window", "n_samples", "se
 
 
 def _check_integers(value, key) -> None:
-    """Raise ConfigError for a float, a bool or a string under an integer key,
-    at any depth of the config, where ``int()`` would truncate or accept it."""
+    """Raise ValidationError for a float, a bool or a string under an integer
+    key, at any depth of the config (:func:`~seqent.core.as_integer`)."""
     if isinstance(value, dict):
         for k, v in value.items():
             _check_integers(v, k)
     elif isinstance(value, list):
         for v in value:
             _check_integers(v, key)
-    elif key in INTEGER_KEYS and value is not None and type(value) is not int:  # bool is not int
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    elif key in INTEGER_KEYS and value is not None:
+        as_integer(value, key)
 
 
 def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
     """Check a config against its ``EXPERIMENTS`` entry before any work; returns
     (diagnostic, error class or None) pairs and the runner's keyword arguments,
-    or None after the first error."""
+    or None after the first error.  Library rules are checked by the library's guards."""
     diagnostics: list[tuple[str, type[Exception] | None]] = []
     try:
         name = cfg.get("experiment")
@@ -230,47 +228,35 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         for field in ("r", "epsilon"):  # raises for a value of the wrong type
             float(cfg.get(field, 0))
         built = {"system": system}
-        if "partition" in experiment.fields and isinstance(system, BernoulliSystem):
-            built["partition"] = cfg.get("window", 1)  # a shift's coordinate window
-        elif "partition" in experiment.fields:
-            spec = cfg["partition"]
-            built["partition"] = _fit(system, build_partition(spec, system), IntervalPartition,
-                                      RectanglePartition, f"partition kind {spec.get('kind')!r}")
+        if "partition" in experiment.fields:  # a Bernoulli shift's partition: its coordinate window
+            built["partition"] = (cfg.get("window", 1) if isinstance(system, BernoulliSystem)
+                                  else build_partition(cfg["partition"], system))
+            check_partition(system, built["partition"])
         if "set" in experiment.fields:
-            built["test_set"] = _fit(system, build_test_set(cfg["set"]), TestSet1D, TestSet2D,
-                                     "test set")
+            built["test_set"] = build_test_set(cfg["set"])
+            check_sets(system, [built["test_set"]])
         if "m_cap" in experiment.fields:
-            first, last = experiment.times(cfg)  # the scanned range
-            if last < first:
-                raise ConfigError(f"m_cap {last} leaves no time to scan from m = {first}")
             built["test_family"] = build_test_family(cfg.get("test_family", {}), system)
         times = experiment.times(cfg)  # parsed for every system, budgeted for exchanges
         if isinstance(system, IntervalExchange):
             check_powers(system, times)
         if "family" in experiment.fields:
+            mc = None
             if isinstance(system, (RectangleExchange, BakerMap)):
                 if cfg.get("seed") is None:
                     raise ConfigError("Monte Carlo experiments need an explicit seed")
-                built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
-                if built["mc"].n_samples < MIN_MC_SAMPLES:
-                    raise ConfigError(f"n_samples must be at least {MIN_MC_SAMPLES}")
+                mc = built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
             maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
             if "partition" in built:
                 partition = built["partition"]
             else:  # sup-envelope: the deepest library partition has the most cuts and x bits
-                depth = cfg.get("depth", 4)
-                if depth < 1:
-                    raise ConfigError(f"sup-envelope needs depth >= 1, got {depth}")
-                partition = list(partition_library(system, depth).values())[-1]
-            j_values = cfg["j_values"] if "j_values" in experiment.fields else [cfg.get("j", 1)]
-            if not j_values:
-                raise ConfigError("j_values must not be empty")
-            for j in j_values:
+                partition = list(partition_library(system, cfg.get("depth", 4)).values())[-1]
+            for j in check_j_values(cfg["j_values"] if "j_values" in experiment.fields
+                                    else [cfg.get("j", 1)]):
                 fam = families[j] = maker(j)
-                check_sample_bits(system, partition, fam)
+                check_join(system, partition, fam, mc)
                 if isinstance(system, IntervalExchange):
-                    check_powers(system, [max(fam.members)])
                     cuts = estimate_join_cuts(system, partition, fam)
                     if cuts > MAX_JOIN_CUTS:
                         raise BudgetError(
@@ -318,15 +304,6 @@ def _run_envelope(cfg, system, families, mc=None):
     return rows, ["envelope is a lower bound for the sup over all partitions"]
 
 
-def _ledger_steps(cfg) -> list[int]:
-    """The ledger takes the powers 1..N of the exchange, 0 <= N <= MAX_LEDGER_STEPS."""
-    if cfg["N"] < 0:
-        raise ConfigError(f"boundary-growth needs N >= 0, got {cfg['N']}")
-    if cfg["N"] > MAX_LEDGER_STEPS:
-        raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}, got {cfg['N']}")
-    return [cfg["N"]]
-
-
 def _run_boundary(cfg, system, partition):
     lengths = boundary_growth(system, partition, cfg["N"])
     D = discontinuity_length(system)
@@ -356,13 +333,6 @@ def _run_rigidity(cfg, system, test_family):
     return _scan_rows(rigidity_scan(system, cfg["m_cap"], float(cfg["epsilon"]), test_family))
 
 
-def _pair_times(cfg) -> list[int]:
-    """The times of the (m, n) pairs of triple correlations, m != n in each."""
-    if any(m == n for m, n in cfg["pairs"]):
-        raise ConfigError(f"triple correlations need m != n in each pair, got {cfg['pairs']}")
-    return [t for pair in cfg["pairs"] for t in pair]
-
-
 def _run_triple(cfg, system, test_set):
     lim_mix, lim_ind = triple_correlation_limits(test_set.measure)
     rows = []
@@ -374,13 +344,6 @@ def _run_triple(cfg, system, test_set):
             "limit_independence_formula": str(lim_ind),
         })
     return rows, []
-
-
-def _ratio_times(cfg) -> list[int]:
-    """xi^N (N >= 1) joined with its shifts by +-m and +-n reaches N - 1 + max(|m|, |n|)."""
-    if cfg["N"] < 1:
-        raise ConfigError(f"asymmetry-ratio needs N >= 1, got {cfg['N']}")
-    return [cfg["N"] - 1 + max(abs(cfg["m"]), abs(cfg["n"]))]
 
 
 def _run_ratio(cfg, system, partition):
@@ -409,8 +372,8 @@ def _run_mc(cfg, system, partition, families, mc):
 class Experiment:
     """System classes accepted, config fields required besides ``system``,
     ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them,
-    and ``times(cfg)``: the powers the run takes besides its index families (a
-    scan's first and last time), raising for a value the run would reject."""
+    and ``times(cfg)``: the powers the run takes besides its index families,
+    from the library guard that raises for a value the run would reject."""
 
     systems: tuple[type, ...]
     fields: tuple[str, ...]
@@ -425,15 +388,17 @@ EXPERIMENTS: dict[str, Experiment] = {
     "entropy-trace": Experiment(ANY_SYSTEM, ("partition", "family", "j_values"), _run_trace),
     "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
     "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary,
-                                  _ledger_steps),
+                                  lambda cfg: check_ledger_steps(cfg["N"])),
     "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
-                              lambda cfg: [cfg.get("j", 0) + 1, cfg["m_cap"]]),
+                              lambda cfg: scan_times(cfg.get("j", 0) + 1, cfg["m_cap"])),
     "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
-                                lambda cfg: [1, cfg["m_cap"]]),
+                                lambda cfg: scan_times(1, cfg["m_cap"])),
     "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
-                                     _pair_times),
+                                     lambda cfg: [t for m, n in cfg["pairs"]
+                                                  for t in triple_times(m, n)]),
     "asymmetry-ratio": Experiment((IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio,
-                                  _ratio_times),
+                                  lambda cfg: [t for d in ("forward", "backward") for t in
+                                               asymmetry_times(cfg["N"], cfg["m"], cfg["n"], d)[1]]),
     "mc-entropy": Experiment((RectangleExchange, BakerMap), ("partition", "family"), _run_mc),
 }
 

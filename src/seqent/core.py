@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,13 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValidationError(f"cannot parse {x!r} as an exact fraction: {exc}") from exc
+
+
+def as_integer(value, what: str) -> int:
+    """value as an int; a float, a bool or a string raises instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

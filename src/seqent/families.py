@@ -1,17 +1,10 @@
 """Index families: the finite time sets a sequence-entropy join runs over."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
+from .core import as_integer
 from .errors import BudgetError, ValidationError, MAX_FAMILY_SIZE, MAX_POWER
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; a float, a bool or a string raises instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -25,7 +18,7 @@ class IndexFamily:
     truncated: bool = False
 
     def __post_init__(self):
-        members = tuple(_integer(m, "index family member") for m in self.members)
+        members = tuple(as_integer(m, "index family member") for m in self.members)
         object.__setattr__(self, "members", members)
         if not members:
             raise ValidationError("index family must be nonempty")
@@ -44,12 +37,9 @@ class IndexFamily:
 
 
 def make_progression_family(j: int, L: int) -> IndexFamily:
-    """Progression {j, 2j, ..., L*j}; j and L must be integers."""
-    j, L = _integer(j, "j"), _integer(L, "progression length L")
-    if j < 1:
-        raise ValidationError("j must be >= 1")
-    if L < 1:
-        raise ValidationError("progression length L must be >= 1")
+    """Progression {j, 2j, ..., L*j}; j and L must be integers, and IndexFamily
+    rejects a j or an L below 1 (non-positive members, no members)."""
+    j, L = as_integer(j, "j"), as_integer(L, "progression length L")
     if L > MAX_FAMILY_SIZE:
         raise BudgetError(f"L={L} exceeds family-size budget {MAX_FAMILY_SIZE}")
     return IndexFamily(tuple(j * i for i in range(1, L + 1)))
@@ -57,7 +47,7 @@ def make_progression_family(j: int, L: int) -> IndexFamily:
 
 def make_geometric_family(j: int, cap: int) -> IndexFamily:
     """Geometric family {2^j, 2^(j+1), ..., 2^min(j*j, cap)}; j and cap must be integers."""
-    j, cap = _integer(j, "j"), _integer(cap, "cap")
+    j, cap = as_integer(j, "j"), as_integer(cap, "cap")
     if j < 2:
         raise ValidationError("j must be >= 2 for geometric families")
     top = min(j * j, cap)
@@ -69,7 +59,7 @@ def make_geometric_family(j: int, cap: int) -> IndexFamily:
 
 
 def explicit_family(members) -> IndexFamily:
-    return IndexFamily(tuple(sorted({_integer(m, "index family member") for m in members})))
+    return IndexFamily(tuple(sorted({as_integer(m, "index family member") for m in members})))
 
 
 # Whitelisted growth forms for L(j) in declarative configs.

@@ -14,7 +14,6 @@ cells of the lattice a rectangle exchange shares with its partition
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -24,10 +23,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (
-    ONE,
     IntervalPartition,
     ProbabilityVector,
     RectanglePartition,
+    as_integer,
     partition_measures,
     shannon_entropy,
 )
@@ -36,7 +35,6 @@ from .errors import (
     DegenerateInputError,
     SeqentError,
     ValidationError,
-    MAX_FAMILY_SIZE,
     MAX_JOIN_CUTS,
     MAX_LEDGER_STEPS,
     MIN_MC_SAMPLES,
@@ -65,7 +63,7 @@ class JoinResult:
     """Outcome of one join computation.
 
     ``partition`` is kept only on the exact interval path; ``measures`` is
-    omitted when the atom count exceeds the family-size budget.
+    set on the exact interval path and the Monte Carlo path only.
     """
 
     entropy_bits: float
@@ -92,6 +90,7 @@ def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[i
     """
     if signs not in ("forward", "backward"):
         raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
+    check_partition(T, xi)
     sign = -1 if signs == "forward" else 1
     signed = [sign * int(t) for t in times]
     check_powers(T, signed)
@@ -139,25 +138,15 @@ def bernoulli_join_entropy(B: BernoulliSystem, family: IndexFamily,
     windows; distinct coordinates are independent, so the join entropy is
     (number of covered coordinates) * (symbol entropy).
     """
-    if window < 1:
-        raise ValidationError("window must be >= 1")
+    check_join(B, window, family, None)
     covered: set[int] = set()
     for p in family:
         covered.update(range(p, p + window))
     n_coords = len(covered)
-    positive = [m for m in B.symbol_masses if m > 0]
-    atom_count = len(positive) ** n_coords
-    measures = None
-    if atom_count <= MAX_FAMILY_SIZE:
-        masses = []
-        for combo in itertools.product(positive, repeat=n_coords):
-            masses.append(math.prod(combo, start=ONE))
-        measures = ProbabilityVector(tuple(masses))
     return JoinResult(
         entropy_bits=n_coords * B.symbol_entropy_bits,
-        atom_count=atom_count,
+        atom_count=sum(m > 0 for m in B.symbol_masses) ** n_coords,
         method="exact",
-        measures=measures,
     )
 
 
@@ -319,14 +308,12 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     with the Miller-Madow bias correction (exactly 0 for one atom); the
     half-width is a 95% bootstrap percentile interval from N_BOOTSTRAP
     multinomial resamples of the counts, sorted in decreasing order.
-    n_samples below MIN_MC_SAMPLES raises ValidationError.
+    n_samples below MIN_MC_SAMPLES raises ValidationError (:func:`check_join`).
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}")
     if not isinstance(T, (RectangleExchange, BakerMap)):
         raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
                               f"not {type(T).__name__}")
-    check_sample_bits(T, xi, family)
+    check_join(T, xi, family, McOptions(n_samples, seed))
     counts = _label_counts(T, xi, family.members, n_samples, seed)
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
@@ -346,27 +333,48 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
 # -- dispatch and traces -------------------------------------------------------
 
 
+def check_partition(T, xi) -> None:
+    """Raise ValidationError unless xi partitions T's domain: an integer window
+    of at least 1 under a Bernoulli shift, an IntervalPartition under an
+    interval exchange and a RectanglePartition under a planar system."""
+    want = IntervalPartition if isinstance(T, IntervalExchange) else RectanglePartition
+    if isinstance(T, BernoulliSystem):
+        if as_integer(xi, "a Bernoulli shift's window") < 1:
+            raise ValidationError(f"a Bernoulli shift's window must be >= 1, got {xi}")
+    elif not isinstance(xi, want):
+        raise ValidationError(f"{type(xi).__name__} does not fit {type(T).__name__}; "
+                              f"use {want.__name__}")
+
+
+def check_join(T, xi, family: IndexFamily, mc: McOptions | None) -> None:
+    """Raise before any work unless :func:`join_for` takes the join: xi fits T
+    (:func:`check_partition`), a planar join has McOptions of at least
+    MIN_MC_SAMPLES samples and passes :func:`check_sample_bits`, and an
+    interval exchange passes :func:`check_powers`."""
+    check_partition(T, xi)
+    if isinstance(T, (RectangleExchange, BakerMap)):
+        if mc is None:
+            raise ValidationError("planar joins are Monte Carlo; pass McOptions")
+        if mc.n_samples < MIN_MC_SAMPLES:
+            raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}, got {mc.n_samples}")
+        check_sample_bits(T, xi, family)
+    elif isinstance(T, IntervalExchange):
+        check_powers(T, [max(family.members)])
+
+
 def h_j(T, xi, family: IndexFamily, mc: McOptions | None = None) -> float:
     """Join entropy per family element (bits)."""
     return join_for(T, xi, family, mc=mc).entropy_bits / len(family)
 
 
 def join_for(T, xi, family: IndexFamily, mc: McOptions | None = None) -> JoinResult:
-    """Dispatch a join to the exact 1D, analytic symbolic, or MC 2D path."""
+    """Dispatch a join, after :func:`check_join`, to the exact 1D, analytic or MC 2D path."""
+    check_join(T, xi, family, mc)
     if isinstance(T, BernoulliSystem):
-        window = xi if isinstance(xi, int) else 1
-        return bernoulli_join_entropy(T, family, window=window)
+        return bernoulli_join_entropy(T, family, window=xi)
     if isinstance(T, IntervalExchange):
-        if not isinstance(xi, IntervalPartition):
-            raise ValidationError("interval exchanges need an IntervalPartition")
         return exact_join(T, xi, family)
-    if isinstance(T, (RectangleExchange, BakerMap)):
-        if not isinstance(xi, RectanglePartition):
-            raise ValidationError("planar systems need a RectanglePartition")
-        if mc is None:
-            raise ValidationError("planar joins are Monte Carlo; pass McOptions")
-        return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed)
-    raise ValidationError(f"unsupported system type {type(T).__name__}")
+    return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed)
 
 
 @dataclass(frozen=True)
@@ -390,17 +398,17 @@ class EntropyTrace:
     def ok_rows(self) -> list[TraceRow]:
         return [r for r in self.rows if r.error is None]
 
-    def h_max_proxy(self) -> float:
-        rows = self.ok_rows()
-        if not rows:
+    def _ok_hs(self) -> list[float]:
+        hs = [r.h for r in self.ok_rows()]
+        if not hs:
             raise ValidationError("no successful rows in trace")
-        return max(r.h for r in rows)
+        return hs
+
+    def h_max_proxy(self) -> float:
+        return max(self._ok_hs())
 
     def h_min_proxy(self) -> float:
-        rows = self.ok_rows()
-        if not rows:
-            raise ValidationError("no successful rows in trace")
-        return min(r.h for r in rows)
+        return min(self._ok_hs())
 
     def as_dicts(self) -> list[dict]:
         return [
@@ -417,12 +425,20 @@ class EntropyTrace:
         ]
 
 
+def check_j_values(j_values: Iterable[int]) -> list[int]:
+    """The j values of a trace as a list; ValidationError if there are none."""
+    j_values = list(j_values)
+    if not j_values:
+        raise ValidationError("a trace needs at least one j value")
+    return j_values
+
+
 def entropy_trace(T, xi, family_for_j: Callable[[int], IndexFamily],
                   j_values: Iterable[int], mc: McOptions | None = None) -> EntropyTrace:
     """One row per j; per-row failures are recorded, not raised.  A trace of
     backward joins T^-p xi is the trace of ``T.inverse()``."""
     rows = []
-    for j in j_values:
+    for j in check_j_values(j_values):
         try:
             family = family_for_j(j)
             res = join_for(T, xi, family, mc=mc)
@@ -436,7 +452,9 @@ def entropy_trace(T, xi, family_for_j: Callable[[int], IndexFamily],
 
 
 def partition_library(T, depth: int):
-    """Dyadic partition library for the sup-over-partitions envelope."""
+    """Dyadic partition library for the sup envelope; depth < 1 raises ValidationError."""
+    if depth < 1:
+        raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
     if isinstance(T, BernoulliSystem):
         return {f"window-{w}": w for w in range(1, depth + 1)}
     if isinstance(T, IntervalExchange):
@@ -454,9 +472,7 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
     The envelope is a *lower bound* for the sup over all partitions; the
     genuine sup is never computed.
     """
-    if depth < 1:
-        raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
-    j_values = list(j_values)
+    j_values = check_j_values(j_values)
     traces = {
         name: entropy_trace(T, xi, family_for_j, j_values, mc=mc)
         for name, xi in partition_library(T, depth).items()
@@ -465,12 +481,8 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
     for idx, j in enumerate(j_values):
         per_j = [tr.rows[idx] for tr in traces.values()]
         ok = [r for r in per_j if r.error is None]
-        if not ok:
-            env_rows.append(TraceRow(j, 0, None, None, "error", error=per_j[0].error))
-            continue
-        best = max(ok, key=lambda r: r.h)
-        env_rows.append(TraceRow(j, best.family_size, best.entropy_bits, best.h,
-                                 best.method, best.ci_halfwidth))
+        env_rows.append(max(ok, key=lambda r: r.h) if ok
+                        else TraceRow(j, 0, None, None, "error", error=per_j[0].error))
     return traces, EntropyTrace(tuple(env_rows))
 
 
@@ -507,6 +519,16 @@ def _merge(segs: np.ndarray, Q: int) -> np.ndarray:
     return np.stack([line[first], lo[first], reach[last].astype(segs.dtype)], axis=1)
 
 
+def check_ledger_steps(N: int) -> range:
+    """The steps 1..N of a boundary ledger; ValidationError for N < 0 and
+    BudgetError for N > MAX_LEDGER_STEPS."""
+    if N < 0:
+        raise ValidationError(f"the boundary ledger needs N >= 0, got {N}")
+    if N > MAX_LEDGER_STEPS:
+        raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}, got {N}")
+    return range(1, N + 1)
+
+
 def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> list[Fraction]:
     """Exact boundary lengths B(0..N) of the forward joins of xi under T.
 
@@ -519,10 +541,8 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     xi (:class:`RectLattice`), imaged with one mask-and-clip per source and
     merged per line after each step; B(n) is the sum of lengths over Q.
     """
-    if N < 0:
-        raise ValidationError("N must be >= 0")
-    if N > MAX_LEDGER_STEPS:
-        raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}")
+    check_partition(T, xi)
+    steps = check_ledger_steps(N)
     corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
     lattice = RectLattice.of(T, corners)
     Q = lattice.Q
@@ -540,7 +560,7 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
 
     current = [_merge(b, Q) for b in base]
     lengths = [length(current)]
-    for _ in range(N):
+    for _ in steps:
         current = [_merge(np.concatenate([_image(s, *src), f]), Q)
                    for s, src, f in zip(current, sources, fixed)]
         lengths.append(length(current))
@@ -550,6 +570,19 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
 # -- entropy asymmetry ratio -----------------------------------------------------
 
 
+def asymmetry_times(N: int, m: int, n: int, direction: str) -> tuple[list[int], list[int]]:
+    """The times (base, triple) of :func:`asymmetry_ratio`: 0..N-1, and their
+    union with the shifts by +m and +n (-m and -n backward); ValidationError
+    for N < 1 or another direction."""
+    if direction not in ("forward", "backward"):
+        raise ValidationError("direction must be 'forward' or 'backward'")
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    sign = 1 if direction == "forward" else -1
+    base = list(range(N))
+    return base, sorted(set(base) | {sign * m + t for t in base} | {sign * n + t for t in base})
+
+
 def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
                     m: int, n: int, direction: str = "forward") -> float:
     """H(xi^N v T^{+-m} xi^N v T^{+-n} xi^N) / H(xi^N), exact joins.
@@ -557,19 +590,11 @@ def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
     xi^N is the forward join over times 0..N-1; ``direction="backward"``
     translates by -m and -n instead.
     """
-    if direction not in ("forward", "backward"):
-        raise ValidationError("direction must be 'forward' or 'backward'")
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    sign = 1 if direction == "forward" else -1
-    base_times = list(range(N))
+    base_times, triple_times = asymmetry_times(N, m, n, direction)
     base = join_partition(T, xi, base_times)
     h_base = shannon_entropy(partition_measures(base))
     if h_base == 0.0:
         raise DegenerateInputError("H(xi^N) = 0: one-atom partition gives no ratio")
-    triple_times = sorted(set(base_times)
-                          | {sign * m + t for t in base_times}
-                          | {sign * n + t for t in base_times})
     triple = join_partition(T, xi, triple_times)
     h_triple = shannon_entropy(partition_measures(triple))
     return h_triple / h_base

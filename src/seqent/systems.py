@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, check_tiling, shannon_entropy
+from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, as_integer, check_tiling, shannon_entropy
 from .errors import AliasingError, BudgetError, DomainError, ValidationError, MAX_POWER
 from .segments import SegmentSet
 
@@ -49,7 +49,7 @@ class IntervalExchange:
 
     def __post_init__(self):
         lengths = tuple(as_fraction(v) for v in self.lengths)
-        perm = tuple(int(p) for p in self.permutation)
+        perm = tuple(as_integer(p, "permutation entry") for p in self.permutation)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "permutation", perm)
         if not lengths or any(v <= 0 for v in lengths):

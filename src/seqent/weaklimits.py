@@ -129,6 +129,17 @@ class TestSet2D:
         return out
 
 
+def check_sets(T, sets) -> None:
+    """Raise ValidationError unless T has an exact correlation path for the test
+    sets: TestSet1D under an interval exchange, TestSet2D under the baker map."""
+    if not isinstance(T, (IntervalExchange, BakerMap)):
+        raise ValidationError(f"no exact correlation path for {type(T).__name__}: only "
+                              "interval exchanges and the baker map have one")
+    want = TestSet1D if isinstance(T, IntervalExchange) else TestSet2D
+    if not all(isinstance(s, want) for s in sets):
+        raise ValidationError(f"test sets under {type(T).__name__} must be {want.__name__}")
+
+
 def vertical_half() -> TestSet2D:
     """[0, 1/2) x [0, 1): the generating partition atom of the baker map."""
     return TestSet2D(1, 0, 0, 0)
@@ -320,11 +331,7 @@ def _numerators(T, ms, sets):
     while G < 2^53, else of :func:`int_dtype`.  A window may be a reused
     buffer, valid until the next.
     """
-    if not isinstance(T, (IntervalExchange, BakerMap)):
-        raise ValidationError(
-            f"no exact correlation path for {type(T).__name__}: only interval exchanges "
-            "and the baker map have one"
-        )
+    check_sets(T, sets)
     times = sorted({int(m) for m in ms})
     check_test_pairs(len(sets))
     if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
@@ -464,6 +471,12 @@ class ScanReport:
     events: tuple[tuple[int, float], ...]
     min_time: int | None
 
+    @classmethod
+    def of(cls, ms, values, crossed) -> "ScanReport":
+        """The report of values at times ms, with an event where ``crossed``."""
+        events = tuple((m, v) for m, v, c in zip(ms, values, crossed) if c)
+        return cls(tuple(zip(ms, values)), events, events[0][0] if events else None)
+
     def as_dicts(self) -> list[dict]:
         flagged = dict(self.events)
         return [
@@ -476,55 +489,53 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
     return _distances(T, ms, family, _targets(family, mode), normalized)
 
 
+def scan_times(first: int, m_cap: int) -> range:
+    """The scanned times first..m_cap; ValidationError if there are none."""
+    if m_cap < first:
+        raise ValidationError(f"m_cap {m_cap} leaves no time to scan from m = {first}")
+    return range(first, m_cap + 1)
+
+
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
                      normalized: bool = True) -> ScanReport:
     """Scan m in (j, m_cap] for the first m with dist-to-Theta above r."""
-    if m_cap <= j:
-        raise ValidationError("m_cap must exceed j")
-    ms = list(range(j + 1, m_cap + 1))
+    ms = scan_times(j + 1, m_cap)
     values = _scan_distances(T, ms, family, "theta", normalized)
-    events = tuple((m, v) for m, v in zip(ms, values) if v > r)
-    return ScanReport(
-        values=tuple(zip(ms, values)),
-        events=events,
-        min_time=events[0][0] if events else None,
-    )
+    return ScanReport.of(ms, values, [v > r for v in values])
 
 
 def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
                   normalized: bool = True) -> ScanReport:
     """List all m <= m_cap with dist-to-identity below eps (rigidity times)."""
-    if m_cap < 1:
-        raise ValidationError("m_cap must be at least 1")
-    ms = list(range(1, m_cap + 1))
+    ms = scan_times(1, m_cap)
     values = _scan_distances(T, ms, family, "identity", normalized)
-    events = tuple((m, v) for m, v in zip(ms, values) if v < eps)
-    return ScanReport(
-        values=tuple(zip(ms, values)),
-        events=events,
-        min_time=events[0][0] if events else None,
-    )
+    return ScanReport.of(ms, values, [v < eps for v in values])
 
 
 # -- triple correlations ---------------------------------------------------------
 
 
+def triple_times(m: int, n: int) -> tuple[int, int, int]:
+    """The times (0, m, n) of a triple correlation; ValidationError if m = n."""
+    if m == n:
+        raise ValidationError(f"triple correlation needs distinct times m != n, got {m} twice")
+    return 0, m, n
+
+
 def triple_correlation(T, A, m: int, n: int) -> Fraction:
     """mu(A intersect T^-m A intersect T^-n A), exact."""
-    if m == n:
-        raise ValidationError("triple correlation needs distinct times m != n")
+    check_sets(T, [A])
+    times = triple_times(m, n)
     if isinstance(T, IntervalExchange):
         cuts = sorted({ZERO, A.lo, A.hi} - {ONE})
         inside = IntervalPartition(tuple(cuts), tuple(A.lo <= c < A.hi for c in cuts))
-        atoms = join_partition(T, inside, (0, m, n), signs="backward").measures_by_label()
+        atoms = join_partition(T, inside, times, signs="backward").measures_by_label()
         return atoms.get((True, True, True), ZERO)
-    if isinstance(T, BakerMap):
-        offset = A.ylevel + max(0, -m, -n)
-        words = [_cylinder_word(A, offset + t) for t in (0, m, n)]
-        if any((b1 ^ b2) & m1 & m2 for (m1, b1), (m2, b2) in itertools.combinations(words, 2)):
-            return ZERO
-        return Fraction(1, 2 ** bin(words[0][0] | words[1][0] | words[2][0]).count("1"))
-    raise ValidationError(f"no exact triple-correlation path for {type(T).__name__}")
+    offset = A.ylevel + max(0, -m, -n)  # the baker map
+    words = [_cylinder_word(A, offset + t) for t in times]
+    if any((b1 ^ b2) & m1 & m2 for (m1, b1), (m2, b2) in itertools.combinations(words, 2)):
+        return ZERO
+    return Fraction(1, 2 ** bin(words[0][0] | words[1][0] | words[2][0]).count("1"))
 
 
 def triple_correlation_limits(mu) -> tuple[Fraction, Fraction]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -5,9 +6,24 @@ from pathlib import Path
 import pytest
 
 import seqent.cli
-from seqent import IntervalPartition, SeqentError
+from seqent import (
+    BakerMap,
+    IntervalPartition,
+    RectangleExchange,
+    RectanglePartition,
+    SeqentError,
+    asymmetry_ratio,
+    boundary_growth,
+    entropy_trace,
+    explicit_family,
+    golden_rotation,
+    make_progression_family,
+    mc_join_entropy,
+    triple_correlation,
+)
 from seqent.cli import PRESETS, main, validate_config
 from seqent.seqentropy import join_partition
+from seqent.weaklimits import TestSet2D as Dyadic2D
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -366,6 +382,122 @@ class TestConfigErrors:
             captured = capsys.readouterr()
             assert "ERROR[BudgetError]" in captured.out + captured.err
         assert not list(tmp_path.glob("*.csv"))
+
+
+# the library call each "values the library rejects at run time" config makes
+LIBRARY_CALLS = {
+    "triple-correlation-with-equal-times":
+        lambda: triple_correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), 2, 2),
+    "mc-entropy-with-10-samples":
+        lambda: mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
+                                explicit_family([1, 2]), 10, 1),
+    "asymmetry-ratio-with-N-0":
+        lambda: asymmetry_ratio(golden_rotation().to_iet(), IntervalPartition.dyadic(1), 0, 3, 5),
+    "boundary-growth-with-negative-N":
+        lambda: boundary_growth(RectangleExchange.vertical_swap(), RectanglePartition.quadrants(),
+                                -1),
+    "entropy-trace-with-no-j_values":
+        lambda: entropy_trace(golden_rotation().to_iet(), IntervalPartition.dyadic(1),
+                              lambda j: make_progression_family(j, j), []),
+}
+
+
+class TestOneHomePerRule:
+    @pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+    def test_library_raises_the_class_validate_reports(self, name):
+        diagnostics, built = validate_config(MISMATCHED_CONFIGS[name])
+        assert built is None
+        reported = diagnostics[-1][1]
+        with pytest.raises(reported) as info:
+            LIBRARY_CALLS[name]()
+        assert type(info.value) is reported
+
+    def test_bernoulli_window_below_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "experiment": "entropy-trace", "system": {"kind": "bernoulli", "masses": ["1/2", "1/2"]},
+            "window": 0, "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [2],
+        })
+        errors = []
+        for argv in (("validate", "--config", path),
+                     ("run", "--config", path, "--out-dir", str(tmp_path))):
+            assert run_cli(*argv) == 1
+            captured = capsys.readouterr()
+            errors += re.findall(r"ERROR\[(\w+)\]", captured.out + captured.err)
+        assert errors == ["ValidationError", "ValidationError"]
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestSupEnvelope:
+    @pytest.mark.parametrize("cfg", [
+        {"system": {"kind": "golden-rotation"}, "depth": 3},
+        {"system": {"kind": "product-rotations", "alpha": "610/987", "beta": "377/610"},
+         "depth": 4, "n_samples": 2000, "seed": 5},
+    ], ids=["golden-rotation", "product-rotations"])
+    def test_envelope_rows_are_the_max_over_partitions(self, tmp_path, capsys, cfg):
+        cfg = {"name": "envelope", "experiment": "sup-envelope",
+               "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [2, 4], **cfg}
+        path = write_config(tmp_path, cfg)
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path), "--format", "csv") == 0
+        rows = read_rows(tmp_path / "envelope.csv")
+        envelope = [r for r in rows if r["partition"] == "envelope"]
+        assert [r["j"] for r in envelope] == ["2", "4"]
+        for row in envelope:
+            per_partition = [float(r["h_j"]) for r in rows
+                             if r["partition"] != "envelope" and r["j"] == row["j"]]
+            assert len(per_partition) == (3 if cfg["depth"] == 3 else 2)
+            assert float(row["h_j"]) == max(per_partition)
+
+
+RECT_HALVES = [["0", "1/2", "0", "1"], ["1/2", "1", "0", "1"]]
+MC = {"n_samples": 1000, "seed": 1}
+
+# one entropy-trace config per system kind, which together use every partition kind
+SYSTEM_KINDS = {
+    "identity-iet": ({"kind": "identity-iet"}, {"partition": {"kind": "dyadic", "depth": 2}}),
+    "iet": ({"kind": "iet", "lengths": ["1/3", "1/6", "1/2"], "permutation": [2, 0, 1]},
+            {"partition": {"kind": "cuts", "cuts": ["0", "1/3"]}}),
+    "rotation": ({"kind": "rotation", "alpha": "5/13"},
+                 {"partition": {"kind": "cuts", "cuts": ["0", "1/4", "1/2"], "labels": [0, 1, 0]}}),
+    "golden-rotation": ({"kind": "golden-rotation", "order": 30},
+                        {"partition": {"kind": "dyadic", "depth": 1}}),
+    "bernoulli": ({"kind": "bernoulli", "masses": ["1/3", "2/3"]}, {"window": 2}),
+    "baker": ({"kind": "baker"}, {"partition": {"kind": "vertical-halves"}, **MC}),
+    "identity-rect": ({"kind": "identity-rect"},
+                      {"partition": {"kind": "dyadic-rect", "x_depth": 1, "y_depth": 2}, **MC}),
+    "vertical-swap": ({"kind": "vertical-swap"}, {"partition": {"kind": "quadrants"}, **MC}),
+    "product-rotations": ({"kind": "product-rotations", "alpha": "2/5", "beta": "1/3"},
+                          {"partition": {"kind": "sources"}, **MC}),
+    "rect-exchange": ({"kind": "rect-exchange", "sources": RECT_HALVES,
+                       "translations": [["1/2", "0"], ["-1/2", "0"]]},
+                      {"partition": {"kind": "rects",
+                                     "atoms": [[["0", "1", "0", "1/2"], "low"],
+                                               [["0", "1", "1/2", "1"], "high"]]}, **MC}),
+}
+
+
+class TestEveryKindValidates:
+    def test_every_kind_is_covered(self):
+        systems = {spec["kind"] for spec, _ in SYSTEM_KINDS.values()}
+        partitions = {extra["partition"]["kind"] for _, extra in SYSTEM_KINDS.values()
+                      if "partition" in extra}
+        assert systems == set(SYSTEM_KINDS)
+        assert partitions == {"sources", "dyadic", "cuts", "dyadic-rect", "quadrants",
+                              "vertical-halves", "rects"}
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEM_KINDS))
+    def test_validates(self, tmp_path, capsys, kind):
+        system, extra = SYSTEM_KINDS[kind]
+        path = write_config(tmp_path, {
+            "experiment": "entropy-trace", "system": system,
+            "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [2, 3], **extra,
+        })
+        assert run_cli("validate", "--config", path) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ok"
 
 
 class TestPresetsRunnable:

@@ -23,11 +23,17 @@ from seqent import (
     exact_join,
     explicit_family,
     h_j,
+    join_for,
     make_progression_family,
     mc_join_entropy,
     partition_measures,
     shannon_entropy,
     sup_over_partitions,
+)
+from seqent.seqentropy import (
+    asymmetry_times,
+    check_ledger_steps,
+    partition_library,
 )
 from seqent.systems import discontinuity_length
 
@@ -400,3 +406,57 @@ class TestAsymmetryRatio:
         with pytest.raises(DegenerateInputError):
             asymmetry_ratio(IntervalExchange.identity(),
                             IntervalPartition.trivial(), 4, 1, 2)
+
+
+class TestLibraryGuards:
+    """Each input rule has one home in the library, and a library caller meets
+    it as a ValidationError before any work."""
+
+    def test_bernoulli_partition_is_an_integer_window(self):
+        with pytest.raises(ValidationError):
+            join_for(BernoulliSystem.fair(), IntervalPartition.halves(), explicit_family([1, 2]))
+        with pytest.raises(ValidationError):
+            h_j(BernoulliSystem.fair(), 0, explicit_family([1, 2]))
+
+    def test_monte_carlo_partition_must_be_planar(self):
+        with pytest.raises(ValidationError):
+            mc_join_entropy(RectangleExchange.identity(), IntervalPartition.halves(),
+                            explicit_family([1, 2]), 1000, 1)
+
+    def test_monte_carlo_system_must_be_planar(self):
+        with pytest.raises(ValidationError):
+            mc_join_entropy(IntervalExchange.identity(), HALVES, explicit_family([1, 2]), 1000, 1)
+
+    def test_ledger_partition_must_be_planar(self):
+        with pytest.raises(ValidationError):
+            boundary_growth(RectangleExchange.vertical_swap(), IntervalPartition.halves(), 3)
+
+    def test_asymmetry_partition_must_be_an_interval_partition(self):
+        with pytest.raises(ValidationError):
+            asymmetry_ratio(IntervalExchange.identity(), RectanglePartition.quadrants(), 4, 1, 2)
+
+    def test_trace_without_j_values_rejected(self):
+        with pytest.raises(ValidationError):
+            entropy_trace(IntervalExchange.identity(), HALVES,
+                          lambda j: make_progression_family(j, j), [])
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_partition_library_needs_depth(self, depth):
+        with pytest.raises(ValidationError):
+            partition_library(IntervalExchange.identity(), depth)
+
+    def test_asymmetry_times_are_the_joined_times(self):
+        base, triple = asymmetry_times(8, 3, 5, "backward")
+        assert base == list(range(8))
+        assert triple == list(range(-5, 8))
+        with pytest.raises(ValidationError):
+            asymmetry_times(0, 3, 5, "forward")
+        with pytest.raises(ValidationError):
+            asymmetry_times(8, 3, 5, "sideways")
+
+    def test_ledger_steps(self):
+        assert check_ledger_steps(3) == range(1, 4)
+        with pytest.raises(ValidationError):
+            check_ledger_steps(-1)
+        with pytest.raises(BudgetError):
+            check_ledger_steps(10**4 + 1)

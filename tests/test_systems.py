@@ -67,6 +67,12 @@ class TestIetApply:
         with pytest.raises(ValidationError):
             IntervalExchange((F(1, 2), F(1, 2)), (0, 0))
 
+    @pytest.mark.parametrize("permutation", [(1.7, 0.2), (1.0, 0.0), (True, False), ("1", "0")])
+    def test_non_integer_permutation_rejected(self, permutation):
+        # int() would truncate (1.7, 0.2) to the valid permutation (1, 0)
+        with pytest.raises(ValidationError):
+            IntervalExchange((F(1, 3), F(2, 3)), permutation)
+
 
 class TestIetCompose:
     def test_identity_neutral(self):

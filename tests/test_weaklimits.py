@@ -23,7 +23,13 @@ from seqent import (
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import _numerators, _scan_distances, correlation_matrix
+from seqent.weaklimits import (
+    _numerators,
+    _scan_distances,
+    correlation_matrix,
+    scan_times,
+    triple_times,
+)
 
 from oracles import oracle_correlation_matrix, oracle_distance
 
@@ -307,3 +313,31 @@ class TestTripleCorrelation:
                 if b > a:
                     total += b - a
         assert got == total
+
+
+class TestSetsFitTheSystem:
+    """Test sets of the wrong dimension raise ValidationError before any work."""
+
+    def test_triple_correlation_2d_set_on_rotation(self):
+        with pytest.raises(ValidationError):
+            triple_correlation(golden_rotation().to_iet(), Dyadic2D(1, 0, 0, 0), 1, 2)
+
+    def test_correlation_2d_sets_on_rotation(self):
+        with pytest.raises(ValidationError):
+            correlation(ROT, Dyadic2D(1, 0, 0, 0), Dyadic2D(0, 0, 0, 0), 1)
+
+    def test_mixing_scan_rectangles_on_rotation(self):
+        with pytest.raises(ValidationError):
+            mixing_time_scan(ROT, 0, 0.05, 4, Family.dyadic_rectangles(2))
+
+    def test_baker_needs_2d_sets(self):
+        with pytest.raises(ValidationError):
+            triple_correlation(BakerMap(), Dyadic1D(1, 0), 1, 2)
+
+    def test_scan_and_triple_times(self):
+        assert scan_times(3, 5) == range(3, 6)
+        with pytest.raises(ValidationError):
+            scan_times(6, 5)
+        assert triple_times(1, 2) == (0, 1, 2)
+        with pytest.raises(ValidationError):
+            triple_times(2, 2)

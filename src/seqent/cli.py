@@ -67,7 +67,6 @@ from .systems import (
     BernoulliSystem,
     IntervalExchange,
     RectangleExchange,
-    check_powers,
     discontinuity_length,
     golden_rotation,
 )
@@ -231,21 +230,19 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         if "partition" in experiment.fields:  # a Bernoulli shift's partition: its coordinate window
             built["partition"] = (cfg.get("window", 1) if isinstance(system, BernoulliSystem)
                                   else build_partition(cfg["partition"], system))
-            check_partition(system, built["partition"])
+            if "family" not in experiment.fields:  # else check_join checks it for each j
+                check_partition(system, built["partition"])
         if "set" in experiment.fields:
             built["test_set"] = build_test_set(cfg["set"])
             check_sets(system, [built["test_set"]])
         if "m_cap" in experiment.fields:
             built["test_family"] = build_test_family(cfg.get("test_family", {}), system)
-        times = experiment.times(cfg)  # parsed for every system, budgeted for exchanges
-        if isinstance(system, IntervalExchange):
-            check_powers(system, times)
+        experiment.check(cfg, system)
         if "family" in experiment.fields:
-            mc = None
             if isinstance(system, (RectangleExchange, BakerMap)):
                 if cfg.get("seed") is None:
                     raise ConfigError("Monte Carlo experiments need an explicit seed")
-                mc = built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
+                built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
             maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
             if "partition" in built:
@@ -255,7 +252,7 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
             for j in check_j_values(cfg["j_values"] if "j_values" in experiment.fields
                                     else [cfg.get("j", 1)]):
                 fam = families[j] = maker(j)
-                check_join(system, partition, fam, mc)
+                check_join(system, partition, fam, built.get("mc"))
                 if isinstance(system, IntervalExchange):
                     cuts = estimate_join_cuts(system, partition, fam)
                     if cuts > MAX_JOIN_CUTS:
@@ -372,13 +369,13 @@ def _run_mc(cfg, system, partition, families, mc):
 class Experiment:
     """System classes accepted, config fields required besides ``system``,
     ``run(cfg, system, ...) -> (rows, warnings)`` with arguments built from them,
-    and ``times(cfg)``: the powers the run takes besides its index families,
-    from the library guard that raises for a value the run would reject."""
+    and ``check(cfg, system)``: the library guards of the run's other inputs, which
+    raise before any work for a value the run would reject."""
 
     systems: tuple[type, ...]
     fields: tuple[str, ...]
     run: Callable[..., tuple[list[dict], list[str]]]
-    times: Callable[[dict], list[int]] = lambda cfg: []
+    check: Callable[[dict, object], object] = lambda cfg, system: None
 
 
 ANY_SYSTEM = (IntervalExchange, BernoulliSystem, RectangleExchange, BakerMap)
@@ -388,17 +385,18 @@ EXPERIMENTS: dict[str, Experiment] = {
     "entropy-trace": Experiment(ANY_SYSTEM, ("partition", "family", "j_values"), _run_trace),
     "sup-envelope": Experiment(ANY_SYSTEM, ("family", "j_values"), _run_envelope),
     "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary,
-                                  lambda cfg: check_ledger_steps(cfg["N"])),
+                                  lambda cfg, T: check_ledger_steps(cfg["N"])),
     "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
-                              lambda cfg: scan_times(cfg.get("j", 0) + 1, cfg["m_cap"])),
+                              lambda cfg, T: scan_times(T, cfg.get("j", 0) + 1, cfg["m_cap"])),
     "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
-                                lambda cfg: scan_times(1, cfg["m_cap"])),
+                                lambda cfg, T: scan_times(T, 1, cfg["m_cap"])),
     "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
-                                     lambda cfg: [t for m, n in cfg["pairs"]
-                                                  for t in triple_times(m, n)]),
+                                     lambda cfg, T: [triple_times(T, m, n)
+                                                     for m, n in cfg["pairs"]]),
     "asymmetry-ratio": Experiment((IntervalExchange,), ("partition", "N", "m", "n"), _run_ratio,
-                                  lambda cfg: [t for d in ("forward", "backward") for t in
-                                               asymmetry_times(cfg["N"], cfg["m"], cfg["n"], d)[1]]),
+                                  lambda cfg, T: [asymmetry_times(T, cfg["N"], cfg["m"],
+                                                                  cfg["n"], d)
+                                                  for d in ("forward", "backward")]),
     "mc-entropy": Experiment((RectangleExchange, BakerMap), ("partition", "family"), _run_mc),
 }
 

@@ -348,13 +348,12 @@ def check_partition(T, xi) -> None:
 
 def check_join(T, xi, family: IndexFamily, mc: McOptions | None) -> None:
     """Raise before any work unless :func:`join_for` takes the join: xi fits T
-    (:func:`check_partition`), a planar join has McOptions of at least
-    MIN_MC_SAMPLES samples and passes :func:`check_sample_bits`, and an
-    interval exchange passes :func:`check_powers`."""
+    (:func:`check_partition`), a planar join's McOptions ``mc`` (None for
+    other systems) have at least MIN_MC_SAMPLES samples and the join passes
+    :func:`check_sample_bits`, and an interval exchange passes
+    :func:`check_powers`."""
     check_partition(T, xi)
     if isinstance(T, (RectangleExchange, BakerMap)):
-        if mc is None:
-            raise ValidationError("planar joins are Monte Carlo; pass McOptions")
         if mc.n_samples < MIN_MC_SAMPLES:
             raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}, got {mc.n_samples}")
         check_sample_bits(T, xi, family)
@@ -368,12 +367,14 @@ def h_j(T, xi, family: IndexFamily, mc: McOptions | None = None) -> float:
 
 
 def join_for(T, xi, family: IndexFamily, mc: McOptions | None = None) -> JoinResult:
-    """Dispatch a join, after :func:`check_join`, to the exact 1D, analytic or MC 2D path."""
-    check_join(T, xi, family, mc)
+    """Dispatch a join to the exact 1D, analytic or MC 2D path; each path
+    checks its inputs before any work, and a planar join needs ``mc``."""
     if isinstance(T, BernoulliSystem):
         return bernoulli_join_entropy(T, family, window=xi)
     if isinstance(T, IntervalExchange):
         return exact_join(T, xi, family)
+    if mc is None:
+        raise ValidationError("planar joins are Monte Carlo; pass McOptions")
     return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed)
 
 
@@ -398,17 +399,17 @@ class EntropyTrace:
     def ok_rows(self) -> list[TraceRow]:
         return [r for r in self.rows if r.error is None]
 
-    def _ok_hs(self) -> list[float]:
-        hs = [r.h for r in self.ok_rows()]
-        if not hs:
-            raise ValidationError("no successful rows in trace")
-        return hs
-
     def h_max_proxy(self) -> float:
-        return max(self._ok_hs())
+        rows = self.ok_rows()
+        if not rows:
+            raise ValidationError("no successful rows in trace")
+        return max(r.h for r in rows)
 
     def h_min_proxy(self) -> float:
-        return min(self._ok_hs())
+        rows = self.ok_rows()
+        if not rows:
+            raise ValidationError("no successful rows in trace")
+        return min(r.h for r in rows)
 
     def as_dicts(self) -> list[dict]:
         return [
@@ -481,8 +482,12 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
     for idx, j in enumerate(j_values):
         per_j = [tr.rows[idx] for tr in traces.values()]
         ok = [r for r in per_j if r.error is None]
-        env_rows.append(max(ok, key=lambda r: r.h) if ok
-                        else TraceRow(j, 0, None, None, "error", error=per_j[0].error))
+        if not ok:
+            env_rows.append(TraceRow(j, 0, None, None, "error", error=per_j[0].error))
+            continue
+        best = max(ok, key=lambda r: r.h)
+        env_rows.append(TraceRow(j, best.family_size, best.entropy_bits, best.h,
+                                 best.method, best.ci_halfwidth))
     return traces, EntropyTrace(tuple(env_rows))
 
 
@@ -570,17 +575,20 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
 # -- entropy asymmetry ratio -----------------------------------------------------
 
 
-def asymmetry_times(N: int, m: int, n: int, direction: str) -> tuple[list[int], list[int]]:
+def asymmetry_times(T: IntervalExchange, N: int, m: int, n: int,
+                    direction: str) -> tuple[list[int], list[int]]:
     """The times (base, triple) of :func:`asymmetry_ratio`: 0..N-1, and their
-    union with the shifts by +m and +n (-m and -n backward); ValidationError
-    for N < 1 or another direction."""
+    union with the shifts by +m and +n (-m and -n backward).  ValidationError
+    for N < 1 or another direction; the first and last time of each shift
+    pass :func:`check_powers` before any list is built."""
     if direction not in ("forward", "backward"):
         raise ValidationError("direction must be 'forward' or 'backward'")
     if N < 1:
         raise ValidationError("N must be >= 1")
-    sign = 1 if direction == "forward" else -1
+    shifts = (0, m, n) if direction == "forward" else (0, -m, -n)
+    check_powers(T, [s + t for s in shifts for t in (0, N - 1)])
     base = list(range(N))
-    return base, sorted(set(base) | {sign * m + t for t in base} | {sign * n + t for t in base})
+    return base, sorted({s + t for s in shifts for t in base})
 
 
 def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
@@ -590,7 +598,7 @@ def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
     xi^N is the forward join over times 0..N-1; ``direction="backward"``
     translates by -m and -n instead.
     """
-    base_times, triple_times = asymmetry_times(N, m, n, direction)
+    base_times, triple_times = asymmetry_times(T, N, m, n, direction)
     base = join_partition(T, xi, base_times)
     h_base = shannon_entropy(partition_measures(base))
     if h_base == 0.0:

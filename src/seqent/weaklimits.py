@@ -471,12 +471,6 @@ class ScanReport:
     events: tuple[tuple[int, float], ...]
     min_time: int | None
 
-    @classmethod
-    def of(cls, ms, values, crossed) -> "ScanReport":
-        """The report of values at times ms, with an event where ``crossed``."""
-        events = tuple((m, v) for m, v, c in zip(ms, values, crossed) if c)
-        return cls(tuple(zip(ms, values)), events, events[0][0] if events else None)
-
     def as_dicts(self) -> list[dict]:
         flagged = dict(self.events)
         return [
@@ -489,43 +483,60 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
     return _distances(T, ms, family, _targets(family, mode), normalized)
 
 
-def scan_times(first: int, m_cap: int) -> range:
-    """The scanned times first..m_cap; ValidationError if there are none."""
+def scan_times(T, first: int, m_cap: int) -> range:
+    """The scanned times first..m_cap; ValidationError if there are none.  Under
+    an interval exchange both ends pass :func:`check_powers` first, so a range
+    beyond the power budget is rejected at once, never walked."""
     if m_cap < first:
         raise ValidationError(f"m_cap {m_cap} leaves no time to scan from m = {first}")
+    if isinstance(T, IntervalExchange):
+        check_powers(T, [first, m_cap])
     return range(first, m_cap + 1)
 
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
                      normalized: bool = True) -> ScanReport:
     """Scan m in (j, m_cap] for the first m with dist-to-Theta above r."""
-    ms = scan_times(j + 1, m_cap)
+    ms = scan_times(T, j + 1, m_cap)
     values = _scan_distances(T, ms, family, "theta", normalized)
-    return ScanReport.of(ms, values, [v > r for v in values])
+    events = tuple((m, v) for m, v in zip(ms, values) if v > r)
+    return ScanReport(
+        values=tuple(zip(ms, values)),
+        events=events,
+        min_time=events[0][0] if events else None,
+    )
 
 
 def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
                   normalized: bool = True) -> ScanReport:
     """List all m <= m_cap with dist-to-identity below eps (rigidity times)."""
-    ms = scan_times(1, m_cap)
+    ms = scan_times(T, 1, m_cap)
     values = _scan_distances(T, ms, family, "identity", normalized)
-    return ScanReport.of(ms, values, [v < eps for v in values])
+    events = tuple((m, v) for m, v in zip(ms, values) if v < eps)
+    return ScanReport(
+        values=tuple(zip(ms, values)),
+        events=events,
+        min_time=events[0][0] if events else None,
+    )
 
 
 # -- triple correlations ---------------------------------------------------------
 
 
-def triple_times(m: int, n: int) -> tuple[int, int, int]:
-    """The times (0, m, n) of a triple correlation; ValidationError if m = n."""
+def triple_times(T, m: int, n: int) -> tuple[int, int, int]:
+    """The times (0, m, n) of a triple correlation: ValidationError if m = n,
+    and under an interval exchange m and n pass :func:`check_powers`."""
     if m == n:
         raise ValidationError(f"triple correlation needs distinct times m != n, got {m} twice")
+    if isinstance(T, IntervalExchange):
+        check_powers(T, [m, n])
     return 0, m, n
 
 
 def triple_correlation(T, A, m: int, n: int) -> Fraction:
     """mu(A intersect T^-m A intersect T^-n A), exact."""
     check_sets(T, [A])
-    times = triple_times(m, n)
+    times = triple_times(T, m, n)
     if isinstance(T, IntervalExchange):
         cuts = sorted({ZERO, A.lo, A.hi} - {ONE})
         inside = IntervalPartition(tuple(cuts), tuple(A.lo <= c < A.hi for c in cuts))

@@ -190,6 +190,23 @@ class TestValidate:
         assert "aliasing" in capsys.readouterr().out.lower()
         assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+         "r": 0.05, "m_cap": 10**12},
+        {"experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
+         "epsilon": 0.02, "m_cap": 10**12},
+        {"experiment": "asymmetry-ratio", "system": {"kind": "golden-rotation"},
+         "partition": {"kind": "dyadic", "depth": 1}, "N": 10**9, "m": 3, "n": 5},
+    ], ids=["mixing-scan", "rigidity-scan", "asymmetry-ratio"])
+    def test_power_budget_checked_before_times_are_listed(self, tmp_path, capsys, cfg):
+        # 10**12 scanned times or 10**9 base times are rejected by their extremes,
+        # never walked or listed
+        path = write_config(tmp_path, cfg)
+        assert run_cli("validate", "--config", path) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().out
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
+        assert "ERROR[BudgetError]" in capsys.readouterr().err
+
     def test_envelope_cut_budget_covers_deepest_library_partition(self):
         cfg = {
             "experiment": "sup-envelope",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from seqent import (
+    AliasingError,
     BernoulliSystem,
     BakerMap,
     BudgetError,
@@ -32,6 +33,7 @@ from seqent import (
 )
 from seqent.seqentropy import (
     asymmetry_times,
+    check_join,
     check_ledger_steps,
     partition_library,
 )
@@ -446,13 +448,30 @@ class TestLibraryGuards:
             partition_library(IntervalExchange.identity(), depth)
 
     def test_asymmetry_times_are_the_joined_times(self):
-        base, triple = asymmetry_times(8, 3, 5, "backward")
+        T = IntervalExchange.identity()
+        base, triple = asymmetry_times(T, 8, 3, 5, "backward")
         assert base == list(range(8))
         assert triple == list(range(-5, 8))
         with pytest.raises(ValidationError):
-            asymmetry_times(0, 3, 5, "forward")
+            asymmetry_times(T, 0, 3, 5, "forward")
         with pytest.raises(ValidationError):
-            asymmetry_times(8, 3, 5, "sideways")
+            asymmetry_times(T, 8, 3, 5, "sideways")
+
+    @pytest.mark.parametrize("N, m, n", [(10**9, 1, 2), (8, 10**12, 2), (8, -(10**12), 2)])
+    def test_asymmetry_budget_checked_before_times_are_built(self, N, m, n):
+        # the extreme times are checked first: 10**9 base times are never listed
+        T = IntervalExchange.rotation(Fraction(1, 3))
+        with pytest.raises(BudgetError):
+            asymmetry_times(T, N, m, n, "forward")
+        with pytest.raises(BudgetError):
+            asymmetry_ratio(T, HALVES, N, m, n, direction="backward")
+
+    def test_join_power_budget_checked_without_joining(self):
+        # the largest family member passes the exchange's aliasing guard first
+        T = IntervalExchange.rotation(Fraction(1, 3), alias_limit=10)
+        check_join(T, HALVES, explicit_family([1, 5]), None)
+        with pytest.raises(AliasingError):
+            check_join(T, HALVES, explicit_family([1, 6]), None)
 
     def test_ledger_steps(self):
         assert check_ledger_steps(3) == range(1, 4)

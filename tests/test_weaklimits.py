@@ -335,9 +335,19 @@ class TestSetsFitTheSystem:
             triple_correlation(BakerMap(), Dyadic1D(1, 0), 1, 2)
 
     def test_scan_and_triple_times(self):
-        assert scan_times(3, 5) == range(3, 6)
+        assert scan_times(ROT, 3, 5) == range(3, 6)
         with pytest.raises(ValidationError):
-            scan_times(6, 5)
-        assert triple_times(1, 2) == (0, 1, 2)
+            scan_times(BakerMap(), 6, 5)
+        assert triple_times(ROT, 1, 2) == (0, 1, 2)
         with pytest.raises(ValidationError):
-            triple_times(2, 2)
+            triple_times(BakerMap(), 2, 2)
+
+    def test_power_budget_checked_before_scan_times_are_listed(self):
+        # 10**12 scanned powers of an exchange are rejected by their ends, never listed
+        with pytest.raises(BudgetError):
+            mixing_time_scan(ROT, 0, 0.05, 10**12, Family.dyadic_intervals(2))
+        with pytest.raises(BudgetError):
+            rigidity_scan(ROT, 10**12, 0.02, Family.dyadic_intervals(2))
+        with pytest.raises(BudgetError):
+            triple_times(ROT, 1, -(10**12))
+        assert scan_times(BakerMap(), 1, 10**12)[-1] == 10**12  # the baker map has no power budget

@@ -576,19 +576,19 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
 
 
 def asymmetry_times(T: IntervalExchange, N: int, m: int, n: int,
-                    direction: str) -> tuple[list[int], list[int]]:
-    """The times (base, triple) of :func:`asymmetry_ratio`: 0..N-1, and their
-    union with the shifts by +m and +n (-m and -n backward).  ValidationError
-    for N < 1 or another direction; the first and last time of each shift
-    pass :func:`check_powers` before any list is built."""
+                    direction: str) -> list[range]:
+    """The windows of times :func:`asymmetry_ratio` joins over: the base
+    0..N-1 and its shifts by +m and +n (-m and -n backward).  ValidationError
+    for N < 1 or another direction; the ends of each window pass
+    :func:`check_powers`, so no time is listed before the budget is checked."""
     if direction not in ("forward", "backward"):
         raise ValidationError("direction must be 'forward' or 'backward'")
     if N < 1:
         raise ValidationError("N must be >= 1")
     shifts = (0, m, n) if direction == "forward" else (0, -m, -n)
-    check_powers(T, [s + t for s in shifts for t in (0, N - 1)])
-    base = list(range(N))
-    return base, sorted({s + t for s in shifts for t in base})
+    windows = [range(s, s + N) for s in shifts]
+    check_powers(T, [t for w in windows for t in (w[0], w[-1])])
+    return windows
 
 
 def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
@@ -598,11 +598,11 @@ def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
     xi^N is the forward join over times 0..N-1; ``direction="backward"``
     translates by -m and -n instead.
     """
-    base_times, triple_times = asymmetry_times(T, N, m, n, direction)
-    base = join_partition(T, xi, base_times)
+    windows = asymmetry_times(T, N, m, n, direction)
+    base = join_partition(T, xi, windows[0])
     h_base = shannon_entropy(partition_measures(base))
     if h_base == 0.0:
         raise DegenerateInputError("H(xi^N) = 0: one-atom partition gives no ratio")
-    triple = join_partition(T, xi, triple_times)
+    triple = join_partition(T, xi, sorted(set().union(*windows)))
     h_triple = shannon_entropy(partition_measures(triple))
     return h_triple / h_base

@@ -449,9 +449,8 @@ class TestLibraryGuards:
 
     def test_asymmetry_times_are_the_joined_times(self):
         T = IntervalExchange.identity()
-        base, triple = asymmetry_times(T, 8, 3, 5, "backward")
-        assert base == list(range(8))
-        assert triple == list(range(-5, 8))
+        windows = asymmetry_times(T, 8, 3, 5, "backward")
+        assert windows == [range(8), range(-3, 5), range(-5, 3)]
         with pytest.raises(ValidationError):
             asymmetry_times(T, 0, 3, 5, "forward")
         with pytest.raises(ValidationError):

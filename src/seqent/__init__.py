@@ -8,7 +8,6 @@ from .core import (
     Rect,
     RectanglePartition,
     as_fraction,
-    common_refinement,
     partition_measures,
     shannon_entropy,
 )

@@ -62,6 +62,18 @@ class ProbabilityVector:
         if sum(entries) != 1:
             raise ValidationError(f"probability vector sums to {sum(entries)}, not 1")
 
+    @classmethod
+    def from_numerators(cls, numerators: list[int], denominator: int) -> "ProbabilityVector":
+        """The masses n / denominator of integer numerators, checked with one
+        integer sum; equal numerators share one Fraction."""
+        if not numerators or min(numerators) < 0 or sum(numerators) != denominator:
+            raise ValidationError(f"{len(numerators)} numerators over {denominator} are not "
+                                  f"nonnegative with sum {denominator}")
+        masses = {n: Fraction(n, denominator) for n in set(numerators)}
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "entries", tuple(map(masses.__getitem__, numerators)))
+        return vector
+
     def __len__(self):
         return len(self.entries)
 
@@ -158,12 +170,6 @@ class IntervalPartition:
 def partition_measures(xi) -> ProbabilityVector:
     """Exact atom-measure vector of a labeled partition (one entry per label)."""
     return ProbabilityVector(tuple(xi.measures_by_label().values()))
-
-
-def common_refinement(xi: IntervalPartition, eta: IntervalPartition) -> IntervalPartition:
-    """Join of two interval partitions; labels become (xi-label, eta-label)."""
-    cuts = sorted(set(xi.cuts) | set(eta.cuts))  # gaps are right-open: label the left ends
-    return IntervalPartition(tuple(cuts), tuple((xi.label_at(c), eta.label_at(c)) for c in cuts))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,12 @@ MAX_POWER = 10**6
 MAX_JOIN_CUTS = 10**7
 MAX_LEDGER_STEPS = 10**4  # steps of the boundary-growth ledger
 MIN_MC_SAMPLES = 1000  # fewest samples behind a Monte Carlo join entropy
+# Most Monte Carlo samples: the bootstrap holds N_BOOTSTRAP rows of counts, so
+# a join whose every sample is its own atom peaks at about 7 KB per sample
+# (baker map, vertical halves, times 1..40: +69 MB at 10^4 samples and +197 MB
+# at 3 * 10^4; resource.getrusage in one process, Python 3.11, numpy 2.4,
+# x86-64 Linux): about 0.7 GB at the ceiling.
+MAX_MC_SAMPLES = 10**5
 # Ordered test-set pairs per power of a weak-limit scan: 1-D depth 11 (4,095
 # sets) fits, 1-D depth 12 and 2-D depth 12 (127^2 sets) do not.
 MAX_TEST_PAIRS = 2**24

@@ -10,6 +10,9 @@ limsup/liminf invariants; no asymptotic claim is ever made by this code.
 Planar Monte Carlo samples and the boundary ledger are integer arrays too:
 cells of the lattice a rectangle exchange shares with its partition
 (:class:`~seqent.systems.RectLattice`), or 64-bit words under the baker map.
+Every join groups its atoms by one integer code per gap or sample and sums
+their masses as integers; only :func:`join_partition` and :func:`exact_join`
+decode the tuple labels of an interval join.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .core import (
     ProbabilityVector,
     RectanglePartition,
     as_integer,
-    partition_measures,
     shannon_entropy,
 )
 from .errors import (
@@ -37,6 +39,7 @@ from .errors import (
     ValidationError,
     MAX_JOIN_CUTS,
     MAX_LEDGER_STEPS,
+    MAX_MC_SAMPLES,
     MIN_MC_SAMPLES,
 )
 from .families import IndexFamily
@@ -62,8 +65,8 @@ N_BOOTSTRAP = 200  # multinomial resamples behind a Monte Carlo confidence inter
 class JoinResult:
     """Outcome of one join computation.
 
-    ``partition`` is kept only on the exact interval path; ``measures`` is
-    set on the exact interval path and the Monte Carlo path only.
+    ``partition``, the tuple-labelled join, is set by :func:`exact_join`
+    only; ``measures`` is set on the exact interval and Monte Carlo paths.
     """
 
     entropy_bits: float
@@ -77,17 +80,13 @@ class JoinResult:
 # -- exact joins for interval exchanges --------------------------------------
 
 
-def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
-                   signs: str = "forward") -> IntervalPartition:
-    """Common refinement of the partitions T^p xi, p in ``times``.
-
-    The label of x in T^p xi is the xi-label of T^-p x, so forward joins
-    evaluate the inverse powers; ``signs="backward"`` joins T^-p xi instead.
-    Labels are tuples indexed like ``times``; equal neighbours are not merged.
-    On T's integer lattice scaled by xi's denominators, the cuts are each
-    power's cuts and preimages of xi's cuts; every gap then lies in one piece
-    of each power, so it is labelled at its left endpoint.
-    """
+def _join_gaps(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int], signs: str):
+    """The join of T^p xi over ``times``: cut points in units of 1/Q, Q, and
+    each gap's xi-gap per time, yielded one time at a time.  The label of x in
+    T^p xi is the xi-label of T^-p x, so forward joins evaluate the inverse
+    powers.  On T's integer lattice scaled by xi's denominators, the cuts are
+    each power's cuts and preimages of xi's cuts; every gap then lies in one
+    piece of each power, so it is labelled at its left endpoint."""
     if signs not in ("forward", "backward"):
         raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
     check_partition(T, xi)
@@ -95,8 +94,7 @@ def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[i
     signed = [sign * int(t) for t in times]
     check_powers(T, signed)
     lattice = IetLattice.of(T).scaled(math.lcm(*(c.denominator for c in xi.cuts)))
-    Q = lattice.Q
-    edges = lattice_ints(xi.cuts, Q)
+    edges = lattice_ints(xi.cuts, lattice.Q)
     maps = list(map(dict(lattice.powers(signed)).__getitem__, signed))
     # distinct cuts by the stable sort the map algebra uses (np.unique pages in another)
     cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]),
@@ -104,26 +102,48 @@ def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[i
     cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
     if len(cuts) > MAX_JOIN_CUTS:
         raise BudgetError(f"join needs {len(cuts)} cut points, budget {MAX_JOIN_CUTS}")
-    # (gap, time) -> xi-gap in the smallest dtype: only the label tuples are large
-    gaps = np.empty((len(cuts), len(maps)), dtype=np.min_scalar_type(len(xi.cuts)))
-    for k, U in enumerate(maps):
-        gaps[:, k] = np.searchsorted(edges, U.apply(cuts), side="right") - 1
-    labels = tuple(tuple(map(xi.labels.__getitem__, row.tolist())) for row in gaps)
-    return IntervalPartition(tuple(Fraction(int(c), Q) for c in cuts), labels)
+    return cuts, lattice.Q, (np.searchsorted(edges, U.apply(cuts), side="right") - 1 for U in maps)
+
+
+def _coded_join(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int], signs: str,
+                decode: bool):
+    """The atoms of :func:`_join_gaps`, grouped by xi-label ids (:func:`_group`):
+    their masses in units of 1/Q (:func:`~seqent.systems.int_dtype` (Q)) in
+    order of first appearance, Q, and the tuple-labelled partition if ``decode``."""
+    cuts, Q, gaps = _join_gaps(T, xi, times, signs)
+    ids: dict = {}
+    label_ids = np.array([ids.setdefault(label, len(ids)) for label in xi.labels], dtype=np.intp)
+    if decode:  # keep (time, gap) -> xi-gap in the smallest dtype
+        gaps = [g.astype(np.min_scalar_type(len(xi.cuts))) for g in gaps]
+    atom, n_atoms = _group((label_ids[g] for g in gaps), len(ids), len(cuts))
+    masses = np.zeros(n_atoms, dtype=cuts.dtype)
+    np.add.at(masses, atom, np.diff(cuts, append=Q))
+    if not decode:
+        return masses, Q, None
+    table = np.fromiter(xi.labels, dtype=object, count=len(xi.labels))  # row by row: a small peak
+    labels = tuple(tuple(table[row].tolist()) for row in np.stack(gaps, axis=1))
+    return masses, Q, IntervalPartition(tuple(Fraction(c, Q) for c in cuts.tolist()), labels)
+
+
+def _exact_result(masses: np.ndarray, Q: int, partition: IntervalPartition | None) -> JoinResult:
+    measures = ProbabilityVector.from_numerators(masses.tolist(), Q)
+    return JoinResult(shannon_entropy(measures), len(measures), "exact", measures, partition)
+
+
+def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
+                   signs: str = "forward") -> IntervalPartition:
+    """Common refinement of the partitions T^p xi, p in ``times``
+    (``signs="backward"``: T^-p xi), labelled by tuples indexed like ``times``;
+    equal neighbours are not merged.  This and :func:`exact_join` are the only
+    joins that decode label tuples, one per gap, so memory grows as gaps x
+    times; :func:`join_for` reads the same masses from integer codes."""
+    return _coded_join(T, xi, times, signs, decode=True)[2]
 
 
 def exact_join(T: IntervalExchange, xi: IntervalPartition, family: IndexFamily,
                signs: str = "forward") -> JoinResult:
-    """Exact join over an index family for a 1D system."""
-    part = join_partition(T, xi, family.members, signs=signs)
-    measures = partition_measures(part)
-    return JoinResult(
-        entropy_bits=shannon_entropy(measures),
-        atom_count=len(measures),
-        method="exact",
-        measures=measures,
-        partition=part,
-    )
+    """Exact join over an index family for a 1D system, with its :func:`join_partition`."""
+    return _exact_result(*_coded_join(T, xi, family.members, signs, decode=True))
 
 
 # -- Bernoulli shifts: analytic joins -----------------------------------------
@@ -143,35 +163,8 @@ def bernoulli_join_entropy(B: BernoulliSystem, family: IndexFamily,
     for p in family:
         covered.update(range(p, p + window))
     n_coords = len(covered)
-    return JoinResult(
-        entropy_bits=n_coords * B.symbol_entropy_bits,
-        atom_count=sum(m > 0 for m in B.symbol_masses) ** n_coords,
-        method="exact",
-    )
-
-
-def baker_join_measures_grid(times: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Independent oracle for the baker / vertical-halves join.
-
-    The label vector of x at positive times F is (bit_{t+1}(x))_{t in F};
-    this enumerates every dyadic grid cell at the finest involved resolution
-    and counts cells per label vector.  Returns (counts indexed by the label
-    vector read as a binary number, denominator 2^W); masses are
-    counts / 2^W exactly.
-    """
-    times = sorted(set(int(t) for t in times))
-    if not times or times[0] < 0:
-        raise ValidationError("grid oracle needs positive times")
-    W = times[-1] + 1
-    if W > 24:
-        raise BudgetError(f"grid oracle limited to max time 23, got {times[-1]}")
-    v = np.arange(2**W, dtype=np.int64)
-    code = np.zeros_like(v)
-    for i, t in enumerate(times):
-        bit = (v >> (W - (t + 1))) & 1
-        code |= bit << i
-    counts = np.bincount(code, minlength=2 ** len(times))
-    return counts, W
+    return JoinResult(n_coords * B.symbol_entropy_bits,
+                      sum(m > 0 for m in B.symbol_masses) ** n_coords, "exact")
 
 
 # -- Monte Carlo joins for planar systems -------------------------------------
@@ -267,32 +260,23 @@ def _baker_gaps(xs, ys, x: np.ndarray, y: np.ndarray, times):
             yield np.searchsorted(bx, X), gy
 
 
-def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rank of each entry among the distinct values of code, and their number."""
-    order = np.argsort(code, kind="stable")
-    ordered = code[order]
-    rank = np.empty_like(code)
-    rank[order] = np.cumsum(np.append(0, ordered[1:] != ordered[:-1]))
-    return rank, int(rank[order[-1]]) + 1
-
-
-def _label_counts(T, xi: RectanglePartition, times: Sequence[int], n_samples: int,
-                  seed: int) -> np.ndarray:
-    """Samples per distinct label vector at ``times``, in decreasing order;
-    label vectors are grouped by one integer code, re-ranked densely before
-    it could overflow int64."""
-    xs, ys, table, n_labels = _cells(xi)
-    draws = random.Random(seed).getrandbits(2 * SAMPLE_BITS * n_samples)
-    words = np.frombuffer(draws.to_bytes(SAMPLE_BITS // 4 * n_samples, "little"), dtype="<u8")
-    x, y = words[0::2], words[1::2]  # getrandbits(64) twice per sample, x then y
-    gaps = (_baker_gaps(xs, ys, x, y, times) if isinstance(T, BakerMap)
-            else _exchange_gaps(T, xs, ys, x, y, times))
-    code, size = np.zeros(n_samples, dtype=np.int64), 1
-    for gx, gy in gaps:
-        if size * n_labels >= 2**63:
+def _group(columns: Iterable[np.ndarray], n_ids: int, n: int) -> tuple[np.ndarray, int]:
+    """Group n rows by their vectors of label ids, one array of ids in
+    range(n_ids) per position, folded into one mixed-radix int64 code that is
+    re-ranked (:func:`_dense`) before it could pass 2^63."""
+    code, size = np.zeros(n, dtype=np.int64), 1
+    for ids in columns:
+        if size * n_ids >= 2**63:
             code, size = _dense(code)
-        code, size = code * n_labels + table[gx, gy], size * n_labels
-    return np.sort(np.bincount(_dense(code)[0]), kind="stable")[::-1]
+        code, size = code * n_ids + ids, size * n_ids
+    return _dense(code)
+
+
+def _dense(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of code, numbered by first
+    appearance, and their number."""
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], len(first)
 
 
 def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
@@ -308,26 +292,30 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     with the Miller-Madow bias correction (exactly 0 for one atom); the
     half-width is a 95% bootstrap percentile interval from N_BOOTSTRAP
     multinomial resamples of the counts, sorted in decreasing order.
-    n_samples below MIN_MC_SAMPLES raises ValidationError (:func:`check_join`).
+    n_samples below MIN_MC_SAMPLES raises ValidationError, and above
+    MAX_MC_SAMPLES BudgetError, before sampling (:func:`check_join`).
     """
     if not isinstance(T, (RectangleExchange, BakerMap)):
         raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
                               f"not {type(T).__name__}")
     check_join(T, xi, family, McOptions(n_samples, seed))
-    counts = _label_counts(T, xi, family.members, n_samples, seed)
+    xs, ys, table, n_labels = _cells(xi)
+    draws = random.Random(seed).getrandbits(2 * SAMPLE_BITS * n_samples)
+    words = np.frombuffer(draws.to_bytes(SAMPLE_BITS // 4 * n_samples, "little"), dtype="<u8")
+    x, y = words[0::2], words[1::2]  # getrandbits(64) twice per sample, x then y
+    gaps = (_baker_gaps(xs, ys, x, y, family.members) if isinstance(T, BakerMap)
+            else _exchange_gaps(T, xs, ys, x, y, family.members))
+    atom, _ = _group((table[gx, gy] for gx, gy in gaps), n_labels, n_samples)
+    counts = np.sort(np.bincount(atom), kind="stable")[::-1]  # samples per atom, decreasing
+    del draws, words, x, y, atom  # the bootstrap needs only the counts
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
     boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=N_BOOTSTRAP)
     boot = _entropy_from_counts(boot_counts, n_samples)
     lo, hi = np.percentile(boot, [2.5, 97.5])
-    measures = ProbabilityVector(tuple(Fraction(int(c), n_samples) for c in counts))
-    return JoinResult(
-        entropy_bits=estimate,
-        atom_count=len(counts),
-        method="monte_carlo",
-        measures=measures,
-        ci_halfwidth=float(hi - lo) / 2.0,
-    )
+    return JoinResult(estimate, len(counts), "monte_carlo",
+                      ProbabilityVector.from_numerators(counts.tolist(), n_samples),
+                      ci_halfwidth=float(hi - lo) / 2.0)
 
 
 # -- dispatch and traces -------------------------------------------------------
@@ -349,13 +337,15 @@ def check_partition(T, xi) -> None:
 def check_join(T, xi, family: IndexFamily, mc: McOptions | None) -> None:
     """Raise before any work unless :func:`join_for` takes the join: xi fits T
     (:func:`check_partition`), a planar join's McOptions ``mc`` (None for
-    other systems) have at least MIN_MC_SAMPLES samples and the join passes
-    :func:`check_sample_bits`, and an interval exchange passes
+    other systems) have MIN_MC_SAMPLES to MAX_MC_SAMPLES samples and the join
+    passes :func:`check_sample_bits`, and an interval exchange passes
     :func:`check_powers`."""
     check_partition(T, xi)
     if isinstance(T, (RectangleExchange, BakerMap)):
         if mc.n_samples < MIN_MC_SAMPLES:
             raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}, got {mc.n_samples}")
+        if mc.n_samples > MAX_MC_SAMPLES:
+            raise BudgetError(f"n_samples {mc.n_samples} exceeds budget {MAX_MC_SAMPLES}")
         check_sample_bits(T, xi, family)
     elif isinstance(T, IntervalExchange):
         check_powers(T, [max(family.members)])
@@ -372,7 +362,7 @@ def join_for(T, xi, family: IndexFamily, mc: McOptions | None = None) -> JoinRes
     if isinstance(T, BernoulliSystem):
         return bernoulli_join_entropy(T, family, window=xi)
     if isinstance(T, IntervalExchange):
-        return exact_join(T, xi, family)
+        return _exact_result(*_coded_join(T, xi, family.members, "forward", decode=False))
     if mc is None:
         raise ValidationError("planar joins are Monte Carlo; pass McOptions")
     return mc_join_entropy(T, xi, family, mc.n_samples, mc.seed)
@@ -599,10 +589,8 @@ def asymmetry_ratio(T: IntervalExchange, xi: IntervalPartition, N: int,
     translates by -m and -n instead.
     """
     windows = asymmetry_times(T, N, m, n, direction)
-    base = join_partition(T, xi, windows[0])
-    h_base = shannon_entropy(partition_measures(base))
+    h_base = _exact_result(*_coded_join(T, xi, windows[0], "forward", decode=False)).entropy_bits
     if h_base == 0.0:
         raise DegenerateInputError("H(xi^N) = 0: one-atom partition gives no ratio")
-    triple = join_partition(T, xi, sorted(set().union(*windows)))
-    h_triple = shannon_entropy(partition_measures(triple))
-    return h_triple / h_base
+    triple = _coded_join(T, xi, sorted(set().union(*windows)), "forward", decode=False)
+    return _exact_result(*triple).entropy_bits / h_base

@@ -211,15 +211,16 @@ class IetLattice:
                                 tuple(int(r) for r in rank), alias_limit=alias_limit)
 
 
-def check_powers(T: IntervalExchange, times: Sequence[int]) -> None:
-    """Raise before any work if a requested power exceeds MAX_POWER or the
-    aliasing guard."""
+def check_powers(T, times: Sequence[int]) -> None:
+    """Raise before any work if a requested power of T exceeds MAX_POWER or,
+    for an interval exchange, the aliasing guard."""
     m = max((abs(t) for t in times), default=0)
     if m > MAX_POWER:
         raise BudgetError(f"|power| {m} exceeds MAX_POWER {MAX_POWER}")
-    if T.alias_limit is not None and m * len(T) > T.alias_limit:
+    limit = T.alias_limit if isinstance(T, IntervalExchange) else None
+    if limit is not None and m * len(T) > limit:
         raise AliasingError(
-            f"power {m} with {len(T)} intervals exceeds aliasing guard {T.alias_limit}")
+            f"power {m} with {len(T)} intervals exceeds aliasing guard {limit}")
 
 
 def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalExchange]:

@@ -31,8 +31,8 @@ pair over shift coordinates.  Floats are c / G per entry, in numpy while
 G < 2^53 and by Python's correctly rounded integer division above, equal to
 float(Fraction(c, G)); the distances then run the same operations in the
 same order on every matrix, so they do not depend on the window size.  An
-interval exchange's triple correlation is one atom of a lattice join
-(:func:`~seqent.seqentropy.join_partition`).
+interval exchange's triple correlation is the mass of the gaps of a lattice
+join that lie in A at all three times, read without labelling any gap.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import ONE, ZERO, IntervalPartition, as_fraction
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
-from .seqentropy import join_partition
+from .seqentropy import _join_gaps
 from .systems import (
     BakerMap,
     IetLattice,
@@ -484,13 +484,12 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
 
 
 def scan_times(T, first: int, m_cap: int) -> range:
-    """The scanned times first..m_cap; ValidationError if there are none.  Under
-    an interval exchange both ends pass :func:`check_powers` first, so a range
-    beyond the power budget is rejected at once, never walked."""
+    """The scanned times first..m_cap; ValidationError if there are none.  Both
+    ends pass :func:`check_powers` first, so a range beyond the power budget
+    (or an interval exchange's aliasing guard) is rejected at once, never walked."""
     if m_cap < first:
         raise ValidationError(f"m_cap {m_cap} leaves no time to scan from m = {first}")
-    if isinstance(T, IntervalExchange):
-        check_powers(T, [first, m_cap])
+    check_powers(T, [first, m_cap])
     return range(first, m_cap + 1)
 
 
@@ -525,11 +524,10 @@ def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
 
 def triple_times(T, m: int, n: int) -> tuple[int, int, int]:
     """The times (0, m, n) of a triple correlation: ValidationError if m = n,
-    and under an interval exchange m and n pass :func:`check_powers`."""
+    and m and n pass :func:`check_powers`."""
     if m == n:
         raise ValidationError(f"triple correlation needs distinct times m != n, got {m} twice")
-    if isinstance(T, IntervalExchange):
-        check_powers(T, [m, n])
+    check_powers(T, [m, n])
     return 0, m, n
 
 
@@ -538,10 +536,11 @@ def triple_correlation(T, A, m: int, n: int) -> Fraction:
     check_sets(T, [A])
     times = triple_times(T, m, n)
     if isinstance(T, IntervalExchange):
-        cuts = sorted({ZERO, A.lo, A.hi} - {ONE})
-        inside = IntervalPartition(tuple(cuts), tuple(A.lo <= c < A.hi for c in cuts))
-        atoms = join_partition(T, inside, times, signs="backward").measures_by_label()
-        return atoms.get((True, True, True), ZERO)
+        edges = sorted({ZERO, A.lo, A.hi} - {ONE})
+        cuts, Q, gaps = _join_gaps(T, IntervalPartition.from_cut_list(edges), times, "backward")
+        k = edges.index(A.lo)  # A's gap
+        inside = np.logical_and.reduce([g == k for g in gaps])
+        return Fraction(int(np.diff(cuts, append=Q)[inside].sum()), Q)
     offset = A.ylevel + max(0, -m, -n)  # the baker map
     words = [_cylinder_word(A, offset + t) for t in times]
     if any((b1 ^ b2) & m1 & m2 for (m1, b1), (m2, b2) in itertools.combinations(words, 2)):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from seqent import IntervalExchange, IntervalPartition, ProbabilityVector
+from seqent import BudgetError, IntervalExchange, IntervalPartition, ProbabilityVector, ValidationError
 from seqent.segments import SegmentSet
 from seqent.seqentropy import SAMPLE_BITS, JoinResult, _entropy_from_counts, check_sample_bits
 from seqent.systems import interior_discontinuity_segments
@@ -75,6 +75,36 @@ def fraction_join(T: IntervalExchange, xi: IntervalPartition, times,
         mid = (a + b) / 2
         labels.append(tuple(xi.label_at(E.apply(mid)) for E in maps))
     return IntervalPartition(tuple(cuts), tuple(labels))
+
+
+def common_refinement(xi: IntervalPartition, eta: IntervalPartition) -> IntervalPartition:
+    """Join of two interval partitions; labels become (xi-label, eta-label)."""
+    cuts = sorted(set(xi.cuts) | set(eta.cuts))  # gaps are right-open: label the left ends
+    return IntervalPartition(tuple(cuts), tuple((xi.label_at(c), eta.label_at(c)) for c in cuts))
+
+
+def baker_join_measures_grid(times) -> tuple:
+    """Independent oracle for the baker / vertical-halves join.
+
+    The label vector of x at positive times F is (bit_{t+1}(x))_{t in F};
+    this enumerates every dyadic grid cell at the finest involved resolution
+    and counts cells per label vector.  Returns (counts indexed by the label
+    vector read as a binary number, denominator 2^W); masses are
+    counts / 2^W exactly.
+    """
+    times = sorted(set(int(t) for t in times))
+    if not times or times[0] < 0:
+        raise ValidationError("grid oracle needs positive times")
+    W = times[-1] + 1
+    if W > 24:
+        raise BudgetError(f"grid oracle limited to max time 23, got {times[-1]}")
+    v = np.arange(2**W, dtype=np.int64)
+    code = np.zeros_like(v)
+    for i, t in enumerate(times):
+        bit = (v >> (W - (t + 1))) & 1
+        code |= bit << i
+    counts = np.bincount(code, minlength=2 ** len(times))
+    return counts, W
 
 
 def iet_correlation(U: IntervalExchange, A, B) -> Fraction:

@@ -37,11 +37,12 @@ from seqent import (
     vertical_half,
 )
 from seqent.core import Rect
-from seqent.seqentropy import baker_join_measures_grid
 from seqent.systems import discontinuity_length
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import _scan_distances, correlation, dist_to_theta
+
+from oracles import baker_join_measures_grid
 
 F = Fraction
 

@@ -8,6 +8,7 @@ import pytest
 import seqent.cli
 from seqent import (
     BakerMap,
+    BudgetError,
     IntervalPartition,
     RectangleExchange,
     RectanglePartition,
@@ -19,10 +20,13 @@ from seqent import (
     golden_rotation,
     make_progression_family,
     mc_join_entropy,
+    mixing_time_scan,
     triple_correlation,
 )
 from seqent.cli import PRESETS, main, validate_config
+from seqent.errors import MAX_MC_SAMPLES
 from seqent.seqentropy import join_partition
+from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet2D as Dyadic2D
 
 
@@ -417,6 +421,42 @@ LIBRARY_CALLS = {
         lambda: entropy_trace(golden_rotation().to_iet(), IntervalPartition.dyadic(1),
                               lambda j: make_progression_family(j, j), []),
 }
+
+
+# requests past a budget, with the library call each makes: the library raises
+# BudgetError before listing a time or drawing a sample
+BUDGET_CASES = {
+    # listing the 10**9 times ran out of memory after validate printed ok
+    "baker-mixing-scan-to-1e9": (
+        {"experiment": "mixing-scan", "system": {"kind": "baker"}, "r": 0.05, "m_cap": 10**9,
+         "test_family": {"depth": 2}},
+        lambda: mixing_time_scan(BakerMap(), 0, 0.05, 10**9, Family.dyadic_rectangles(2))),
+    "baker-triple-correlation-at-1e9": (
+        {"experiment": "triple-correlation", "system": {"kind": "baker"},
+         "set": {"x_level": 1, "x_index": 0}, "pairs": [[1, 10**9]]},
+        lambda: triple_correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), 1, 10**9)),
+    "mc-entropy-past-MAX_MC_SAMPLES": (
+        {"experiment": "mc-entropy", "system": {"kind": "baker"},
+         "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY,
+         "n_samples": MAX_MC_SAMPLES + 1, "seed": 1},
+        lambda: mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
+                                explicit_family([1, 2]), MAX_MC_SAMPLES + 1, 1)),
+}
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+    def test_budget_error_from_library_validate_and_run(self, tmp_path, capsys, name):
+        cfg, call = BUDGET_CASES[name]
+        with pytest.raises(BudgetError):
+            call()
+        path = write_config(tmp_path, cfg)
+        for argv in (("validate", "--config", path),
+                     ("run", "--config", path, "--out-dir", str(tmp_path))):
+            assert run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert "ERROR[BudgetError]" in captured.out + captured.err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestOneHomePerRule:

@@ -11,10 +11,11 @@ from seqent import (
     RectanglePartition,
     ValidationError,
     as_fraction,
-    common_refinement,
     partition_measures,
     shannon_entropy,
 )
+
+from oracles import common_refinement
 
 F = Fraction
 
@@ -68,6 +69,17 @@ class TestShannonEntropy:
     def test_bad_sum_rejected(self):
         with pytest.raises(ValidationError):
             ProbabilityVector((F(1, 2), F(1, 3)))
+
+    def test_from_numerators_equals_the_fraction_vector(self):
+        v = ProbabilityVector.from_numerators([2, 4, 2, 0, 4], 12)
+        assert v == ProbabilityVector((F(1, 6), F(1, 3), F(1, 6), F(0), F(1, 3)))
+        assert shannon_entropy(v) == shannon_entropy(ProbabilityVector(v.entries))
+        assert ProbabilityVector.from_numerators([2**63, 2**63], 2**64).entries == (F(1, 2),) * 2
+
+    @pytest.mark.parametrize("numerators", [[], [3, -1], [1, 2]], ids=["empty", "negative", "sum"])
+    def test_from_numerators_rejects_a_non_probability(self, numerators):
+        with pytest.raises(ValidationError):
+            ProbabilityVector.from_numerators(numerators, 2)
 
     def test_order_independence(self):
         rng = random.Random(5)

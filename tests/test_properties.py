@@ -5,7 +5,7 @@ import contextlib
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqent import (
@@ -20,6 +20,7 @@ from seqent import (
     entropy_trace,
     exact_join,
     explicit_family,
+    join_for,
     make_progression_family,
     partition_measures,
     shannon_entropy,
@@ -27,7 +28,7 @@ from seqent import (
     weaklimits,
 )
 from seqent.cli import estimate_join_cuts
-from seqent.seqentropy import join_partition
+from seqent.seqentropy import _coded_join, join_partition
 from seqent.systems import golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
@@ -181,12 +182,41 @@ def test_rotation_join_has_at_most_three_gap_lengths(angle, n):
         assert lengths[2] == lengths[0] + lengths[1]
 
 
+# inputs the random draws do not reach: codes folded past 2^63 and re-ranked
+# (64 times of two labels, 32 times of four, and 65 folds whose first label the
+# others do not imply), a lattice past int64 (Q >= 2^62, object arrays) and one
+# label on non-adjacent gaps
+ROTATION = IntervalExchange.rotation(Fraction(34, 89))
+THREE_IET = IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(18, 35)), (2, 0, 1))
+WIDE_IET = IntervalExchange((Fraction(1, 3**42), Fraction(1, 3), Fraction(2 * 3**41 - 1, 3**42)),
+                            (2, 1, 0))
+ABA = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(2, 3)), ("a", "b", "a"))
+JOIN_EXAMPLES = [
+    (ROTATION, IntervalPartition.halves(), list(range(1, 65)), "forward"),
+    (THREE_IET, IntervalPartition.dyadic(2), list(range(1, 33)), "backward"),
+    (ROTATION, IntervalPartition.halves(), [1] + [2] * 64, "forward"),
+    (WIDE_IET, IntervalPartition.halves(), [1, 2, 5], "forward"),
+    (THREE_IET, ABA, [1, 2, 3], "forward"),
+]
+
+
+def join_examples(test):
+    for T, xi, times, signs in reversed(JOIN_EXAMPLES):
+        test = example(T, xi, times, times[-1] + 1, signs)(test)
+    return test
+
+
 @SETTINGS
 @given(iets(), interval_partitions(), st.lists(TIMES, min_size=1, max_size=5), TIMES,
        st.sampled_from(["forward", "backward"]))
+@join_examples
 def test_join_matches_fraction_oracle(T, xi, times, extra, signs):
     join = join_partition(T, xi, times, signs=signs)
-    assert join == fraction_join(T, xi, times, signs=signs)
+    oracle = fraction_join(T, xi, times, signs=signs)
+    assert join == oracle
+    # atoms grouped by integer codes, not by the decoded labels, in first-appearance order
+    masses, Q, _ = _coded_join(T, xi, times, signs, decode=False)
+    assert [Fraction(m, Q) for m in masses.tolist()] == list(oracle.measures_by_label().values())
     # T is measure-preserving: the labels at each time are distributed as xi's
     for i in range(len(times)):
         marginal = {}
@@ -196,6 +226,23 @@ def test_join_matches_fraction_oracle(T, xi, times, extra, signs):
     # refining by one more time cannot lower the join entropy
     finer = join_partition(T, xi, times + [extra], signs=signs)
     assert shannon_entropy(partition_measures(finer)) >= shannon_entropy(partition_measures(join))
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.lists(TIMES, min_size=1, max_size=5), TIMES,
+       st.sampled_from(["forward", "backward"]))
+@join_examples
+def test_exact_join_measures_in_the_oracles_first_appearance_order(T, xi, times, extra, signs):
+    family = explicit_family({abs(t) + 1 for t in times})
+    oracle = fraction_join(T, xi, family.members, signs=signs).measures_by_label()
+    res = exact_join(T, xi, family, signs=signs)
+    assert res.measures.entries == tuple(oracle.values())
+    assert res.atom_count == len(oracle)
+    assert res.entropy_bits == shannon_entropy(partition_measures(res.partition))
+    # join_for groups the same atoms without decoding a label
+    coded = join_for(T if signs == "forward" else T.inverse(), xi, family)
+    assert (coded.measures, coded.entropy_bits) == (res.measures, res.entropy_bits)
+    assert coded.partition is None
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from seqent.seqentropy import (
 )
 from seqent.systems import discontinuity_length
 
-from oracles import fraction_mc_join_entropy
+from oracles import baker_join_measures_grid, fraction_mc_join_entropy
 
 F = Fraction
 
@@ -103,6 +104,19 @@ class TestExactJoin:
         bwd = exact_join(T, HALVES, fam, signs="backward")
         assert fwd.entropy_bits == bwd.entropy_bits
 
+    def test_long_family_holds_no_label_tuples(self):
+        # 1..4096 on the golden rotation: 8,193 gaps x 4,096 times of label tuples
+        # peaked about 290 MB; the integer codes hold one array per time
+        family = explicit_family(range(1, 4097))
+        tracemalloc.start()
+        try:
+            h = h_j(golden_iet(), HALVES, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
+        assert h == 0.0031429214983889047  # the value the label tuples gave
+
     def test_atom_count_polynomial_bound(self):
         T = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))
         fam = explicit_family(range(1, 11))
@@ -117,8 +131,6 @@ class TestBernoulliJoin:
         res = bernoulli_join_entropy(B, explicit_family([3, 6, 9]))
         assert res.entropy_bits == 3.0
         # oracle: exact dyadic-cylinder enumeration in the planar model
-        from seqent.seqentropy import baker_join_measures_grid
-
         counts, W = baker_join_measures_grid([3, 6, 9])
         assert len(counts) == 8 and all(c * 8 == 2**W for c in counts)
 

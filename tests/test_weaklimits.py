@@ -20,6 +20,7 @@ from seqent import (
     triple_correlation_limits,
     vertical_half,
 )
+from seqent.errors import MAX_POWER
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
@@ -350,4 +351,9 @@ class TestSetsFitTheSystem:
             rigidity_scan(ROT, 10**12, 0.02, Family.dyadic_intervals(2))
         with pytest.raises(BudgetError):
             triple_times(ROT, 1, -(10**12))
-        assert scan_times(BakerMap(), 1, 10**12)[-1] == 10**12  # the baker map has no power budget
+        # so are the baker map's: listing 10**9 times ran out of memory
+        assert scan_times(BakerMap(), 1, MAX_POWER)[-1] == MAX_POWER
+        with pytest.raises(BudgetError):
+            scan_times(BakerMap(), 1, 10**9)
+        with pytest.raises(BudgetError):
+            triple_times(BakerMap(), MAX_POWER + 1, 1)

@@ -149,7 +149,7 @@ def build_family_maker(spec: dict):
 
 def build_test_family(spec: dict, system) -> TestFamily:
     depth = spec.get("depth", 6)
-    if isinstance(system, (BakerMap, RectangleExchange)):
+    if isinstance(system, BakerMap):
         return TestFamily.dyadic_rectangles(depth)
     return TestFamily.dyadic_intervals(depth)
 
@@ -174,13 +174,11 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
-def estimate_join_cuts(system, partition, family: IndexFamily) -> int:
-    """Upper bound on the cut points of an exact join: the discontinuities of
-    the powers T^-p, p <= M, are nested, so all of them lie among the at most
-    M(n-1)+1 cuts of T^-M; each power adds at most one preimage per cut of
-    the partition."""
-    if not isinstance(system, IntervalExchange):
-        return 0
+def estimate_join_cuts(system: IntervalExchange, partition, family: IndexFamily) -> int:
+    """Upper bound on the cut points of an interval exchange's exact join: the
+    discontinuities of the powers T^-p, p <= M, are nested, so all of them lie
+    among the at most M(n-1)+1 cuts of T^-M; each power adds at most one
+    preimage per cut of the partition."""
     return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 

@@ -81,15 +81,13 @@ class ProbabilityVector:
         return iter(self.entries)
 
 
-def shannon_entropy(p: ProbabilityVector | Sequence[Fraction]) -> float:
+def shannon_entropy(p: ProbabilityVector) -> float:
     """Shannon entropy in bits, with the 0*log(0) = 0 convention.
 
     The sum is evaluated over the *distinct* mass values (grouped by
     multiplicity) in sorted order, so the result is independent of the
     order in which atoms were produced.
     """
-    if not isinstance(p, ProbabilityVector):
-        p = ProbabilityVector(tuple(p))
     groups = Counter(p.entries)
     with mpmath.workprec(ENTROPY_PRECISION):
         total = mpmath.mpf(0)
@@ -99,6 +97,14 @@ def shannon_entropy(p: ProbabilityVector | Sequence[Fraction]) -> float:
             x = mpmath.mpf(mass.numerator) / mass.denominator
             total -= count * x * mpmath.log(x, 2)
         return float(total)
+
+
+def _check_hashable(labels) -> None:
+    """ValidationError unless every label can key its atom's measure."""
+    try:
+        hash(tuple(labels))
+    except TypeError as exc:
+        raise ValidationError(f"partition labels must be hashable: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,7 @@ class IntervalPartition:
             raise ValidationError("cuts must be strictly increasing inside [0,1)")
         if len(labels) != len(cuts):
             raise ValidationError("need exactly one label per gap")
+        _check_hashable(labels)
 
     @classmethod
     def from_cut_list(cls, cuts, labels=None) -> "IntervalPartition":
@@ -144,13 +151,6 @@ class IntervalPartition:
     @classmethod
     def halves(cls) -> "IntervalPartition":
         return cls.dyadic(1)
-
-    @classmethod
-    def trivial(cls) -> "IntervalPartition":
-        return cls((ZERO,), (0,))
-
-    def __len__(self):
-        return len(self.cuts)
 
     def label_at(self, x: Fraction) -> Hashable:
         """Label of the gap containing x (gaps are right-open)."""
@@ -227,6 +227,7 @@ class RectanglePartition:
         atoms = tuple((r, lab) for r, lab in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         check_tiling([r for r, _ in atoms], "partition")
+        _check_hashable(lab for _, lab in atoms)
 
     @classmethod
     def quadrants(cls) -> "RectanglePartition":
@@ -258,10 +259,6 @@ class RectanglePartition:
                     )
                 )
         return cls(tuple(atoms))
-
-    @classmethod
-    def trivial(cls) -> "RectanglePartition":
-        return cls(((Rect(0, 1, 0, 1), 0),))
 
     def label_at(self, pt) -> Hashable:
         for r, lab in self.atoms:

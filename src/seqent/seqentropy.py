@@ -387,19 +387,17 @@ class EntropyTrace:
     rows: tuple[TraceRow, ...]
 
     def ok_rows(self) -> list[TraceRow]:
-        return [r for r in self.rows if r.error is None]
+        """The rows without an error; ValidationError if there are none."""
+        rows = [r for r in self.rows if r.error is None]
+        if not rows:
+            raise ValidationError("no successful rows in trace")
+        return rows
 
     def h_max_proxy(self) -> float:
-        rows = self.ok_rows()
-        if not rows:
-            raise ValidationError("no successful rows in trace")
-        return max(r.h for r in rows)
+        return max(r.h for r in self.ok_rows())
 
     def h_min_proxy(self) -> float:
-        rows = self.ok_rows()
-        if not rows:
-            raise ValidationError("no successful rows in trace")
-        return min(r.h for r in rows)
+        return min(r.h for r in self.ok_rows())
 
     def as_dicts(self) -> list[dict]:
         return [

@@ -3,11 +3,11 @@ independence projection and to the identity, mixing/rigidity scans, and
 triple-correlation statistics.
 
 The weak-operator pseudometric is evaluated against a dyadic test family
-with geometric level weights.  Each pair (A,B) contributes its matrix
-coefficient deviation normalized to the centered indicators
-(1_A - mu(A))/sigma(A): without this normalization the fixed thresholds of
-the rigidity/mixing diagnostics would be dominated by a handful of coarse
-sets.
+with geometric level weights.  Every distance is sigma-normalized: each pair
+(A,B) contributes its matrix coefficient deviation divided by sigma(A)sigma(B),
+as for the centered indicators (1_A - mu(A))/sigma(A).  Without it the fixed
+thresholds of the rigidity/mixing diagnostics would be dominated by a handful
+of coarse sets.
 
 All correlations come from one exact integer kernel, :func:`_numerators`,
 which evaluates the requested times in windows [m0, m0 + B) of consecutive
@@ -40,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -379,18 +379,15 @@ def _targets(family: TestFamily, mode: str) -> np.ndarray:
     if mode == "theta":
         mu = np.array([float(m) for m in family.measures()])
         return np.outer(mu, mu)
-    if mode == "identity":
-        identity = (IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D)
-                    else BakerMap())
-        G, blocks = _numerators(identity, [0], family.sets)
-        return _floats(G, next(blocks)[1])[0]
-    raise ValidationError(f"unknown scan mode {mode!r}")
+    identity = (IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D)
+                else BakerMap())
+    G, blocks = _numerators(identity, [0], family.sets)
+    return _floats(G, next(blocks)[1])[0]
 
 
-def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray,
-               normalized: bool = True) -> list[float]:
-    """The weighted deviation of T^m's float correlation matrix from
-    ``targets`` for each m in ``ms``, one window of stacked matrices at a time."""
+def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) -> list[float]:
+    """The weighted sigma-normalized deviation of T^m's float correlation matrix
+    from ``targets`` for each m in ``ms``, one window of stacked matrices at a time."""
     w = family.pair_weight_matrix()
     s = family.sigmas()
     scale = np.outer(s, s)
@@ -401,8 +398,7 @@ def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray,
         c = _floats(G, C)
         np.subtract(c, targets, out=c)
         np.abs(c, out=c)
-        if normalized:
-            np.divide(c, scale, out=c)
+        np.divide(c, scale, out=c)
         np.multiply(w, c, out=c)
         for k, dev in enumerate(c):  # one sum per matrix: numpy's row-wise order
             values[m0 + k] = float(dev.sum())  # over a stack differs for short rows
@@ -410,14 +406,14 @@ def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray,
     return [values[int(m)] for m in ms]
 
 
-def dist_to_theta(T, m: int, family: TestFamily, normalized: bool = True) -> float:
+def dist_to_theta(T, m: int, family: TestFamily) -> float:
     """Weighted deviation of the T^m matrix coefficients from independence."""
-    return _scan_distances(T, [m], family, "theta", normalized)[0]
+    return _scan_distances(T, [m], family, "theta")[0]
 
 
-def dist_to_identity(T, m: int, family: TestFamily, normalized: bool = True) -> float:
+def dist_to_identity(T, m: int, family: TestFamily) -> float:
     """Weighted deviation of the T^m matrix coefficients from the identity's."""
-    return _scan_distances(T, [m], family, "identity", normalized)[0]
+    return _scan_distances(T, [m], family, "identity")[0]
 
 
 @dataclass(frozen=True)
@@ -446,14 +442,13 @@ class AdmissibleSpec:
         return cls(ZERO, ((0, ONE),))
 
 
-def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily,
-                       normalized: bool = True) -> float:
+def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
     mu = np.array(family.measures(), dtype=object)
     targets = Q.theta_weight * np.outer(mu, mu)  # exact Fractions, rounded once below
     for power, coeff in Q.terms:
         targets += coeff * np.array(correlation_matrix(T, power, family), dtype=object)
-    return _distances(T, [m], family, targets.astype(float), normalized)[0]
+    return _distances(T, [m], family, targets.astype(float))[0]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -478,9 +473,20 @@ class ScanReport:
         ]
 
 
-def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str,
-                    normalized: bool = True) -> list[float]:
-    return _distances(T, ms, family, _targets(family, mode), normalized)
+def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list[float]:
+    return _distances(T, ms, family, _targets(family, mode))
+
+
+def _scan(T, ms: range, family: TestFamily, mode: str,
+          event: Callable[[float], bool]) -> ScanReport:
+    """The distances to ``mode``'s targets over ``ms``; events pass ``event``."""
+    values = _scan_distances(T, ms, family, mode)
+    events = tuple((m, v) for m, v in zip(ms, values) if event(v))
+    return ScanReport(
+        values=tuple(zip(ms, values)),
+        events=events,
+        min_time=events[0][0] if events else None,
+    )
 
 
 def scan_times(T, first: int, m_cap: int) -> range:
@@ -493,30 +499,14 @@ def scan_times(T, first: int, m_cap: int) -> range:
     return range(first, m_cap + 1)
 
 
-def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily,
-                     normalized: bool = True) -> ScanReport:
+def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily) -> ScanReport:
     """Scan m in (j, m_cap] for the first m with dist-to-Theta above r."""
-    ms = scan_times(T, j + 1, m_cap)
-    values = _scan_distances(T, ms, family, "theta", normalized)
-    events = tuple((m, v) for m, v in zip(ms, values) if v > r)
-    return ScanReport(
-        values=tuple(zip(ms, values)),
-        events=events,
-        min_time=events[0][0] if events else None,
-    )
+    return _scan(T, scan_times(T, j + 1, m_cap), family, "theta", lambda v: v > r)
 
 
-def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily,
-                  normalized: bool = True) -> ScanReport:
+def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily) -> ScanReport:
     """List all m <= m_cap with dist-to-identity below eps (rigidity times)."""
-    ms = scan_times(T, 1, m_cap)
-    values = _scan_distances(T, ms, family, "identity", normalized)
-    events = tuple((m, v) for m, v in zip(ms, values) if v < eps)
-    return ScanReport(
-        values=tuple(zip(ms, values)),
-        events=events,
-        min_time=events[0][0] if events else None,
-    )
+    return _scan(T, scan_times(T, 1, m_cap), family, "identity", lambda v: v < eps)
 
 
 # -- triple correlations ---------------------------------------------------------

@@ -142,9 +142,9 @@ def oracle_correlation_matrix(T, m: int, family) -> list:
              for b in family.sets] for a in family.sets]
 
 
-def oracle_distance(corr, family, mode: str, normalized: bool = True) -> float:
-    """The weak distance of a dyadic-interval or dyadic-rectangle family's
-    Fraction correlations, float-converted entry by entry."""
+def oracle_distance(corr, family, mode: str) -> float:
+    """The sigma-normalized weak distance of a dyadic-interval or dyadic-rectangle
+    family's Fraction correlations, float-converted entry by entry."""
     mu = family.measures()
     if mode == "theta":
         targets = [[a * b for b in mu] for a in mu]
@@ -154,10 +154,9 @@ def oracle_distance(corr, family, mode: str, normalized: bool = True) -> float:
     c = np.array([[float(v) for v in row] for row in corr])
     t = np.array([[float(v) for v in row] for row in targets])
     dev = np.abs(c - t)
-    if normalized:
-        s = family.sigmas()
-        ss = np.outer(s, s)
-        dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
+    s = family.sigmas()
+    ss = np.outer(s, s)
+    dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
     return float((w * dev).sum())
 
 

@@ -10,6 +10,7 @@ from seqent import (
     BakerMap,
     BudgetError,
     IntervalPartition,
+    Rect,
     RectangleExchange,
     RectanglePartition,
     SeqentError,
@@ -142,6 +143,12 @@ class TestRun:
         assert run_cli("run", "--config", str(tmp_path / "missing.json"),
                        "--out-dir", str(tmp_path)) == 1
 
+    def test_malformed_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"experiment": "entropy-trace",\n  "system": }')
+        assert run_cli("run", "--config", str(path), "--out-dir", str(tmp_path)) == 1
+        assert "config parse error at line 2" in capsys.readouterr().err
+
     def test_unknown_preset(self, tmp_path):
         assert run_cli("run", "--config", "preset:does-not-exist",
                        "--out-dir", str(tmp_path)) == 1
@@ -251,6 +258,23 @@ class TestValidate:
         assert built is not None
         assert diagnostics == [("j=1: predicted cut budget 12289 (ok)", None)]
 
+    def test_join_cut_budget_checked_before_joining(self, tmp_path, capsys):
+        # 10^6 powers of a 12-interval exchange: up to 11 * 10^6 + 1 cuts
+        path = write_config(tmp_path, {
+            "experiment": "entropy-trace",
+            "system": {"kind": "iet", "lengths": ["1/12"] * 12,
+                       "permutation": list(range(11, -1, -1))},
+            "partition": {"kind": "dyadic", "depth": 1},
+            "family": {"kind": "explicit", "members": [1000000]}, "j_values": [1],
+        })
+        for argv in (("validate", "--config", path),
+                     ("run", "--config", path, "--out-dir", str(tmp_path))):
+            assert run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert "ERROR[BudgetError]: predicted 11000003 join cut points" in (
+                captured.out + captured.err)
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("system,depth", [("golden-rotation", 13), ("golden-rotation", 12),
                                               ("baker", 12)])
     def test_test_family_size_budgeted(self, tmp_path, capsys, system, depth):
@@ -316,6 +340,10 @@ MISMATCHED_CONFIGS = {
         "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
         "partition": {"kind": "quadrants"}, "N": "ten",
     },
+    "mixing-scan-with-non-numeric-r": {
+        "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 3, "r": "abc",
+    },
     "mixing-scan-with-m_cap-not-past-j": {
         "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
         "m_cap": 3, "j": 5, "r": 0.05,
@@ -346,6 +374,18 @@ MISMATCHED_CONFIGS = {
     "boundary-growth-with-boolean-N": {
         "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
         "partition": {"kind": "quadrants"}, "N": True,
+    },
+    # a JSON list as a partition label: atoms are keyed by label
+    "entropy-trace-with-list-labels": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "cuts", "cuts": ["0", "1/2"], "labels": [[0], [1]]},
+        "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
+    "mc-entropy-with-list-labels": {
+        "experiment": "mc-entropy", "system": {"kind": "baker"},
+        "partition": {"kind": "rects", "atoms": [[["0", "1/2", "0", "1"], [0]],
+                                                 [["1/2", "1", "0", "1"], [1]]]},
+        "family": EXPLICIT_FAMILY, "seed": 1,
     },
     # the output files must stay inside --out-dir
     "name-with-a-path-separator": {
@@ -417,6 +457,10 @@ LIBRARY_CALLS = {
     "boundary-growth-with-negative-N":
         lambda: boundary_growth(RectangleExchange.vertical_swap(), RectanglePartition.quadrants(),
                                 -1),
+    "entropy-trace-with-list-labels":
+        lambda: IntervalPartition.from_cut_list(["0", "1/2"], [[0], [1]]),
+    "mc-entropy-with-list-labels":
+        lambda: RectanglePartition(((Rect(0, "1/2", 0, 1), [0]), (Rect("1/2", 1, 0, 1), [1]))),
     "entropy-trace-with-no-j_values":
         lambda: entropy_trace(golden_rotation().to_iet(), IntervalPartition.dyadic(1),
                               lambda j: make_progression_family(j, j), []),

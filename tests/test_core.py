@@ -115,6 +115,13 @@ class TestIntervalPartition:
         with pytest.raises(ValidationError):
             IntervalPartition((F(0), F(1, 2), F(1, 2)), ("a", "b", "c"))
 
+    @pytest.mark.parametrize("labels", [([0], [1]), ("a", ("b", [1])), ("a", {})],
+                             ids=["lists", "a-list-in-a-tuple", "dict"])
+    def test_unhashable_label_rejected(self, labels):
+        # atoms are keyed by label; tuple labels such as a join's stay valid
+        with pytest.raises(ValidationError, match="hashable"):
+            IntervalPartition((F(0), F(1, 2)), labels)
+
     def test_label_at(self):
         xi = IntervalPartition((F(0), F(1, 2)), ("a", "b"))
         assert xi.label_at(F(0)) == "a"
@@ -136,7 +143,7 @@ class TestCommonRefinement:
 
     def test_trivial_is_identity_element(self):
         xi = IntervalPartition.from_cut_list([F(0), F(2, 7), F(3, 5)])
-        ref = common_refinement(xi, IntervalPartition.trivial())
+        ref = common_refinement(xi, IntervalPartition.dyadic(0))
         assert sorted(partition_measures(ref)) == sorted(partition_measures(xi))
 
     def test_entropy_monotone_and_subadditive(self):

@@ -119,7 +119,7 @@ def windows_of(width: int, n_sets: int):
         weaklimits.BLOCK_ENTRIES = saved
 
 
-def check_blocked_kernel(T, times, family, width, normalized):
+def check_blocked_kernel(T, times, family, width):
     """Every window's numerators and every scan distance equal the oracle's."""
     oracle = {m: oracle_correlation_matrix(T, m, family) for m in times}
     with windows_of(width, len(family)):
@@ -130,8 +130,8 @@ def check_blocked_kernel(T, times, family, width, normalized):
                 seen[m0 + k] = [[Fraction(int(v), G) for v in row] for row in matrix]
         assert all(seen[m] == oracle[m] for m in times)
         for mode in ("theta", "identity"):
-            assert _scan_distances(T, times, family, mode, normalized) == [
-                oracle_distance(oracle[m], family, mode, normalized) for m in times]
+            assert _scan_distances(T, times, family, mode) == [
+                oracle_distance(oracle[m], family, mode) for m in times]
 
 
 @st.composite
@@ -146,9 +146,9 @@ def wide_iets(draw):
 
 @SETTINGS
 @given(st.one_of(iets(), wide_iets(), st.just(golden_rotation().to_iet())), scan_times(),
-       interval_families(), st.integers(1, 5), st.booleans())
-def test_blocked_kernel_matches_fraction_oracle(T, times, family, width, normalized):
-    check_blocked_kernel(T, times, family, width, normalized)
+       interval_families(), st.integers(1, 5))
+def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
+    check_blocked_kernel(T, times, family, width)
 
 
 @st.composite
@@ -161,9 +161,9 @@ def rectangle_families(draw):
 
 
 @SETTINGS
-@given(scan_times(far=20), rectangle_families(), st.booleans())
-def test_blocked_baker_kernel_matches_cylinder_oracle(times, family, normalized):
-    check_blocked_kernel(BakerMap(), times, family, 1, normalized)
+@given(scan_times(far=20), rectangle_families())
+def test_blocked_baker_kernel_matches_cylinder_oracle(times, family):
+    check_blocked_kernel(BakerMap(), times, family, 1)
 
 
 @SETTINGS

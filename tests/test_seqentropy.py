@@ -226,6 +226,14 @@ class TestEntropyTrace:
         with pytest.raises(AttributeError):
             entropy_trace(IntervalExchange.identity(), HALVES, lambda j: None, [2])
 
+    def test_proxies_of_a_trace_without_a_successful_row_raise(self):
+        # time 100000 is past the golden rotation's aliasing guard, so every row fails
+        trace = entropy_trace(golden_iet(), HALVES, lambda j: explicit_family([100000]), [1, 2])
+        assert all(r.error.startswith("AliasingError") for r in trace.rows)
+        for proxy in (trace.h_max_proxy, trace.h_min_proxy):
+            with pytest.raises(ValidationError):
+                proxy()
+
 
 class TestSupOverPartitions:
     def test_fair_bernoulli_depth2_envelope(self):
@@ -241,6 +249,13 @@ class TestSupOverPartitions:
                                           lambda j: make_progression_family(j, j),
                                           [2, 4])
         assert [r.h for r in env.rows] == [depth / 2, depth / 4]
+
+    def test_envelope_row_without_a_successful_partition_carries_the_first_error(self):
+        traces, env = sup_over_partitions(golden_iet(), 2, lambda j: explicit_family([100000]),
+                                          [1])
+        first = traces["dyadic-1"].rows[0].error
+        assert first.startswith("AliasingError")
+        assert (env.rows[0].method, env.rows[0].error) == ("error", first)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_empty_library_rejected_before_any_trace(self, depth):
@@ -281,7 +296,7 @@ class TestMonteCarloJoin:
         assert mc_join_entropy(BakerMap(), halves, explicit_family([63]), 1000, seed=1).atom_count == 2
 
     def test_one_atom_is_exactly_zero_bits(self):
-        res = mc_join_entropy(RectangleExchange.identity(), RectanglePartition.trivial(),
+        res = mc_join_entropy(RectangleExchange.identity(), RectanglePartition.dyadic(0, 0),
                               explicit_family([1, 2]), 1000, seed=1)
         assert (res.atom_count, res.entropy_bits) == (1, 0.0)
 
@@ -388,7 +403,7 @@ class TestBoundaryGrowth:
     def test_trivial_partition_accumulates_seams_only(self):
         T = RectangleExchange.vertical_swap()
         D = discontinuity_length(T)
-        lengths = boundary_growth(T, RectanglePartition.trivial(), 15)
+        lengths = boundary_growth(T, RectanglePartition.dyadic(0, 0), 15)
         for n, v in enumerate(lengths):
             assert v - lengths[0] <= n * D
 
@@ -419,7 +434,7 @@ class TestAsymmetryRatio:
     def test_degenerate_partition(self):
         with pytest.raises(DegenerateInputError):
             asymmetry_ratio(IntervalExchange.identity(),
-                            IntervalPartition.trivial(), 4, 1, 2)
+                            IntervalPartition.dyadic(0), 4, 1, 2)
 
 
 class TestLibraryGuards:
@@ -448,6 +463,10 @@ class TestLibraryGuards:
     def test_asymmetry_partition_must_be_an_interval_partition(self):
         with pytest.raises(ValidationError):
             asymmetry_ratio(IntervalExchange.identity(), RectanglePartition.quadrants(), 4, 1, 2)
+
+    def test_join_signs_are_forward_or_backward(self):
+        with pytest.raises(ValidationError):
+            exact_join(golden_iet(), HALVES, explicit_family([1, 2]), signs="sideways")
 
     def test_trace_without_j_values_rejected(self):
         with pytest.raises(ValidationError):

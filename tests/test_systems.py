@@ -47,6 +47,10 @@ class TestIetApply:
         T = IntervalExchange((1 - alpha, alpha), (1, 0))
         assert T.apply(F(0)) == alpha
 
+    @pytest.mark.parametrize("alpha", [0, 1, "3"])
+    def test_rotation_by_a_whole_turn_is_the_identity(self, alpha):
+        assert IntervalExchange.rotation(alpha) == IntervalExchange.identity()
+
     def test_reversing_three_iet_at_zero(self):
         assert REVERSING_3IET.apply(F(0)) == F(1, 2)
 

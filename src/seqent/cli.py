@@ -524,12 +524,17 @@ def load_config(path: str) -> dict:
         cfg.pop("description", None)
         return cfg
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, a binary file
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config file holds one JSON object, not a {type(cfg).__name__}")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -580,8 +585,11 @@ def main(argv=None) -> int:
             print(f"note: {w}")
         print(f"wrote {len(rows)} rows to {args.out_dir}")
         return 0
-    except (SeqentError, KeyError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+    except (SeqentError, KeyError) as exc:  # validate: a config file or preset error
+        if args.command == "validate":  # on stdout, like every validate diagnostic
+            print(f"ERROR[{type(exc).__name__}]: {exc}")
+        else:
+            print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return _exit_code(type(exc))
     except Exception as exc:  # internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -220,15 +220,32 @@ def _below(edges: Sequence[Fraction], scale: int, dtype) -> np.ndarray:
     return np.array([(c.numerator * scale - 1) // c.denominator for c in edges], dtype=dtype)
 
 
+def _sample_cells(k: np.ndarray, Q: int) -> np.ndarray:
+    """floor(Q k / 2^SAMPLE_BITS) for SAMPLE_BITS-bit words k, as an
+    :func:`~seqent.systems.int_dtype` (Q) array: the high word of the 128-bit
+    product, summed from products of 32-bit halves that cannot overflow.
+    Every operand is an explicit np.uint64 while Q < 2^64 (numpy 1.24 turns
+    uint64 with int64 into float64), a Python int in object arrays beyond."""
+    word = np.uint64 if Q < 2**SAMPLE_BITS else int
+    bits = SAMPLE_BITS // 2
+    half, low = word(bits), word(2**bits - 1)
+    k = k.astype(np.uint64 if word is np.uint64 else object)
+    kh, kl, qh, ql = k >> half, k & low, word(Q >> bits), word(Q & (2**bits - 1))
+    mid = qh * kl + (ql * kl >> half)
+    return (qh * kh + (mid >> half) + ((ql * kh + (mid & low)) >> half)).astype(int_dtype(Q))
+
+
 def _exchange_gaps(T: RectangleExchange, xs, ys, x: np.ndarray, y: np.ndarray, times):
     """(x gaps, y gaps) of the samples at each time under a rectangle exchange.
     On the lattice of T and xi a sample k/2^SAMPLE_BITS is the cell
     floor(Q k / 2^SAMPLE_BITS): that cell decides every comparison with a
-    multiple of 1/Q, and a translation by d/Q moves it by exactly d."""
+    multiple of 1/Q, and a translation by d/Q moves it by exactly d.  The
+    cells are the high words of 128-bit products (:func:`_sample_cells`),
+    below Q like every cell they move to, so they stay int64 while Q < 2^62
+    and are Python ints beyond."""
     lattice = RectLattice.of(T, xs + ys)
-    Q, dtype = lattice.Q, lattice.trans.dtype
-    X, Y = (np.fromiter((int(k) * Q >> SAMPLE_BITS for k in w), dtype, len(w)) for w in (x, y))
-    bx, by = _below(xs[1:], Q, dtype), _below(ys[1:], Q, dtype)
+    X, Y = _sample_cells(x, lattice.Q), _sample_cells(y, lattice.Q)
+    bx, by = (_below(edges[1:], lattice.Q, X.dtype) for edges in (xs, ys))
     wanted = set(times)
     for t in range(1, times[-1] + 1):
         X, Y = lattice.apply(X, Y)
@@ -485,21 +502,25 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
 def _image(segs: np.ndarray, rects: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Forward image of segment rows (line, lo, hi): each row clipped to every
     source whose [line0, line1) holds its line, then translated.  ``rects``
-    rows are (line0, line1, lo, hi) and ``shifts`` rows (line shift, span shift)."""
-    line, lo, hi = segs.T
-    parts = []
-    for (l0, l1, s0, s1), (dl, ds) in zip(rects, shifts):
-        a, b = np.maximum(lo, s0), np.minimum(hi, s1)
-        keep = (l0 <= line) & (line < l1) & (a < b)
-        parts.append(np.stack([line[keep] + dl, a[keep] + ds, b[keep] + ds], axis=1))
-    return np.concatenate(parts)
+    rows are (line0, line1, lo, hi) and ``shifts`` rows (line shift, span
+    shift).  All rows meet all sources in one rows x sources broadcast, and
+    the kept (row, source) pairs come out row by row (:func:`_merge` does not
+    depend on row order).  On the banded rows of :func:`boundary_growth` a
+    kept row moves to a line of its own band, below 2Q + 2, and its span
+    stays in [0, Q], so no sum passes 2^63 in int64 while Q < 2^62."""
+    line, lo, hi = (c[:, None] for c in segs.T)
+    l0, l1, s0, s1 = rects.T
+    a, b = np.maximum(lo, s0), np.minimum(hi, s1)
+    row, src = np.nonzero((l0 <= line) & (line < l1) & (a < b))
+    dl, ds = shifts[src].T
+    return np.stack([line[row, 0] + dl, a[row, src] + ds, b[row, src] + ds], axis=1)
 
 
 def _merge(segs: np.ndarray, Q: int) -> np.ndarray:
     """Per-line unions of the closed intervals [lo, hi] of rows (line, lo, hi)
-    with coordinates in [0, Q]: one stable sort by lo and one by line, then a
-    row starts a new interval unless lo is within the running maximum of hi
-    on its line."""
+    with lo and hi in [0, Q] (lines are only compared): one stable sort by lo
+    and one by line, then a row starts a new interval unless lo is within the
+    running maximum of hi on its line."""
     segs = segs[np.argsort(segs[:, 1], kind="stable")]
     segs = segs[np.argsort(segs[:, 0], kind="stable")]
     line, lo, hi = segs.T
@@ -529,10 +550,15 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     of the n-step join; each step images the previous set, then unions in the
     partition boundary and the exchange's image-side seams, so
     B(n) - B(0) <= n * discontinuity_length(T) whenever the partition
-    boundary stays inside the evolving set.  Vertical segments (x; y0, y1)
-    and horizontal ones (y; x0, x1) are integer rows on the lattice of T and
-    xi (:class:`RectLattice`), imaged with one mask-and-clip per source and
-    merged per line after each step; B(n) is the sum of lengths over Q.
+    boundary stays inside the evolving set.  Segments are integer rows
+    (line, lo, hi) on the lattice of T and xi (:class:`RectLattice`), in one
+    banded set: a vertical segment (x; y0, y1) is the row (x, y0, y1) and a
+    horizontal one (y; x0, x1) the row (Q + 1 + y, x0, x1), so the two kinds
+    never share a line.  Each step is one :func:`_image` against the sources
+    seen from both bands and one :func:`_merge`.  A line is below 2Q + 2, so
+    while Q < 2^62 (the int64 arrays of :func:`~seqent.systems.int_dtype`)
+    it stays below 2^63; beyond, the rows are Python ints.  B(n) is the sum
+    of lengths over Q.
     """
     check_partition(T, xi)
     steps = check_ledger_steps(N)
@@ -540,22 +566,23 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     lattice = RectLattice.of(T, corners)
     Q = lattice.Q
     atoms = lattice_ints(corners, Q).reshape(-1, 4)
-    base = [np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]]]),   # vertical
-            np.concatenate([atoms[:, [2, 0, 1]], atoms[:, [3, 0, 1]]])]   # horizontal
-    seams = [lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
-             for side in interior_discontinuity_segments(T)]
-    fixed = [_merge(np.concatenate(pair), Q) for pair in zip(base, seams)]
-    # a vertical segment meets a source as (x range, y range), a horizontal one the other way
-    sources = [(lattice.sources, lattice.trans), (lattice.sources[:, [2, 3, 0, 1]], lattice.trans[:, ::-1])]
+    vertical, horizontal = (lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
+                            for side in interior_discontinuity_segments(T))
+    up = np.array([Q + 1, 0, 0], dtype=atoms.dtype)  # moves a horizontal row to its band
+    base = np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]],
+                           atoms[:, [2, 0, 1]] + up, atoms[:, [3, 0, 1]] + up])
+    fixed = _merge(np.concatenate([base, vertical, horizontal + up]), Q)
+    # a vertical row meets a source as (x range, y range), a horizontal one as (y range, x range)
+    rects = np.concatenate([lattice.sources, lattice.sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
+    shifts = np.concatenate([lattice.trans, lattice.trans[:, ::-1]])
 
-    def length(sets) -> Fraction:  # Python ints: a sum of many lengths near Q overflows int64
-        return Fraction(sum(sum(s[:, 2].tolist()) - sum(s[:, 1].tolist()) for s in sets), Q)
+    def length(rows) -> Fraction:  # Python ints: a sum of many lengths near Q overflows int64
+        return Fraction(sum(rows[:, 2].tolist()) - sum(rows[:, 1].tolist()), Q)
 
-    current = [_merge(b, Q) for b in base]
+    current = _merge(base, Q)
     lengths = [length(current)]
     for _ in steps:
-        current = [_merge(np.concatenate([_image(s, *src), f]), Q)
-                   for s, src, f in zip(current, sources, fixed)]
+        current = _merge(np.concatenate([_image(current, rects, shifts), fixed]), Q)
         lengths.append(length(current))
     return lengths
 

@@ -296,6 +296,28 @@ class TestValidate:
         assert run_cli("validate", "--config", path) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "ok"
 
+    @pytest.mark.parametrize("config, message", [
+        ("missing.json", "config file not found"),
+        ("bad.json", "config parse error at line 2"),
+        ("preset:does-not-exist", "unknown preset 'does-not-exist'"),
+        ("list.json", "one JSON object, not a list"),
+        ("binary.json", "cannot read config file"),
+        (".", "cannot read config file"),
+    ])
+    def test_config_file_errors_print_on_stdout(self, tmp_path, capsys, config, message):
+        (tmp_path / "bad.json").write_text('{"experiment": "entropy-trace",\n  "system": }')
+        (tmp_path / "list.json").write_text('[{"experiment": "entropy-trace"}]')
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        if not config.startswith("preset:"):
+            config = str(tmp_path / config)
+        assert run_cli("validate", "--config", config) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("ERROR[ConfigError]: ") and message in captured.out
+        assert captured.err == ""
+        if not config.startswith("preset:"):  # run reports the same class on stderr
+            assert run_cli("run", "--config", config, "--out-dir", str(tmp_path)) == 1
+            assert "error[ConfigError]: " in capsys.readouterr().err
+
     def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "Budget-scan"})
         assert run_cli("validate", "--config", path) == 1

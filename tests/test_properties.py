@@ -5,6 +5,7 @@ import contextlib
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from seqent import (
     weaklimits,
 )
 from seqent.cli import estimate_join_cuts
-from seqent.seqentropy import _coded_join, join_partition
+from seqent.seqentropy import _coded_join, _merge, join_partition
 from seqent.systems import golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
@@ -299,12 +300,34 @@ def test_source_seams_are_the_image_seams_of_the_inverse(T):
 
 
 @SETTINGS
-@given(product_rotations(), st.sampled_from(["sources", "quadrants", "bricks"]), bricks(),
-       st.integers(0, 12))
+@given(st.one_of(product_rotations(), st.sampled_from([RectangleExchange.identity(),
+                                                       RectangleExchange.vertical_swap()])),
+       st.sampled_from(["sources", "quadrants", "bricks"]), bricks(), st.integers(0, 12))
+@example(RectangleExchange.identity(), "bricks", RectanglePartition.dyadic(1, 2), 3)
+@example(RectangleExchange.vertical_swap(), "bricks", RectanglePartition.dyadic(2, 1), 5)
 def test_boundary_growth_matches_segmentset_oracle(T, kind, brick, N):
     xi = {"sources": RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources))),
           "quadrants": RectanglePartition.quadrants(), "bricks": brick}[kind]
     assert boundary_growth(T, xi, N) == segmentset_boundary_growth(T, xi, N)
+
+
+@st.composite
+def segment_rows(draw):
+    """Q and up to 30 rows (line, lo, hi) with 0 <= lo < hi <= Q on a banded
+    line below 2Q + 2, on few lines so that rows overlap, touch and repeat."""
+    Q = draw(st.integers(1, 12))
+    lines = draw(st.lists(st.integers(0, 2 * Q + 1), min_size=1, max_size=4))
+    spans = st.lists(st.integers(0, Q), min_size=2, max_size=2, unique=True).map(sorted)
+    rows = draw(st.lists(st.tuples(st.sampled_from(lines), spans), min_size=1, max_size=30))
+    return Q, np.array([(line, lo, hi) for line, (lo, hi) in rows], dtype=np.int64)
+
+
+@SETTINGS
+@given(segment_rows(), st.data())
+def test_merge_does_not_depend_on_row_order(rows, data):
+    Q, segs = rows
+    order = data.draw(st.permutations(range(len(segs))))
+    assert np.array_equal(_merge(segs, Q), _merge(segs[list(order)], Q))
 
 
 def test_boundary_growth_matches_segmentset_oracle_past_int64():

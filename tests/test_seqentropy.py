@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqent import (
@@ -33,6 +34,7 @@ from seqent import (
     sup_over_partitions,
 )
 from seqent.seqentropy import (
+    _sample_cells,
     asymmetry_times,
     check_join,
     check_ledger_steps,
@@ -392,6 +394,18 @@ class TestMonteCarloMatchesFractionOracle:
         fast = mc_join_entropy(*args, seed=0)
         assert fast.atom_count == 16
         assert same_estimate(fast, fraction_mc_join_entropy(*args, seed=0))
+
+
+class TestSampleCells:
+    WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("Q", [1, 2**32 - 1, 2**32 + 1, 2**62 - 1, 2**62, 2**63 + 1,
+                                   2**64 - 1, 2**64 + 1, 2**100 + 3])
+    def test_cell_is_the_high_word_of_the_product(self, Q):
+        cells = _sample_cells(np.array(self.WORDS, dtype=np.uint64), Q)
+        assert cells.dtype == (np.int64 if Q < 2**62 else object)
+        assert cells.tolist() == [k * Q >> 64 for k in self.WORDS]
+        assert all(type(c) is int for c in cells.tolist())
 
 
 class TestBoundaryGrowth:

@@ -585,7 +585,7 @@ def main(argv=None) -> int:
             print(f"note: {w}")
         print(f"wrote {len(rows)} rows to {args.out_dir}")
         return 0
-    except (SeqentError, KeyError) as exc:  # validate: a config file or preset error
+    except (SeqentError, KeyError) as exc:  # under validate, only load_config's errors
         if args.command == "validate":  # on stdout, like every validate diagnostic
             print(f"ERROR[{type(exc).__name__}]: {exc}")
         else:

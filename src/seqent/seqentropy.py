@@ -244,8 +244,9 @@ def _exchange_gaps(T: RectangleExchange, xs, ys, x: np.ndarray, y: np.ndarray, t
     below Q like every cell they move to, so they stay int64 while Q < 2^62
     and are Python ints beyond."""
     lattice = RectLattice.of(T, xs + ys)
-    X, Y = _sample_cells(x, lattice.Q), _sample_cells(y, lattice.Q)
-    bx, by = (_below(edges[1:], lattice.Q, X.dtype) for edges in (xs, ys))
+    Q, dtype = lattice.Q, lattice.trans.dtype
+    X, Y = _sample_cells(x, Q), _sample_cells(y, Q)
+    bx, by = _below(xs[1:], Q, dtype), _below(ys[1:], Q, dtype)
     wanted = set(times)
     for t in range(1, times[-1] + 1):
         X, Y = lattice.apply(X, Y)

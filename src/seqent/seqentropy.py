@@ -97,7 +97,7 @@ def _join_gaps(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
     edges = lattice_ints(xi.cuts, lattice.Q)
     maps = list(map(dict(lattice.powers(signed)).__getitem__, signed))
     # distinct cuts by the stable sort the map algebra uses (np.unique pages in another)
-    cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse().apply(edges)) for U in maps]),
+    cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse.apply(edges)) for U in maps]),
                    kind="stable")
     cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
     if len(cuts) > MAX_JOIN_CUTS:
@@ -502,13 +502,11 @@ def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily
 
 def _image(segs: np.ndarray, rects: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Forward image of segment rows (line, lo, hi): each row clipped to every
-    source whose [line0, line1) holds its line, then translated.  ``rects``
+    rectangle whose [line0, line1) holds its line, then translated.  ``rects``
     rows are (line0, line1, lo, hi) and ``shifts`` rows (line shift, span
-    shift).  All rows meet all sources in one rows x sources broadcast, and
-    the kept (row, source) pairs come out row by row (:func:`_merge` does not
-    depend on row order).  On the banded rows of :func:`boundary_growth` a
-    kept row moves to a line of its own band, below 2Q + 2, and its span
-    stays in [0, Q], so no sum passes 2^63 in int64 while Q < 2^62."""
+    shift).  All rows meet all rectangles in one rows x rectangles broadcast,
+    and the kept (row, rectangle) pairs come out row by row (:func:`_merge`
+    does not depend on row order)."""
     line, lo, hi = (c[:, None] for c in segs.T)
     l0, l1, s0, s1 = rects.T
     a, b = np.maximum(lo, s0), np.minimum(hi, s1)
@@ -534,6 +532,23 @@ def _merge(segs: np.ndarray, Q: int) -> np.ndarray:
     return np.stack([line[first], lo[first], reach[last].astype(segs.dtype)], axis=1)
 
 
+def _complement(segs: np.ndarray, Q: int, end: int) -> np.ndarray:
+    """Rectangles (line0, line1, lo, hi) covering [0, end) x [0, Q] outside
+    the merged rows ``segs`` up to endpoints: on a line with rows, the gap
+    before each row and after the last; between such lines, whole lines.
+    Some rectangles may be empty."""
+    line, lo, hi = segs.T
+    first = np.append(True, line[1:] != line[:-1])
+    last = np.append(first[1:], True)
+    zero, top = np.zeros_like(line[last]), np.full_like(line[last], Q)
+    lines = line[first]
+    return np.concatenate([
+        np.stack([line, line + 1, np.where(first, 0, np.roll(hi, 1)), lo], axis=1),
+        np.stack([line[last], line[last] + 1, hi[last], top], axis=1),
+        np.stack([np.append(0, lines + 1), np.append(lines, end), np.append(0, zero),
+                  np.append(Q, top)], axis=1)])
+
+
 def check_ledger_steps(N: int) -> range:
     """The steps 1..N of a boundary ledger; ValidationError for N < 0 and
     BudgetError for N > MAX_LEDGER_STEPS."""
@@ -547,44 +562,78 @@ def check_ledger_steps(N: int) -> range:
 def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> list[Fraction]:
     """Exact boundary lengths B(0..N) of the forward joins of xi under T.
 
-    B(n) is the total length of a segment set containing the atom boundaries
-    of the n-step join; each step images the previous set, then unions in the
-    partition boundary and the exchange's image-side seams, so
-    B(n) - B(0) <= n * discontinuity_length(T) whenever the partition
-    boundary stays inside the evolving set.  Segments are integer rows
-    (line, lo, hi) on the lattice of T and xi (:class:`RectLattice`), in one
-    banded set: a vertical segment (x; y0, y1) is the row (x, y0, y1) and a
-    horizontal one (y; x0, x1) the row (Q + 1 + y, x0, x1), so the two kinds
-    never share a line.  Each step is one :func:`_image` against the sources
-    seen from both bands and one :func:`_merge`.  A line is below 2Q + 2, so
-    while Q < 2^62 (the int64 arrays of :func:`~seqent.systems.int_dtype`)
-    it stays below 2^63; beyond, the rows are Python ints.  B(n) is the sum
-    of lengths over Q.
+    B(n) is the total length of the segment set S(n) containing the atom
+    boundaries of the n-step join: S(0) is the partition boundary P and
+    S(n) = T(S(n-1)) + F, with F the union of P and the exchange's
+    image-side seams, so B(n) - B(0) <= n * discontinuity_length(T) whenever
+    P stays inside the evolving set.  T images a segment piece by piece
+    (:func:`_image`, which drops segments on the square's right and top
+    edges); off those edges it is injective and keeps lengths.  So S(n) is
+    the union of T^j(F), j < n, and T^n(P), and it is counted by first
+    return to F: Y(0) = F and Y(j) = T(Y(j-1)) - F are the points of T^j(F)
+    whose orbit has not met F since, disjoint for distinct j, and
+    B(n) = |Y(0)| + ... + |Y(n-1)| + |Y(n) within T^n(P)|.  Each step is one
+    :func:`_image` against the sources clipped to where their image leaves F
+    and one :func:`_merge` of a set no longer than F; once Y is empty (every
+    segment has returned or left) B is constant, so the cost is linear in N
+    and constant from then on.
+
+    Segments are integer rows (line, lo, hi) on the lattice of T and xi
+    (:class:`RectLattice`), in bands that never share a line: a vertical
+    segment (x; y0, y1) is the row (x, y0, y1), a horizontal one
+    (y; x0, x1) the row (Q + 1 + y, x0, x1), and the part of Y within
+    T^n(P) is a copy of those rows moved up by 2Q + 2.  Every line is below
+    4Q + 4 and every span in [0, Q], so the rows are int64 while 2Q + 2 <
+    2^62 (:func:`~seqent.systems.int_dtype`) and Python ints beyond.
+    B(n) is the sum of lengths over Q.
     """
     check_partition(T, xi)
     steps = check_ledger_steps(N)
     corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
     lattice = RectLattice.of(T, corners)
     Q = lattice.Q
-    atoms = lattice_ints(corners, Q).reshape(-1, 4)
-    vertical, horizontal = (lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
-                            for side in interior_discontinuity_segments(T))
-    up = np.array([Q + 1, 0, 0], dtype=atoms.dtype)  # moves a horizontal row to its band
+    dtype = int_dtype(2 * Q + 2)
+    atoms = lattice_ints(corners, Q).astype(dtype).reshape(-1, 4)
+    vertical, horizontal = (lattice_ints([v for seg in side for v in seg], Q).astype(dtype)
+                            .reshape(-1, 3) for side in interior_discontinuity_segments(T))
+    up = np.array([Q + 1, 0, 0], dtype=dtype)  # moves a horizontal row to its band
     base = np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]],
                            atoms[:, [2, 0, 1]] + up, atoms[:, [3, 0, 1]] + up])
     fixed = _merge(np.concatenate([base, vertical, horizontal + up]), Q)
     # a vertical row meets a source as (x range, y range), a horizontal one as (y range, x range)
-    rects = np.concatenate([lattice.sources, lattice.sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
-    shifts = np.concatenate([lattice.trans, lattice.trans[:, ::-1]])
+    sources, trans = lattice.sources.astype(dtype), lattice.trans.astype(dtype)
+    sources = np.concatenate([sources, sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
+    shifts = np.concatenate([trans, trans[:, ::-1]])[:, [0, 0, 1, 1]]
+    # each source's image clipped to the rectangles off F, then moved back
+    image, free = sources + shifts, _complement(fixed, Q, 2 * Q + 1)
+    lo = np.maximum(image[:, None, ::2], free[None, :, ::2])
+    hi = np.minimum(image[:, None, 1::2], free[None, :, 1::2])
+    src, gap = np.nonzero((lo < hi).all(axis=2))
+    exits = np.stack([lo[src, gap, 0], hi[src, gap, 0], lo[src, gap, 1], hi[src, gap, 1]],
+                     axis=1) - shifts[src]
+    mark = 2 * Q + 2  # the band of Y(n) within T^n(P)
+    rects = np.concatenate([exits, exits + np.array([mark, mark, 0, 0], dtype=dtype)])
+    moves = np.concatenate([shifts[src], shifts[src]])[:, 1:3]
 
-    def length(rows) -> Fraction:  # Python ints: a sum of many lengths near Q overflows int64
-        return Fraction(sum(rows[:, 2].tolist()) - sum(rows[:, 1].tolist()), Q)
+    def split(rows) -> tuple[int, int]:
+        """|Y(n)| and |Y(n) within T^n(P)| in units of 1/Q (merged rows are
+        sorted by line), in Python ints: sums of many lengths near Q overflow int64."""
+        k = np.searchsorted(rows[:, 0], mark)
+        spans = (rows[:, 2] - rows[:, 1]).tolist()
+        return sum(spans[:k]), sum(spans[k:])
 
-    current = _merge(base, Q)
-    lengths = [length(current)]
-    for _ in steps:
-        current = _merge(np.concatenate([_image(current, rects, shifts), fixed]), Q)
-        lengths.append(length(current))
+    current = _merge(np.concatenate([fixed, base + np.array([mark, 0, 0], dtype=dtype)]), Q)
+    size, new = split(current)
+    lengths, returned = [Fraction(new, Q)], 0  # returned: |Y(0)| + ... + |Y(n-1)|
+    for n in steps:
+        returned += size
+        current = _image(current, rects, moves)
+        if not len(current):  # every segment has returned to F or left: B is constant
+            lengths += [Fraction(returned, Q)] * (N + 1 - n)
+            break
+        current = _merge(current, Q)
+        size, new = split(current)
+        lengths.append(Fraction(returned + new, Q))
     return lengths
 
 

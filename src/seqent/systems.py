@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -109,7 +110,7 @@ class IntervalExchange:
         return x + self._translations[i]
 
     def inverse(self) -> "IntervalExchange":
-        return IetLattice.of(self).inverse().to_iet(self.alias_limit)
+        return IetLattice.of(self).inverse.to_iet(self.alias_limit)
 
     def compose(self, other: "IntervalExchange") -> "IntervalExchange":
         """The exchange realizing ``self o other`` pointwise off cut points."""
@@ -165,7 +166,10 @@ class IetLattice:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return x + self.trans[np.searchsorted(self.cuts, x, side="right") - 1]
 
+    @cached_property
     def inverse(self) -> "IetLattice":
+        """The inverse map, built once: a join places xi's edges with each
+        power's inverse, and the powers sweep composes with the same one."""
         image = self.cuts + self.trans
         order = np.argsort(image, kind="stable")
         return IetLattice(self.Q, image[order], -self.trans[order])
@@ -173,7 +177,7 @@ class IetLattice:
     def compose(self, inner: "IetLattice") -> "IetLattice":
         """``self o inner``, with neighbouring pieces of equal translation
         merged (which also drops repeated cuts)."""
-        cuts = np.sort(np.concatenate((inner.cuts, inner.inverse().apply(self.cuts))), kind="stable")
+        cuts = np.sort(np.concatenate((inner.cuts, inner.inverse.apply(self.cuts))), kind="stable")
         trans = self.apply(inner.apply(cuts)) - cuts
         keep = np.ones(len(cuts), dtype=bool)
         keep[1:] = trans[1:] != trans[:-1]
@@ -187,10 +191,11 @@ class IetLattice:
         times = set(times)
         zero = np.zeros(1, dtype=self.cuts.dtype)
         identity = IetLattice(self.Q, zero, zero)
+        vars(identity)["inverse"] = identity  # its own, without a build
         if 0 in times:
             yield 0, identity
         for sign in (1, -1):
-            squares = [self if sign > 0 else self.inverse()]  # base^(2^j)
+            squares = [self if sign > 0 else self.inverse]  # base^(2^j)
             cur, k = identity, 0
             for target in sorted(abs(t) for t in times if t * sign > 0):
                 gap, j = target - k, 0
@@ -378,12 +383,23 @@ class RectLattice:
         Q = math.lcm(*(v.denominator for v in (*corners, *shifts, *extra)))
         return cls(Q, lattice_ints(corners, Q).reshape(-1, 4), lattice_ints(shifts, Q).reshape(-1, 2))
 
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sources' distinct x edges, their distinct y edges, and the
+        source holding each (x gap, y gap) between them."""
+        xs, ys = np.unique(self.sources[:, :2]), np.unique(self.sources[:, 2:])
+        owner = np.empty((len(xs) - 1, len(ys) - 1), dtype=np.intp)
+        for k, (x0, x1, y0, y1) in enumerate(self.sources.tolist()):
+            owner[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
+                  np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = k
+        return xs, ys, owner
+
     def apply(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exchange on arrays of lattice cells: cell (X, Y) is the square
-        [X, X+1) x [Y, Y+1) / Q, which lies in one source and moves with it."""
-        k = np.zeros(len(X), dtype=np.intp)
-        for i, (x0, x1, y0, y1) in enumerate(self.sources[1:], 1):
-            k[(x0 <= X) & (X < x1) & (y0 <= Y) & (Y < y1)] = i
+        [X, X+1) x [Y, Y+1) / Q, which lies in one source (looked up by its
+        gap among the sources' edges) and moves with it."""
+        xs, ys, owner = self.grid
+        k = owner[np.searchsorted(xs, X, side="right") - 1, np.searchsorted(ys, Y, side="right") - 1]
         return X + self.trans[k, 0], Y + self.trans[k, 1]
 
 

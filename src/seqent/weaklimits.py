@@ -256,13 +256,13 @@ def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
     steps = [P for _, P in lattice.powers(range(width))]
     step_cuts = np.concatenate([P.cuts + s for P, s in zip(steps, shifts)])
     step_trans = np.concatenate([P.trans for P in steps])
-    marks = [np.concatenate((P.cuts, P.inverse().apply(edges))) for P in steps]
+    marks = [np.concatenate((P.cuts, P.inverse.apply(edges))) for P in steps]
     mark_shifts = np.repeat(shifts, [len(y) for y in marks])
     marks = np.concatenate(marks)
 
     def block(V: IetLattice) -> np.ndarray:
         x = np.sort(np.concatenate(((np.concatenate((V.cuts, edges)) + shifts[:, None]).ravel(),
-                                    V.inverse().apply(marks) + mark_shifts, end)), kind="stable")
+                                    V.inverse.apply(marks) + mark_shifts, end)), kind="stable")
         left = x[:-1]
         pieces = np.searchsorted((V.cuts + shifts[:, None]).ravel(), left, side="right") - 1
         y = left + V.trans[pieces % len(V.cuts)]

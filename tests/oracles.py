@@ -3,7 +3,10 @@
 Each oracle works pair by pair (or point by point, or segment by segment) in
 ``Fraction`` arithmetic (or, for the baker map, on cylinder dictionaries) and
 shares no code with the integer-lattice kernels of ``seqent.systems``,
-``seqent.seqentropy`` and ``seqent.weaklimits``.
+``seqent.seqentropy`` and ``seqent.weaklimits``.  Two are the kernels they
+replaced, kept as slower references on the same integer rows:
+:func:`mask_apply` and :func:`reimaging_boundary_growth` (which shares
+``seqentropy._image`` and ``_merge`` with the first-return ledger).
 """
 import random
 from collections import Counter
@@ -13,8 +16,17 @@ import numpy as np
 
 from seqent import BudgetError, IntervalExchange, IntervalPartition, ProbabilityVector, ValidationError
 from seqent.segments import SegmentSet
-from seqent.seqentropy import SAMPLE_BITS, JoinResult, _entropy_from_counts, check_sample_bits
-from seqent.systems import interior_discontinuity_segments
+from seqent.seqentropy import (
+    SAMPLE_BITS,
+    JoinResult,
+    _entropy_from_counts,
+    _image,
+    _merge,
+    check_ledger_steps,
+    check_partition,
+    check_sample_bits,
+)
+from seqent.systems import RectLattice, interior_discontinuity_segments, lattice_ints
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -248,3 +260,46 @@ def segmentset_boundary_growth(T, xi, N: int) -> list:
         current = nxt
         lengths.append(current.total_length())
     return lengths
+
+
+def reimaging_boundary_growth(T, xi, N: int) -> list:
+    """Boundary lengths B(0..N) on the lattice rows of ``seqentropy``, by
+    re-imaging the whole set each step: S(n) = image(S(n-1)) + fixed, so
+    each step costs O(B(n)).  Segments are integer rows (line, lo, hi) in one
+    banded set: a vertical segment (x; y0, y1) is the row (x, y0, y1) and a
+    horizontal one (y; x0, x1) the row (Q + 1 + y, x0, x1).  A line is below
+    2Q + 2, so while Q < 2^62 it stays below 2^63; beyond, the rows are
+    Python ints."""
+    check_partition(T, xi)
+    steps = check_ledger_steps(N)
+    corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
+    lattice = RectLattice.of(T, corners)
+    Q = lattice.Q
+    atoms = lattice_ints(corners, Q).reshape(-1, 4)
+    vertical, horizontal = (lattice_ints([v for seg in side for v in seg], Q).reshape(-1, 3)
+                            for side in interior_discontinuity_segments(T))
+    up = np.array([Q + 1, 0, 0], dtype=atoms.dtype)  # moves a horizontal row to its band
+    base = np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]],
+                           atoms[:, [2, 0, 1]] + up, atoms[:, [3, 0, 1]] + up])
+    fixed = _merge(np.concatenate([base, vertical, horizontal + up]), Q)
+    # a vertical row meets a source as (x range, y range), a horizontal one as (y range, x range)
+    rects = np.concatenate([lattice.sources, lattice.sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
+    shifts = np.concatenate([lattice.trans, lattice.trans[:, ::-1]])
+
+    def length(rows) -> Fraction:  # Python ints: a sum of many lengths near Q overflows int64
+        return Fraction(sum(rows[:, 2].tolist()) - sum(rows[:, 1].tolist()), Q)
+
+    current = _merge(base, Q)
+    lengths = [length(current)]
+    for _ in steps:
+        current = _merge(np.concatenate([_image(current, rects, shifts), fixed]), Q)
+        lengths.append(length(current))
+    return lengths
+
+
+def mask_apply(lattice, X, Y):
+    """``RectLattice.apply`` by four full-array comparisons per source."""
+    k = np.zeros(len(X), dtype=np.intp)
+    for i, (x0, x1, y0, y1) in enumerate(lattice.sources[1:], 1):
+        k[(x0 <= X) & (X < x1) & (y0 <= Y) & (Y < y1)] = i
+    return X + lattice.trans[k, 0], Y + lattice.trans[k, 1]

@@ -3,6 +3,7 @@ SegmentSet and cylinder-dictionary oracles in ``oracles.py``, and invariants
 of joins."""
 import contextlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from seqent import (
 )
 from seqent.cli import estimate_join_cuts
 from seqent.seqentropy import _coded_join, _merge, join_partition
-from seqent.systems import golden_rotation, interior_discontinuity_segments, powers_of
+from seqent.systems import RectLattice, golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
@@ -40,8 +41,10 @@ from oracles import (
     cylinder_measure,
     fraction_join,
     fraction_power,
+    mask_apply,
     oracle_correlation_matrix,
     oracle_distance,
+    reimaging_boundary_growth,
     segmentset_boundary_growth,
     shift_cylinder,
 )
@@ -335,6 +338,50 @@ def test_boundary_growth_matches_segmentset_oracle_past_int64():
     T = RectangleExchange.product_rotations(Fraction(1, 2**61 + 1), Fraction(3, 2**62 + 7))
     xi = RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources)))
     assert boundary_growth(T, xi, 8) == segmentset_boundary_growth(T, xi, 8)
+
+
+@SETTINGS
+@given(st.one_of(product_rotations(), st.sampled_from([RectangleExchange.identity(),
+                                                       RectangleExchange.vertical_swap()])),
+       st.sampled_from(["sources", "quadrants", "bricks"]), bricks(), st.integers(0, 300))
+@example(RectangleExchange.product_rotations(Fraction(1, 2), Fraction(2, 3)), "quadrants",
+         RectanglePartition.quadrants(), 300)
+@example(RectangleExchange.product_rotations(Fraction(1, 2**61 + 1), Fraction(5, 2**61 + 1)),
+         "sources", RectanglePartition.quadrants(), 40)
+def test_boundary_growth_matches_reimaging_oracle(T, kind, brick, N):
+    # the second example has Q = 2^61 + 1: the oracle's rows are int64, the
+    # first-return sweep's are Python ints (its marked band reaches 4Q + 4)
+    xi = {"sources": RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources))),
+          "quadrants": RectanglePartition.quadrants(), "bricks": brick}[kind]
+    assert boundary_growth(T, xi, N) == reimaging_boundary_growth(T, xi, N)
+
+
+PAST_INT64 = RectangleExchange.product_rotations(Fraction(1, 2**61 + 1), Fraction(3, 2**62 + 7))
+
+
+@SETTINGS
+@given(st.one_of(product_rotations(), st.sampled_from([RectangleExchange.identity(),
+                                                       RectangleExchange.vertical_swap(),
+                                                       PAST_INT64])),
+       st.randoms(use_true_random=False))
+@example(PAST_INT64, random.Random(0))
+@example(RectangleExchange.product_rotations(Fraction(1, 3), Fraction(2, 2**61 + 1)),
+         random.Random(0))
+def test_rect_lattice_apply_matches_mask_oracle(T, rng):
+    # cells on both sides of every source edge, and random cells; Q is
+    # 2^61 + 1 (int64) in the second example and >= 2^62 (objects) in the first
+    lattice = RectLattice.of(T)
+    Q = lattice.Q
+
+    def cells(columns):
+        edges = lattice.sources[:, columns].ravel().tolist()
+        return sorted({c + d for c in edges for d in (-1, 0) if 0 <= c + d < Q}
+                      | {rng.randrange(Q) for _ in range(8)})
+
+    pairs = [(x, y) for x in cells([0, 1]) for y in cells([2, 3])]
+    X, Y = (np.array(v, dtype=lattice.trans.dtype) for v in zip(*pairs))
+    for got, want in zip(lattice.apply(X, Y), mask_apply(lattice, X, Y)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @SETTINGS

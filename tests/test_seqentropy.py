@@ -40,6 +40,7 @@ from seqent.seqentropy import (
     check_ledger_steps,
     partition_library,
 )
+from seqent.errors import MAX_LEDGER_STEPS
 from seqent.systems import discontinuity_length
 
 from oracles import baker_join_measures_grid, fraction_mc_join_entropy
@@ -426,6 +427,20 @@ class TestBoundaryGrowth:
         D = discontinuity_length(T)
         lengths = boundary_growth(T, RectanglePartition.quadrants(), 20)
         assert all(v - lengths[0] <= n * D for n, v in enumerate(lengths))
+
+    def test_product_rotations_at_the_step_budget(self):
+        # every segment has returned to the fixed set by n = 986; both values
+        # equal the re-imaging oracle's (tests/oracles.py, about 20 s together)
+        T = RectangleExchange.product_rotations(F(610, 987), F(377, 610))
+        sources = RectanglePartition(tuple((r, k) for k, r in enumerate(T.sources)))
+        assert boundary_growth(T, sources, MAX_LEDGER_STEPS)[-1] == 1599
+        assert boundary_growth(T, RectanglePartition.quadrants(), MAX_LEDGER_STEPS)[-1] == 2586
+
+    @pytest.mark.parametrize("T", [RectangleExchange.identity(), RectangleExchange.vertical_swap()])
+    def test_periodic_ledger_is_constant_up_to_the_budget(self, T):
+        short = boundary_growth(T, RectanglePartition.quadrants(), 20)
+        full = boundary_growth(T, RectanglePartition.quadrants(), MAX_LEDGER_STEPS)
+        assert full == short + [short[-1]] * (MAX_LEDGER_STEPS - 20)
 
 
 class TestAsymmetryRatio:

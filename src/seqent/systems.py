@@ -384,23 +384,24 @@ class RectLattice:
         return cls(Q, lattice_ints(corners, Q).reshape(-1, 4), lattice_ints(shifts, Q).reshape(-1, 2))
 
     @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sources' distinct x edges, their distinct y edges, and the
-        source holding each (x gap, y gap) between them."""
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sources' distinct x edges inside (0, Q), the same y edges, and
+        the x and y translation of each (x gap, y gap) cell between them,
+        flattened row by row."""
         xs, ys = np.unique(self.sources[:, :2]), np.unique(self.sources[:, 2:])
         owner = np.empty((len(xs) - 1, len(ys) - 1), dtype=np.intp)
         for k, (x0, x1, y0, y1) in enumerate(self.sources.tolist()):
             owner[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
                   np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = k
-        return xs, ys, owner
+        return xs[1:-1], ys[1:-1], self.trans[owner.ravel(), 0], self.trans[owner.ravel(), 1]
 
     def apply(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exchange on arrays of lattice cells: cell (X, Y) is the square
         [X, X+1) x [Y, Y+1) / Q, which lies in one source (looked up by its
-        gap among the sources' edges) and moves with it."""
-        xs, ys, owner = self.grid
-        k = owner[np.searchsorted(xs, X, side="right") - 1, np.searchsorted(ys, Y, side="right") - 1]
-        return X + self.trans[k, 0], Y + self.trans[k, 1]
+        gaps among the sources' edges) and moves with it."""
+        xs, ys, dx, dy = self.grid
+        cell = np.searchsorted(xs, X, side="right") * (len(ys) + 1) + np.searchsorted(ys, Y, side="right")
+        return X + dx[cell], Y + dy[cell]
 
 
 def interior_discontinuity_segments(T: RectangleExchange):

@@ -517,26 +517,26 @@ def _image(segs: np.ndarray, rects: np.ndarray, shifts: np.ndarray) -> np.ndarra
 
 def _merge(segs: np.ndarray, Q: int) -> np.ndarray:
     """Per-line unions of the closed intervals [lo, hi] of rows (line, lo, hi)
-    with lo and hi in [0, Q] (lines are only compared): one stable sort by lo
-    and one by line, then a row starts a new interval unless lo is within the
-    running maximum of hi on its line."""
-    segs = segs[np.argsort(segs[:, 1], kind="stable")]
-    segs = segs[np.argsort(segs[:, 0], kind="stable")]
+    with lo and hi in [0, Q] (lines are only compared): one sort by line,
+    then lo, and a row starts a new interval unless lo is within the running
+    maximum of hi on its line."""
+    segs = segs[np.lexsort((segs[:, 1], segs[:, 0]))]
     line, lo, hi = segs.T
-    start = np.append(True, line[1:] != line[:-1])
+    start = np.concatenate(([True], line[1:] != line[:-1]))
     offset = (np.cumsum(start) - 1).astype(int_dtype(len(segs) * (Q + 1))) * (Q + 1)
     reach = np.maximum.accumulate(offset + hi) - offset  # running max of hi on each line
     start[1:] |= lo[1:] > reach[:-1]
     first = np.flatnonzero(start)
-    last = np.append(first[1:], len(segs)) - 1
+    last = np.concatenate((first[1:], [len(segs)])) - 1
     return np.stack([line[first], lo[first], reach[last].astype(segs.dtype)], axis=1)
 
 
-def _complement(segs: np.ndarray, Q: int, end: int) -> np.ndarray:
-    """Rectangles (line0, line1, lo, hi) covering [0, end) x [0, Q] outside
-    the merged rows ``segs`` up to endpoints: on a line with rows, the gap
-    before each row and after the last; between such lines, whole lines.
-    Some rectangles may be empty."""
+def _complement(segs: np.ndarray, Q: int) -> np.ndarray:
+    """Rectangles (line0, line1, lo, hi) covering the lines [0, 2Q + 1) of
+    both bands of :func:`boundary_growth`, spans [0, Q], outside the merged
+    rows ``segs`` up to endpoints: on a line with rows, the gap before each
+    row and after the last; between such lines, whole lines.  Some
+    rectangles may be empty."""
     line, lo, hi = segs.T
     first = np.append(True, line[1:] != line[:-1])
     last = np.append(first[1:], True)
@@ -545,7 +545,7 @@ def _complement(segs: np.ndarray, Q: int, end: int) -> np.ndarray:
     return np.concatenate([
         np.stack([line, line + 1, np.where(first, 0, np.roll(hi, 1)), lo], axis=1),
         np.stack([line[last], line[last] + 1, hi[last], top], axis=1),
-        np.stack([np.append(0, lines + 1), np.append(lines, end), np.append(0, zero),
+        np.stack([np.append(0, lines + 1), np.append(lines, 2 * Q + 1), np.append(0, zero),
                   np.append(Q, top)], axis=1)])
 
 
@@ -605,7 +605,7 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     sources = np.concatenate([sources, sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
     shifts = np.concatenate([trans, trans[:, ::-1]])[:, [0, 0, 1, 1]]
     # each source's image clipped to the rectangles off F, then moved back
-    image, free = sources + shifts, _complement(fixed, Q, 2 * Q + 1)
+    image, free = sources + shifts, _complement(fixed, Q)
     lo = np.maximum(image[:, None, ::2], free[None, :, ::2])
     hi = np.minimum(image[:, None, 1::2], free[None, :, 1::2])
     src, gap = np.nonzero((lo < hi).all(axis=2))

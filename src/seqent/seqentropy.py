@@ -603,17 +603,17 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     # a vertical row meets a source as (x range, y range), a horizontal one as (y range, x range)
     sources, trans = lattice.sources.astype(dtype), lattice.trans.astype(dtype)
     sources = np.concatenate([sources, sources[:, [2, 3, 0, 1]] + up[[0, 0, 1, 2]]])
-    shifts = np.concatenate([trans, trans[:, ::-1]])[:, [0, 0, 1, 1]]
+    shifts = np.concatenate([trans, trans[:, ::-1]])
     # each source's image clipped to the rectangles off F, then moved back
-    image, free = sources + shifts, _complement(fixed, Q)
+    image, free = sources + shifts[:, [0, 0, 1, 1]], _complement(fixed, Q)
     lo = np.maximum(image[:, None, ::2], free[None, :, ::2])
     hi = np.minimum(image[:, None, 1::2], free[None, :, 1::2])
     src, gap = np.nonzero((lo < hi).all(axis=2))
     exits = np.stack([lo[src, gap, 0], hi[src, gap, 0], lo[src, gap, 1], hi[src, gap, 1]],
-                     axis=1) - shifts[src]
+                     axis=1) - shifts[src][:, [0, 0, 1, 1]]
     mark = 2 * Q + 2  # the band of Y(n) within T^n(P)
     rects = np.concatenate([exits, exits + np.array([mark, mark, 0, 0], dtype=dtype)])
-    moves = np.concatenate([shifts[src], shifts[src]])[:, 1:3]
+    moves = np.concatenate([shifts[src], shifts[src]])
 
     def split(rows) -> tuple[int, int]:
         """|Y(n)| and |Y(n) within T^n(P)| in units of 1/Q (merged rows are

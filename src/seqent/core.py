@@ -41,7 +41,7 @@ def as_fraction(x) -> Fraction:
 
 def as_integer(value, what: str) -> int:
     """value as an int; a float, a bool or a string raises instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):  # int: fast path
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -91,7 +91,7 @@ def _join_gaps(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
         raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
     check_partition(T, xi)
     sign = -1 if signs == "forward" else 1
-    signed = [sign * int(t) for t in times]
+    signed = [sign * as_integer(t, "time") for t in times]
     check_powers(T, signed)
     lattice = IetLattice.of(T).scaled(math.lcm(*(c.denominator for c in xi.cuts)))
     edges = lattice_ints(xi.cuts, lattice.Q)
@@ -648,6 +648,7 @@ def asymmetry_times(T: IntervalExchange, N: int, m: int, n: int,
     :func:`check_powers`, so no time is listed before the budget is checked."""
     if direction not in ("forward", "backward"):
         raise ValidationError("direction must be 'forward' or 'backward'")
+    N, m, n = as_integer(N, "N"), as_integer(m, "m"), as_integer(n, "n")
     if N < 1:
         raise ValidationError("N must be >= 1")
     shifts = (0, m, n) if direction == "forward" else (0, -m, -n)

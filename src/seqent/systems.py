@@ -231,7 +231,7 @@ def check_powers(T, times: Sequence[int]) -> None:
 def powers_of(T: IntervalExchange, times: Sequence[int]) -> dict[int, IntervalExchange]:
     """Powers T^t for each requested t, from one increasing sweep per sign on
     T's integer lattice (:meth:`IetLattice.powers`)."""
-    times = [int(t) for t in times]
+    times = [as_integer(t, "power") for t in times]
     check_powers(T, times)
     return {
         t: U.to_iet(T.alias_limit) if t else IntervalExchange.identity()

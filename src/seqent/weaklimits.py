@@ -9,34 +9,32 @@ as for the centered indicators (1_A - mu(A))/sigma(A).  Without it the fixed
 thresholds of the rigidity/mixing diagnostics would be dominated by a handful
 of coarse sets.
 
-All correlations come from one exact integer kernel, :func:`_numerators`,
-which evaluates the requested times in windows [m0, m0 + B) of consecutive
-powers and returns each window as one stacked (B, N, N) array for a family
-of N sets.  For an interval exchange B comes from the element budget
-BLOCK_ENTRIES (B * N^2 entries, at least one power per window); a single
-time, and every power of the baker map, is a window of one.  For an
-interval exchange whose lengths have lcm denominator Q and test sets of
-depth d, every cut, translation and dyadic endpoint of every power is a
-multiple of 1/G, G = Q * 2^d, so the powers are integer arrays
+All correlation matrices come from one exact integer kernel,
+:func:`_numerators`, which evaluates the requested times in windows
+[m0, m0 + B) of consecutive powers and returns each window as one stacked
+(B, N, N) array for a family of N sets.  For an interval exchange the sets
+are read from the complete dyadic family of their depth d, so B comes from
+the element budget BLOCK_ENTRIES (B * (2^(d+1) - 1)^2 entries, at least one
+power per window); a single time, and every power of the baker map, is a
+window of one.  For an interval exchange whose lengths have lcm denominator
+Q, every cut, translation and dyadic endpoint of every power is a multiple
+of 1/G, G = Q * 2^d, so the powers are integer arrays
 (:class:`~seqent.systems.IetLattice`).  Time m0 + k is the step power
 T^k, built once per call, composed with T^m0 from one lattice sweep over
 the window starts; one sort of all the gap points of a window (offset by
 k * G), searches for their pieces and cells, and one scatter-add of the
 gap lengths fill the window, whose rows are then summed over the dyadic
-blocks (prefix sums over the sets' own endpoints for any other family).
-Sums of lengths accumulate in float64 while G < 2^53, where every sum up to
-G is exact, else in int64 while every intermediate stays below 2^62, else
-in Python integers.  For the baker map a test rectangle is a (mask, bits)
-pair over shift coordinates.  Floats are c / G per entry, in numpy while
-G < 2^53 and by Python's correctly rounded integer division above, equal to
-float(Fraction(c, G)); the distances then run the same operations in the
-same order on every matrix, so they do not depend on the window size.  An
-interval exchange's triple correlation is the mass of the gaps of a lattice
-join that lie in A at all three times, read without labelling any gap.
+blocks.  Sums of lengths accumulate in float64 while G < 2^53, where every
+sum up to G is exact, else in int64 while every intermediate stays below
+2^62, else in Python integers.  For the baker map a test rectangle is a
+(mask, bits) pair over shift coordinates.  Floats are c / G per entry, in
+numpy while G < 2^53 and by Python's correctly rounded integer division
+above, equal to float(Fraction(c, G)); the distances then run the same
+operations in the same order on every matrix, so they do not depend on the
+window size.  Pair and triple correlations are one exact mass, :func:`_mass`.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, IntervalPartition, as_fraction
+from .core import ONE, ZERO, IntervalPartition, as_fraction, as_integer
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
 from .seqentropy import _join_gaps
 from .systems import (
@@ -202,8 +200,8 @@ class TestFamily:
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
-# Entries of one window of stacked correlation matrices: a family of N sets
-# evaluates about BLOCK_ENTRIES // N^2 consecutive powers per window.
+# Entries of one window of stacked correlation matrices: sets of depth d
+# evaluate about BLOCK_ENTRIES // (2^(d+1) - 1)^2 consecutive powers per window.
 BLOCK_ENTRIES = 2**16
 
 
@@ -216,40 +214,27 @@ def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
     P_k^-1(edges) lies in one piece of P_k o V and one cell, and maps into one
     cell; the offsets k * G put all k of a window in one sorted array.  One
     scatter-add puts each gap's length in window k, in the row of its image
-    cell and the column of every set holding its own cell.  The rows are then
-    summed over each set: by halving them level by level for a complete
-    dyadic family, by prefix sums over the cells between the sets' own
-    endpoints otherwise.
+    cell and the column of every set holding its own cell, of the complete
+    dyadic family of depth d: interval (l, k) is row and column 2^l - 1 + k,
+    and cell c lies in the sets (l, c >> (d - l)).  The rows are then summed
+    over each set by halving them level by level.  Any other family is read
+    from the complete one by taking its rows and columns.
     """
-    N = len(sets)
     depth = max(s.level for s in sets)
-    D = 1 << depth
-    lo = [s.k << (depth - s.level) for s in sets]  # in cells of level depth
-    hi = [(s.k + 1) << (depth - s.level) for s in sets]
-    complete = N == 2 * D - 1 and [(s.level, s.k) for s in sets] == [
-        (l, k) for l in range(depth + 1) for k in range(1 << l)]
-    grid = sorted({0, D, *lo, *hi})  # range(D + 1) for a complete family
-    n = len(grid) - 1
-    a, b = np.searchsorted(grid, lo), np.searchsorted(grid, hi)  # cell ranges of the sets
-    inside = (a <= np.arange(n)[:, None]) & (np.arange(n)[:, None] < b)
-    members = np.argsort(~inside, axis=1, kind="stable")[:, :inside.sum(axis=1).max()]
-    # the sets (columns) holding each cell; cells in fewer sets are padded
-    # with an extra column N, dropped at the end
-    present = np.take_along_axis(inside, members, axis=1)
-    cols = N + (not present.all())
-    members = np.where(present, members, N)
+    D, N = 1 << depth, (2 << depth) - 1
+    pick = [(1 << s.level) - 1 + s.k for s in sets]  # the family's rows and columns,
+    pick = None if pick == list(range(N)) else pick  # read C-contiguous, as the sums need
+    levels = np.arange(depth + 1)
+    members = (1 << levels) - 1 + (np.arange(D)[:, None] >> (depth - levels))  # [cell, level]
     lattice = IetLattice.of(T).scaled(D)
     G, dtype = lattice.Q, int_dtype(lattice.Q * width)
     lattice = IetLattice(G, lattice.cuts.astype(dtype), lattice.trans.astype(dtype))
     acc = np.float64 if G < 2**53 else dtype  # float64 sums of lengths up to G are exact
-    # over k * n + cell: the flat offset of the row of the cell's image
-    # (row 2^l - 1 + j is dyadic interval (l, j) of a complete family; row 0
-    # stays zero for the prefix sums otherwise) and the columns of its sets
-    rows, cell_row = (N, np.arange(N - D, N)) if complete else (n + 1, np.arange(1, n + 1))
-    row_offset = ((np.arange(width)[:, None] * rows + cell_row) * cols).ravel()
+    # over k * D + cell: the flat offsets of its image's row and of its sets' columns
+    row_offset = ((np.arange(width)[:, None] * N + np.arange(D - 1, N)) * N).ravel()
     columns = np.tile(members, (width, 1))
-    R = np.zeros((width, rows, cols), dtype=acc)  # [k, image cell or set, set], reused
-    edges = np.array([g * (G >> depth) for g in grid[:-1]], dtype=dtype)  # cells' left ends
+    R = np.zeros((width, N, N), dtype=acc)  # [k, image cell or set, set], reused
+    edges = np.array([c * (G >> depth) for c in range(D)], dtype=dtype)  # cells' left ends
     shifts = np.arange(width, dtype=dtype) * G
     cells = (edges + shifts[:, None]).ravel()
     end = np.array([width * G], dtype=dtype)
@@ -267,19 +252,16 @@ def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
         pieces = np.searchsorted((V.cuts + shifts[:, None]).ravel(), left, side="right") - 1
         y = left + V.trans[pieces % len(V.cuts)]
         z = y + step_trans[np.searchsorted(step_cuts, y, side="right") - 1]
-        src = np.searchsorted(cells, left, side="right") - 1  # k * n + cell
+        src = np.searchsorted(cells, left, side="right") - 1  # k * D + cell
         dst = np.searchsorted(cells, z, side="right") - 1
         index = (row_offset[dst][:, None] + columns[src]).ravel()
-        lengths = np.repeat(np.diff(x).astype(acc), members.shape[1])
-        R[:, rows - n:] = 0  # the rows of image cells; the others are overwritten or stay 0
+        lengths = np.repeat(np.diff(x).astype(acc), depth + 1)
+        R[:, D - 1:] = 0  # the rows of image cells; the others are overwritten
         np.add.at(R.reshape(-1), index, lengths)
-        if complete:
-            for level in range(depth - 1, -1, -1):
-                first, mid = (1 << level) - 1, (2 << level) - 1
-                np.add(R[:, mid:2 * mid + 1:2], R[:, mid + 1:2 * mid + 2:2], out=R[:, first:mid])
-            return R
-        np.cumsum(R, axis=1, out=R)  # row r: the cells below r
-        return np.take(R[:, :, :N], b, axis=1) - np.take(R[:, :, :N], a, axis=1)
+        for level in range(depth - 1, -1, -1):
+            first, mid = (1 << level) - 1, (2 << level) - 1
+            np.add(R[:, mid:2 * mid + 1:2], R[:, mid + 1:2 * mid + 2:2], out=R[:, first:mid])
+        return R if pick is None else np.take(np.take(R, pick, axis=1), pick, axis=2)
 
     return G, ((m0, block(V)) for m0, V in lattice.powers(starts))
 
@@ -323,21 +305,24 @@ def _numerators(T, ms, sets):
     for k < len(C), covering every requested m.
 
     For an interval exchange the times are taken in windows of B =
-    BLOCK_ENTRIES // N^2 consecutive powers for N sets, at least one and at
-    most sqrt(BLOCK_ENTRIES / pieces), since the step powers T^k, k < B, have
-    up to B^2 * pieces cuts; with unit Q and sets of depth d, G = Q * 2^d.
+    BLOCK_ENTRIES // N^2 consecutive powers for the N = 2^(d+1) - 1 sets the
+    kernel evaluates, at least one and at most sqrt(BLOCK_ENTRIES / pieces),
+    since the step powers T^k, k < B, have up to B^2 * pieces cuts; with unit
+    Q and sets of depth d, G = Q * 2^d.
     For the baker map the sets are shift cylinders and each window is one
     power.  Entries are exact integers, in float64 for an interval exchange
     while G < 2^53, else of :func:`int_dtype`.  A window may be a reused
     buffer, valid until the next.
     """
     check_sets(T, sets)
-    times = sorted({int(m) for m in ms})
-    check_test_pairs(len(sets))
-    if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
-        return _baker_blocks(times, sets)
+    times = sorted({as_integer(m, "time") for m in ms})
     check_powers(T, times)
-    B = max(1, min(BLOCK_ENTRIES // len(sets) ** 2, math.isqrt(BLOCK_ENTRIES // len(T))))
+    if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
+        check_test_pairs(len(sets))
+        return _baker_blocks(times, sets)
+    N = 2 ** (min(max(s.level for s in sets), 62) + 1) - 1  # (any depth past 62 is over)
+    check_test_pairs(N)
+    B = max(1, min(BLOCK_ENTRIES // N**2, math.isqrt(BLOCK_ENTRIES // len(T))))
     starts, width = [], 1  # windows [m0, m0 + B) over the times; width: largest offset + 1
     for m in times:
         if starts and m < starts[-1] + B:
@@ -355,15 +340,37 @@ def _floats(G: int, C: np.ndarray) -> np.ndarray:
     return (C.astype(object) / G).astype(float)
 
 
+def _mass(T, pairs) -> Fraction:
+    """mu(intersection of T^-t A over the (A, t) pairs), exact at any depth:
+    under an interval exchange, the mass of the gaps of one backward lattice
+    join (which checks the powers) that lie in each A at its time; under the
+    baker map, the cylinder rule of :func:`_baker_blocks` over all the pairs."""
+    check_sets(T, [A for A, _ in pairs])
+    if isinstance(T, IntervalExchange):
+        bounds = sorted({ZERO, ONE, *(e for A, _ in pairs for e in (A.lo, A.hi))})
+        cuts, Q, gaps = _join_gaps(T, IntervalPartition.from_cut_list(bounds[:-1]),
+                                   [t for _, t in pairs], "backward")
+        inside = np.logical_and.reduce([(bounds.index(A.lo) <= g) & (g < bounds.index(A.hi))
+                                        for (A, _), g in zip(pairs, gaps)])
+        return Fraction(int(np.diff(cuts, append=Q)[inside].sum()), Q)
+    check_powers(T, [t for _, t in pairs])
+    offset = max(A.ylevel - t for A, t in pairs)  # every bit position >= 0
+    mask = bits = 0  # the cylinders so far, which do not clash
+    for m1, b1 in (_cylinder_word(A, offset + t) for A, t in pairs):
+        if (bits ^ b1) & mask & m1:
+            return ZERO
+        mask, bits = mask | m1, bits | b1
+    return Fraction(1, 2 ** bin(mask).count("1"))
+
+
 def correlation(T, A, B, m: int) -> Fraction:
-    """mu(T^-m A intersect B), exact.
+    """mu(T^-m A intersect B), exact (:func:`_mass`).
 
     Supports interval exchanges with dyadic-interval test sets and the baker
     map with dyadic-rectangle test sets; general rectangle exchanges have no
     exact path.
     """
-    G, blocks = _numerators(T, [m], (A, B))
-    return Fraction(int(next(blocks)[1][0, 0, 1]), G)
+    return _mass(T, ((A, as_integer(m, "m")), (B, 0)))
 
 
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
@@ -403,7 +410,7 @@ def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) ->
         for k, dev in enumerate(c):  # one sum per matrix: numpy's row-wise order
             values[m0 + k] = float(dev.sum())  # over a stack differs for short rows
         del C, c  # free this window before the next one is built
-    return [values[int(m)] for m in ms]
+    return [values[m] for m in ms]  # integers: _numerators checked them
 
 
 def dist_to_theta(T, m: int, family: TestFamily) -> float:
@@ -425,7 +432,7 @@ class AdmissibleSpec:
 
     def __post_init__(self):
         a = as_fraction(self.theta_weight)
-        terms = tuple((int(p), as_fraction(c)) for p, c in self.terms)
+        terms = tuple((as_integer(p, "admissible power"), as_fraction(c)) for p, c in self.terms)
         object.__setattr__(self, "theta_weight", a)
         object.__setattr__(self, "terms", terms)
         if a < 0 or any(c < 0 for _, c in terms):
@@ -444,6 +451,7 @@ class AdmissibleSpec:
 
 def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
+    check_powers(T, [as_integer(m, "m"), *(p for p, _ in Q.terms)])  # before any matrix
     mu = np.array(family.measures(), dtype=object)
     targets = Q.theta_weight * np.outer(mu, mu)  # exact Fractions, rounded once below
     for power, coeff in Q.terms:
@@ -493,6 +501,7 @@ def scan_times(T, first: int, m_cap: int) -> range:
     """The scanned times first..m_cap; ValidationError if there are none.  Both
     ends pass :func:`check_powers` first, so a range beyond the power budget
     (or an interval exchange's aliasing guard) is rejected at once, never walked."""
+    first, m_cap = as_integer(first, "first scanned time"), as_integer(m_cap, "m_cap")
     if m_cap < first:
         raise ValidationError(f"m_cap {m_cap} leaves no time to scan from m = {first}")
     check_powers(T, [first, m_cap])
@@ -501,7 +510,7 @@ def scan_times(T, first: int, m_cap: int) -> range:
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily) -> ScanReport:
     """Scan m in (j, m_cap] for the first m with dist-to-Theta above r."""
-    return _scan(T, scan_times(T, j + 1, m_cap), family, "theta", lambda v: v > r)
+    return _scan(T, scan_times(T, as_integer(j, "j") + 1, m_cap), family, "theta", lambda v: v > r)
 
 
 def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily) -> ScanReport:
@@ -515,6 +524,7 @@ def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily) -> ScanReport:
 def triple_times(T, m: int, n: int) -> tuple[int, int, int]:
     """The times (0, m, n) of a triple correlation: ValidationError if m = n,
     and m and n pass :func:`check_powers`."""
+    m, n = as_integer(m, "m"), as_integer(n, "n")
     if m == n:
         raise ValidationError(f"triple correlation needs distinct times m != n, got {m} twice")
     check_powers(T, [m, n])
@@ -522,20 +532,8 @@ def triple_times(T, m: int, n: int) -> tuple[int, int, int]:
 
 
 def triple_correlation(T, A, m: int, n: int) -> Fraction:
-    """mu(A intersect T^-m A intersect T^-n A), exact."""
-    check_sets(T, [A])
-    times = triple_times(T, m, n)
-    if isinstance(T, IntervalExchange):
-        edges = sorted({ZERO, A.lo, A.hi} - {ONE})
-        cuts, Q, gaps = _join_gaps(T, IntervalPartition.from_cut_list(edges), times, "backward")
-        k = edges.index(A.lo)  # A's gap
-        inside = np.logical_and.reduce([g == k for g in gaps])
-        return Fraction(int(np.diff(cuts, append=Q)[inside].sum()), Q)
-    offset = A.ylevel + max(0, -m, -n)  # the baker map
-    words = [_cylinder_word(A, offset + t) for t in times]
-    if any((b1 ^ b2) & m1 & m2 for (m1, b1), (m2, b2) in itertools.combinations(words, 2)):
-        return ZERO
-    return Fraction(1, 2 ** bin(words[0][0] | words[1][0] | words[2][0]).count("1"))
+    """mu(A intersect T^-m A intersect T^-n A), exact (:func:`_mass`)."""
+    return _mass(T, [(A, t) for t in triple_times(T, m, n)])
 
 
 def triple_correlation_limits(mu) -> tuple[Fraction, Fraction]:

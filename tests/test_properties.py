@@ -41,6 +41,7 @@ from oracles import (
     cylinder_measure,
     fraction_join,
     fraction_power,
+    iet_correlation,
     mask_apply,
     oracle_correlation_matrix,
     oracle_distance,
@@ -72,8 +73,8 @@ def interval_partitions(draw):
 
 
 @st.composite
-def dyadic_intervals(draw, max_level=5):
-    level = draw(st.integers(0, max_level))
+def dyadic_intervals(draw, max_level=5, min_level=0):
+    level = draw(st.integers(min_level, max_level))
     return Dyadic1D(level, draw(st.integers(0, 2**level - 1)))
 
 
@@ -113,10 +114,11 @@ def scan_times(draw, far=40):
 
 
 @contextlib.contextmanager
-def windows_of(width: int, n_sets: int):
-    """Scan in windows of at most ``width`` powers for a family of n_sets sets."""
+def windows_of(width: int, family):
+    """Scan an interval exchange in windows of at most ``width`` powers: the
+    kernel evaluates the complete dyadic family of ``family``'s depth."""
     saved = weaklimits.BLOCK_ENTRIES
-    weaklimits.BLOCK_ENTRIES = width * n_sets**2
+    weaklimits.BLOCK_ENTRIES = width * (2 ** (max(s.level for s in family.sets) + 1) - 1) ** 2
     try:
         yield
     finally:
@@ -126,7 +128,7 @@ def windows_of(width: int, n_sets: int):
 def check_blocked_kernel(T, times, family, width):
     """Every window's numerators and every scan distance equal the oracle's."""
     oracle = {m: oracle_correlation_matrix(T, m, family) for m in times}
-    with windows_of(width, len(family)):
+    with windows_of(width, family):
         G, blocks = _numerators(T, times, family.sets)
         seen = {}
         for m0, C in blocks:  # a window is valid until the next one
@@ -153,6 +155,16 @@ def wide_iets(draw):
        interval_families(), st.integers(1, 5))
 def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
     check_blocked_kernel(T, times, family, width)
+
+
+@SETTINGS
+@given(st.one_of(iets(), wide_iets()), TIMES, dyadic_intervals(30, min_level=12),
+       st.integers(0, 30))
+def test_deep_pair_correlation_matches_fraction_oracle(T, m, A, level):
+    # levels past any complete family; B holds the point T^-m(A.lo) of T^-m A
+    x = fraction_power(T, -m).apply(A.lo)
+    B = Dyadic1D(level, math.floor(x * 2**level))
+    assert correlation(T, A, B, m) == iet_correlation(fraction_power(T, m), A, B)
 
 
 @st.composite

@@ -8,17 +8,21 @@ from seqent import (
     BakerMap,
     BudgetError,
     IntervalExchange,
+    IntervalPartition,
     ValidationError,
+    asymmetry_ratio,
     correlation,
     dist_to_admissible,
     dist_to_identity,
     dist_to_theta,
     golden_rotation,
+    join_partition,
     mixing_time_scan,
     rigidity_scan,
     triple_correlation,
     triple_correlation_limits,
     vertical_half,
+    weaklimits,
 )
 from seqent.errors import MAX_POWER
 from seqent.weaklimits import TestFamily as Family
@@ -134,6 +138,12 @@ class TestCorrelation:
             m = rng.randint(0, 10)
             assert correlation(T, A, B, m) == brute_force_correlation(T, A, B, m)
 
+    def test_baker_pairs_equal_the_matrix_entries(self):
+        fam = Family.dyadic_rectangles(4)
+        for m in range(-10, 11):
+            pairs = [[correlation(BakerMap(), a, b, m) for b in fam.sets] for a in fam.sets]
+            assert pairs == correlation_matrix(BakerMap(), m, fam)
+
 
 class TestDistances:
     def test_full_space_only_family(self):
@@ -192,6 +202,17 @@ class TestAdmissible:
     def test_self_match(self):
         Q = AdmissibleSpec(F(0), ((5, F(1)),))
         assert dist_to_admissible(ROT, 5, Q, FAM4) == 0.0
+
+    def test_powers_budgeted_before_the_first_matrix(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(weaklimits, "correlation_matrix", built)
+        Q = AdmissibleSpec(F(0), ((1, F(1, 2)), (MAX_POWER + 1, F(1, 2))))
+        with pytest.raises(BudgetError):
+            dist_to_admissible(ROT, 1, Q, FAM4)
+        with pytest.raises(BudgetError):
+            dist_to_admissible(ROT, MAX_POWER + 1, AdmissibleSpec.pure_identity(), FAM4)
 
     def test_coefficients_validated(self):
         with pytest.raises(ValidationError):
@@ -276,6 +297,14 @@ class TestFamilyBudget:
         with pytest.raises(BudgetError):
             build()
 
+    @pytest.mark.parametrize("scan", [lambda fam: dist_to_theta(ROT, 1, fam),
+                                      lambda fam: rigidity_scan(ROT, 5, 0.02, fam)],
+                             ids=["dist-to-theta", "rigidity-scan"])
+    def test_sparse_family_costs_its_complete_family(self, scan):
+        # two sets, but the kernel evaluates all 2^13 - 1 dyadic intervals of level <= 12
+        with pytest.raises(BudgetError):
+            scan(Family((Dyadic1D(0, 0), Dyadic1D(12, 5))))
+
     def test_kernel_checks_any_family_before_work(self):
         sets = (Dyadic1D(0, 0), *(Dyadic1D(13, k) for k in range(4096)))
         with pytest.raises(BudgetError):
@@ -357,3 +386,33 @@ class TestSetsFitTheSystem:
             scan_times(BakerMap(), 1, 10**9)
         with pytest.raises(BudgetError):
             triple_times(BakerMap(), MAX_POWER + 1, 1)
+
+    def test_baker_correlations_budget_their_power(self):
+        with pytest.raises(BudgetError):
+            correlation(BakerMap(), vertical_half(), vertical_half(), MAX_POWER + 1)
+        with pytest.raises(BudgetError):
+            correlation_matrix(BakerMap(), -(MAX_POWER + 1), FAM2D)
+
+
+R37 = IntervalExchange.rotation(F(3, 7))
+HALF = Dyadic1D(1, 0)
+NOT_INTEGER_TIMES = {
+    "correlation": lambda: correlation(R37, HALF, HALF, 1.5),
+    "correlation-bool": lambda: correlation(R37, HALF, HALF, True),
+    "dist-to-theta": lambda: dist_to_theta(R37, 1.5, FAM4),
+    "dist-to-admissible": lambda: dist_to_admissible(R37, 1.5, AdmissibleSpec.pure_theta(), FAM4),
+    "join-partition": lambda: join_partition(R37, IntervalPartition.halves(), [1.5]),
+    "triple-correlation": lambda: triple_correlation(R37, HALF, 1.5, 2),
+    "admissible-power": lambda: AdmissibleSpec(0, ((1.7, 1),)),
+    "power": lambda: R37.power(2.5),
+    "rigidity-scan": lambda: rigidity_scan(R37, 3.5, 0.02, FAM4),
+    "mixing-scan-j": lambda: mixing_time_scan(R37, 0.5, 0.05, 4, FAM4),
+    "asymmetry-ratio": lambda: asymmetry_ratio(R37, IntervalPartition.halves(), 2.5, 1, 2),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_INTEGER_TIMES.values()), ids=list(NOT_INTEGER_TIMES))
+def test_time_that_is_not_an_integer_raises(call):
+    # each used to be truncated, or to fail with a bare KeyError or TypeError
+    with pytest.raises(ValidationError):
+        call()

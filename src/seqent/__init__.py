@@ -66,7 +66,6 @@ from .weaklimits import (
     rigidity_scan,
     triple_correlation,
     triple_correlation_limits,
-    vertical_half,
 )
 
 __version__ = "0.1.0"

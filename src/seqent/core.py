@@ -8,7 +8,6 @@ working precision and rounds the result to a float.
 from __future__ import annotations
 
 import bisect
-import itertools
 import numbers
 from collections import Counter
 from dataclasses import dataclass
@@ -16,8 +15,9 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 import mpmath
+import numpy as np
 
-from .errors import ValidationError
+from .errors import MAX_TILING_CELLS, BudgetError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -141,6 +141,16 @@ class IntervalPartition:
         return cls(cuts, tuple(labels))
 
     @classmethod
+    def from_lattice(cls, cuts: list[int], Q: int, labels: tuple) -> "IntervalPartition":
+        """The partition with cuts c / Q, unchecked: for strictly increasing
+        integer cuts from 0 below Q and one hashable label per cut, as a join
+        of a checked partition has them."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "cuts", tuple(Fraction(c, Q) for c in cuts))
+        object.__setattr__(partition, "labels", labels)
+        return partition
+
+    @classmethod
     def dyadic(cls, level: int) -> "IntervalPartition":
         """The 2**level equal dyadic intervals, distinctly labeled."""
         if level < 0:
@@ -191,42 +201,52 @@ class Rect:
     def area(self) -> Fraction:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
-    def contains(self, pt) -> bool:
-        x, y = pt
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
-    def intersect(self, other: "Rect") -> "Rect | None":
-        x0, x1 = max(self.x0, other.x0), min(self.x1, other.x1)
-        y0, y1 = max(self.y0, other.y0), min(self.y1, other.y1)
-        if x0 < x1 and y0 < y1:
-            return Rect(x0, x1, y0, y1)
-        return None
-
-
-def check_tiling(rects: Sequence[Rect], what: str) -> None:
-    """Raise ValidationError unless the rectangles tile the unit square
-    exactly: each inside it, pairwise disjoint, areas summing to 1.
+def check_tiling(rects: Sequence[Rect], what: str) -> tuple[tuple, tuple, np.ndarray]:
+    """The cell grid of rectangles that tile the unit square exactly: the
+    sorted distinct x edges and y edges (0 and 1 included) and the index of
+    the one rectangle holding each (x gap, y gap) cell.  ValidationError if a
+    rectangle leaves the square, two share a cell or a cell is left over;
+    BudgetError, before the table is built, past MAX_TILING_CELLS cells.
     ``what`` names the rectangles in the message ("source", "image", ...)."""
     for i, r in enumerate(rects):
         if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
             raise ValidationError(f"{what} rectangle {i} leaves the unit square")
-    for i, j in itertools.combinations(range(len(rects)), 2):
-        if rects[i].intersect(rects[j]) is not None:
-            raise ValidationError(f"{what} rectangles overlap at indices ({i},{j})")
-    if sum(r.area for r in rects) != 1:
+    xs = tuple(sorted({ZERO, ONE, *(v for r in rects for v in (r.x0, r.x1))}))
+    ys = tuple(sorted({ZERO, ONE, *(v for r in rects for v in (r.y0, r.y1))}))
+    cells = (len(xs) - 1) * (len(ys) - 1)
+    if cells > MAX_TILING_CELLS:
+        raise BudgetError(f"{what} rectangles make {cells} grid cells, budget {MAX_TILING_CELLS}")
+    owner = np.full((len(xs) - 1, len(ys) - 1), -1, dtype=np.intp)
+    for j, r in enumerate(rects):
+        cell = owner[bisect.bisect_left(xs, r.x0):bisect.bisect_left(xs, r.x1),
+                     bisect.bisect_left(ys, r.y0):bisect.bisect_left(ys, r.y1)]
+        if (cell >= 0).any():
+            raise ValidationError(f"{what} rectangles overlap at indices ({cell[cell >= 0].min()},{j})")
+        cell[...] = j
+    if (owner < 0).any():
         raise ValidationError(f"{what} rectangle areas do not sum to 1 (gap in the tiling)")
+    return xs, ys, owner
+
+
+def tile_at(grid: tuple[tuple, tuple, np.ndarray], x, y) -> int:
+    """Index of the rectangle that holds the point (x, y) of the unit square,
+    read from its tiling's :func:`check_tiling` grid."""
+    xs, ys, owner = grid
+    return int(owner[bisect.bisect_right(xs, x) - 1, bisect.bisect_right(ys, y) - 1])
 
 
 @dataclass(frozen=True)
 class RectanglePartition:
-    """Labeled partition of the unit square into axis-parallel rectangles."""
+    """Labeled partition of the unit square into axis-parallel rectangles;
+    ``grid`` (not a field) is the :func:`check_tiling` grid of the atoms."""
 
     atoms: tuple[tuple[Rect, Hashable], ...]
 
     def __post_init__(self):
         atoms = tuple((r, lab) for r, lab in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        check_tiling([r for r, _ in atoms], "partition")
+        object.__setattr__(self, "grid", check_tiling([r for r, _ in atoms], "partition"))
         _check_hashable(lab for _, lab in atoms)
 
     @classmethod
@@ -261,10 +281,10 @@ class RectanglePartition:
         return cls(tuple(atoms))
 
     def label_at(self, pt) -> Hashable:
-        for r, lab in self.atoms:
-            if r.contains(pt):
-                return lab
-        raise ValidationError(f"{pt} outside the unit square")
+        x, y = pt
+        if not (0 <= x < 1 and 0 <= y < 1):
+            raise ValidationError(f"{pt} outside the unit square")
+        return self.atoms[tile_at(self.grid, x, y)][1]
 
     def measures_by_label(self) -> dict[Hashable, Fraction]:
         out: dict[Hashable, Fraction] = {}

@@ -43,3 +43,6 @@ MAX_MC_SAMPLES = 10**5
 # Ordered test-set pairs per power of a weak-limit scan: 1-D depth 11 (4,095
 # sets) fits, 1-D depth 12 and 2-D depth 12 (127^2 sets) do not.
 MAX_TEST_PAIRS = 2**24
+# Cells of a rectangle tiling's grid (core.check_tiling): one table entry of
+# 8 bytes each, so at most 32 MB.
+MAX_TILING_CELLS = 2**22

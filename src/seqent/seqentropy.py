@@ -16,7 +16,6 @@ decode the tuple labels of an interval join.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -122,7 +121,7 @@ def _coded_join(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int]
         return masses, Q, None
     table = np.fromiter(xi.labels, dtype=object, count=len(xi.labels))  # row by row: a small peak
     labels = tuple(tuple(table[row].tolist()) for row in np.stack(gaps, axis=1))
-    return masses, Q, IntervalPartition(tuple(Fraction(c, Q) for c in cuts.tolist()), labels)
+    return masses, Q, IntervalPartition.from_lattice(cuts.tolist(), Q, labels)
 
 
 def _exact_result(masses: np.ndarray, Q: int, partition: IntervalPartition | None) -> JoinResult:
@@ -192,25 +191,11 @@ def check_sample_bits(T, xi: RectanglePartition, family: IndexFamily) -> None:
     t+1 .. t+x_depth, x_depth being the bits of xi's largest x denominator."""
     if not isinstance(T, BakerMap):
         return
-    x_depth = max((c.denominator - 1).bit_length() for r, _ in xi.atoms for c in (r.x0, r.x1))
+    x_depth = max((c.denominator - 1).bit_length() for c in xi.grid[0])
     tmax = family.members[-1]
     if tmax + x_depth > SAMPLE_BITS:
         raise BudgetError(f"baker times up to {tmax} at x-depth {x_depth} read past "
                           f"the {SAMPLE_BITS} bits of a sample")
-
-
-def _cells(xi: RectanglePartition):
-    """xi's distinct left edges, its distinct bottom edges, the label id of the
-    cell at each (x gap, y gap) between them, and the number of ids (one per
-    distinct label)."""
-    xs = sorted({r.x0 for r, _ in xi.atoms})
-    ys = sorted({r.y0 for r, _ in xi.atoms})
-    ids: dict = {}
-    table = np.empty((len(xs), len(ys)), dtype=np.intp)
-    for r, label in xi.atoms:
-        table[bisect.bisect_left(xs, r.x0):bisect.bisect_left(xs, r.x1),
-              bisect.bisect_left(ys, r.y0):bisect.bisect_left(ys, r.y1)] = ids.setdefault(label, len(ids))
-    return xs, ys, table, len(ids)
 
 
 def _below(edges: Sequence[Fraction], scale: int, dtype) -> np.ndarray:
@@ -317,13 +302,15 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
         raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
                               f"not {type(T).__name__}")
     check_join(T, xi, family, McOptions(n_samples, seed))
-    xs, ys, table, n_labels = _cells(xi)
+    xs, ys, owner = xi.grid  # gaps are numbered by their left edges xs[:-1], ys[:-1]
+    ids: dict = {}
+    table = np.array([ids.setdefault(label, len(ids)) for _, label in xi.atoms], dtype=np.intp)[owner]
     draws = random.Random(seed).getrandbits(2 * SAMPLE_BITS * n_samples)
     words = np.frombuffer(draws.to_bytes(SAMPLE_BITS // 4 * n_samples, "little"), dtype="<u8")
     x, y = words[0::2], words[1::2]  # getrandbits(64) twice per sample, x then y
-    gaps = (_baker_gaps(xs, ys, x, y, family.members) if isinstance(T, BakerMap)
-            else _exchange_gaps(T, xs, ys, x, y, family.members))
-    atom, _ = _group((table[gx, gy] for gx, gy in gaps), n_labels, n_samples)
+    gaps = (_baker_gaps(xs[:-1], ys[:-1], x, y, family.members) if isinstance(T, BakerMap)
+            else _exchange_gaps(T, xs[:-1], ys[:-1], x, y, family.members))
+    atom, _ = _group((table[gx, gy] for gx, gy in gaps), len(ids), n_samples)
     counts = np.sort(np.bincount(atom), kind="stable")[::-1]  # samples per atom, decreasing
     del draws, words, x, y, atom  # the bootstrap needs only the counts
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])

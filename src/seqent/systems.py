@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, ProbabilityVector, Rect, as_fraction, as_integer, check_tiling, shannon_entropy
+from .core import (ONE, ZERO, ProbabilityVector, Rect, as_fraction, as_integer, check_tiling,
+                   shannon_entropy, tile_at)
 from .errors import AliasingError, BudgetError, DomainError, ValidationError, MAX_POWER
 from .segments import SegmentSet
 
@@ -96,9 +97,6 @@ class IntervalExchange:
     @property
     def translations(self) -> tuple[Fraction, ...]:
         return self._translations
-
-    def is_identity(self) -> bool:
-        return len(self.lengths) == 1
 
     # -- action ------------------------------------------------------------
 
@@ -295,7 +293,8 @@ class RectangleExchange:
     """Exchange of axis-parallel rectangles tiling [0,1)^2.
 
     ``sources[i]`` is translated by ``translations[i]``; both the sources and
-    their images must tile the unit square exactly.
+    their images must tile the unit square exactly.  ``grid`` (not a field)
+    is the :func:`~seqent.core.check_tiling` grid of the sources.
     """
 
     sources: tuple[Rect, ...]
@@ -308,7 +307,7 @@ class RectangleExchange:
         object.__setattr__(self, "translations", translations)
         if len(sources) != len(translations):
             raise ValidationError("need one translation per source rectangle")
-        check_tiling(sources, "source")
+        object.__setattr__(self, "grid", check_tiling(sources, "source"))
         check_tiling(self.images(), "image")
 
     def images(self) -> tuple[Rect, ...]:
@@ -350,10 +349,8 @@ class RectangleExchange:
         x, y = as_fraction(pt[0]), as_fraction(pt[1])
         if not (0 <= x < 1 and 0 <= y < 1):
             raise DomainError(f"point {pt} outside the unit square")
-        for r, (dx, dy) in zip(self.sources, self.translations):
-            if r.contains((x, y)):
-                return (x + dx, y + dy)
-        raise DomainError(f"point {pt} not covered by any source rectangle")
+        dx, dy = self.translations[tile_at(self.grid, x, y)]
+        return (x + dx, y + dy)
 
     def inverse(self) -> "RectangleExchange":
         return RectangleExchange(
@@ -378,22 +375,19 @@ class RectLattice:
 
     @classmethod
     def of(cls, T: RectangleExchange, extra: Iterable[Fraction] = ()) -> "RectLattice":
+        """T on its lattice, with ``grid`` (not a field): T's grid
+        (:func:`~seqent.core.check_tiling`) as its x edges inside (0, Q), the
+        same y edges, and the x and y translation of each (x gap, y gap) cell
+        between them, flattened row by row."""
         corners = [v for r in T.sources for v in (r.x0, r.x1, r.y0, r.y1)]
         shifts = [v for d in T.translations for v in d]
         Q = math.lcm(*(v.denominator for v in (*corners, *shifts, *extra)))
-        return cls(Q, lattice_ints(corners, Q).reshape(-1, 4), lattice_ints(shifts, Q).reshape(-1, 2))
-
-    @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The sources' distinct x edges inside (0, Q), the same y edges, and
-        the x and y translation of each (x gap, y gap) cell between them,
-        flattened row by row."""
-        xs, ys = np.unique(self.sources[:, :2]), np.unique(self.sources[:, 2:])
-        owner = np.empty((len(xs) - 1, len(ys) - 1), dtype=np.intp)
-        for k, (x0, x1, y0, y1) in enumerate(self.sources.tolist()):
-            owner[np.searchsorted(xs, x0):np.searchsorted(xs, x1),
-                  np.searchsorted(ys, y0):np.searchsorted(ys, y1)] = k
-        return xs[1:-1], ys[1:-1], self.trans[owner.ravel(), 0], self.trans[owner.ravel(), 1]
+        lattice = cls(Q, lattice_ints(corners, Q).reshape(-1, 4), lattice_ints(shifts, Q).reshape(-1, 2))
+        xs, ys, owner = T.grid
+        cell = owner.ravel()
+        object.__setattr__(lattice, "grid", (lattice_ints(xs[1:-1], Q), lattice_ints(ys[1:-1], Q),
+                                             lattice.trans[cell, 0], lattice.trans[cell, 1]))
+        return lattice
 
     def apply(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The exchange on arrays of lattice cells: cell (X, Y) is the square
@@ -482,8 +476,3 @@ class BernoulliSystem:
     @property
     def symbol_entropy_bits(self) -> float:
         return shannon_entropy(ProbabilityVector(self.symbol_masses))
-
-    def planar_model(self) -> BakerMap:
-        if self.symbol_masses != (Fraction(1, 2), Fraction(1, 2)):
-            raise ValidationError("the planar baker model exists only for the fair 2-symbol system")
-        return BakerMap()

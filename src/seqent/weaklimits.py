@@ -57,12 +57,13 @@ from .systems import (
 # -- test sets and families ----------------------------------------------------
 
 
-def check_test_pairs(n_sets: int) -> None:
-    """Raise before any work if a family of n_sets has more than MAX_TEST_PAIRS
-    ordered pairs, each of which every scanned power evaluates."""
+def check_test_pairs(n_sets: int, what: str) -> None:
+    """Raise before any work if n_sets evaluated test sets, ``what`` in the
+    message, have more than MAX_TEST_PAIRS ordered pairs, each of which every
+    scanned power evaluates."""
     if n_sets * n_sets > MAX_TEST_PAIRS:
         raise BudgetError(
-            f"{n_sets} test sets make {n_sets * n_sets} pairs per power, budget {MAX_TEST_PAIRS}")
+            f"{n_sets} {what} make {n_sets * n_sets} pairs per power, budget {MAX_TEST_PAIRS}")
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,6 @@ def check_sets(T, sets) -> None:
         raise ValidationError(f"test sets under {type(T).__name__} must be {want.__name__}")
 
 
-def vertical_half() -> TestSet2D:
-    """[0, 1/2) x [0, 1): the generating partition atom of the baker map."""
-    return TestSet2D(1, 0, 0, 0)
-
-
 @dataclass(frozen=True)
 class TestFamily:
     """Dyadic test sets with geometric level weights.
@@ -164,7 +160,7 @@ class TestFamily:
     @classmethod
     def dyadic_intervals(cls, depth: int) -> "TestFamily":
         """All dyadic intervals of level 0..depth (2^(depth+1)-1 sets)."""
-        check_test_pairs(2 ** (min(depth, 62) + 1) - 1)  # (any depth past 62 is over)
+        check_test_pairs(2 ** (min(depth, 62) + 1) - 1, "test sets")  # (any depth past 62 is over)
         sets = [TestSet1D(l, k) for l in range(depth + 1) for k in range(2**l)]
         return cls(tuple(sets))
 
@@ -172,7 +168,7 @@ class TestFamily:
     def dyadic_rectangles(cls, depth: int) -> "TestFamily":
         """All dyadic rectangles with per-axis level <= depth // 2."""
         per_axis = depth // 2
-        check_test_pairs((2 ** (min(per_axis, 31) + 1) - 1) ** 2)
+        check_test_pairs((2 ** (min(per_axis, 31) + 1) - 1) ** 2, "test sets")
         sets = [
             TestSet2D(i, a, j, b)
             for i in range(per_axis + 1)
@@ -318,10 +314,12 @@ def _numerators(T, ms, sets):
     times = sorted({as_integer(m, "time") for m in ms})
     check_powers(T, times)
     if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
-        check_test_pairs(len(sets))
+        check_test_pairs(len(sets), "test sets")
         return _baker_blocks(times, sets)
-    N = 2 ** (min(max(s.level for s in sets), 62) + 1) - 1  # (any depth past 62 is over)
-    check_test_pairs(N)
+    depth = max(s.level for s in sets)
+    N = 2 ** (min(depth, 62) + 1) - 1  # (any depth past 62 is over)
+    check_test_pairs(N, f"test sets of the complete dyadic family of depth {depth}, which an "
+                        f"interval exchange evaluates for sets of level up to {depth},")
     B = max(1, min(BLOCK_ENTRIES // N**2, math.isqrt(BLOCK_ENTRIES // len(T))))
     starts, width = [], 1  # windows [m0, m0 + B) over the times; width: largest offset + 1
     for m in times:

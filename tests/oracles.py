@@ -3,7 +3,8 @@
 Each oracle works pair by pair (or point by point, or segment by segment) in
 ``Fraction`` arithmetic (or, for the baker map, on cylinder dictionaries) and
 shares no code with the integer-lattice kernels of ``seqent.systems``,
-``seqent.seqentropy`` and ``seqent.weaklimits``.  Two are the kernels they
+``seqent.seqentropy`` and ``seqent.weaklimits``, nor with the cell grid of
+``seqent.core.check_tiling``.  Two are the kernels they
 replaced, kept as slower references on the same integer rows:
 :func:`mask_apply` and :func:`reimaging_boundary_growth` (which shares
 ``seqentropy._image`` and ``_merge`` with the first-return ledger).
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from seqent import BudgetError, IntervalExchange, IntervalPartition, ProbabilityVector, ValidationError
+from seqent import (BudgetError, IntervalExchange, IntervalPartition, ProbabilityVector, Rect,
+                    RectangleExchange, ValidationError)
 from seqent.segments import SegmentSet
 from seqent.seqentropy import (
     SAMPLE_BITS,
@@ -179,11 +181,53 @@ def _overlap(a, b) -> Fraction:
     return hi - lo if hi > lo else ZERO
 
 
+def rect_intersection(a: Rect, b: Rect):
+    """The rectangle a and b share, or None if they share no area."""
+    x0, x1 = max(a.x0, b.x0), min(a.x1, b.x1)
+    y0, y1 = max(a.y0, b.y0), min(a.y1, b.y1)
+    return Rect(x0, x1, y0, y1) if x0 < x1 and y0 < y1 else None
+
+
+def pairwise_check_tiling(rects, what: str) -> None:
+    """``check_tiling``'s rule pair by pair: ValidationError unless every
+    rectangle lies inside the unit square, no two share area and the areas
+    sum to 1; an overlap names the pair (i, j) of smallest j, then smallest i."""
+    for i, r in enumerate(rects):
+        if r.x0 < 0 or r.x1 > 1 or r.y0 < 0 or r.y1 > 1:
+            raise ValidationError(f"{what} rectangle {i} leaves the unit square")
+    for j, r in enumerate(rects):
+        for i in range(j):
+            if rect_intersection(rects[i], r) is not None:
+                raise ValidationError(f"{what} rectangles overlap at indices ({i},{j})")
+    if sum(r.area for r in rects) != 1:
+        raise ValidationError(f"{what} rectangle areas do not sum to 1 (gap in the tiling)")
+
+
+def scan_tile(rects, pt) -> int:
+    """Index of the first rectangle holding pt, by a linear scan."""
+    x, y = pt
+    return next(k for k, r in enumerate(rects) if r.x0 <= x < r.x1 and r.y0 <= y < r.y1)
+
+
+def scan_label_at(xi, pt):
+    """``RectanglePartition.label_at`` by a linear scan of the atoms."""
+    return xi.atoms[scan_tile([r for r, _ in xi.atoms], pt)][1]
+
+
+def scan_apply(T, pt):
+    """A rectangle exchange's ``apply`` by a linear scan of the sources; any
+    other planar map's own ``apply``."""
+    if not isinstance(T, RectangleExchange):
+        return T.apply(pt)
+    dx, dy = T.translations[scan_tile(T.sources, pt)]
+    return pt[0] + dx, pt[1] + dy
+
+
 def fraction_mc_join_entropy(T, xi, family, n_samples: int, seed: int,
                              n_bootstrap: int = 200) -> JoinResult:
     """Monte Carlo join entropy with one ``Fraction`` point per sample, moved
-    by ``T.apply`` and labelled by ``xi.label_at`` one step at a time; label
-    tuples are counted in a dict."""
+    by :func:`scan_apply` and labelled by :func:`scan_label_at` one step at a
+    time; label tuples are counted in a dict."""
     check_sample_bits(T, xi, family)
     rng = random.Random(seed)
     times = list(family.members)
@@ -194,9 +238,9 @@ def fraction_mc_join_entropy(T, xi, family, n_samples: int, seed: int,
         pt = tuple(Fraction(rng.getrandbits(SAMPLE_BITS), denom) for _ in range(2))
         label = [None] * len(times)
         for t in range(1, times[-1] + 1):
-            pt = T.apply(pt)
+            pt = scan_apply(T, pt)
             if t in time_index:
-                label[time_index[t]] = xi.label_at(pt)
+                label[time_index[t]] = scan_label_at(xi, pt)
         counter[tuple(label)] += 1
     counts = np.array(sorted(counter.values(), reverse=True), dtype=np.int64)
     estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])

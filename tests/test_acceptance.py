@@ -34,12 +34,12 @@ from seqent import (
     shannon_entropy,
     triple_correlation,
     triple_correlation_limits,
-    vertical_half,
 )
 from seqent.core import Rect
 from seqent.systems import discontinuity_length
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
+from seqent.weaklimits import TestSet2D as Dyadic2D
 from seqent.weaklimits import _scan_distances, correlation, dist_to_theta
 
 from oracles import baker_join_measures_grid
@@ -172,7 +172,7 @@ def test_criterion_06_baker_decorrelation():
         fam = Family.dyadic_rectangles(4)
         for m in range(4, 101):
             assert dist_to_theta(baker, m, fam) == 0.0
-        A = vertical_half()
+        A = Dyadic2D(1, 0, 0, 0)  # the vertical half [0, 1/2) x [0, 1)
         for m in range(1, 20):
             for n in range(m + 1, 21):
                 assert triple_correlation(baker, A, m, n) == F(1, 8)

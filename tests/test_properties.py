@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from seqent import (
     BakerMap,
+    BudgetError,
     IntervalExchange,
     IntervalPartition,
     Rect,
     RectangleExchange,
     RectanglePartition,
+    SeqentError,
     boundary_growth,
     correlation,
     entropy_trace,
@@ -30,6 +32,8 @@ from seqent import (
     weaklimits,
 )
 from seqent.cli import estimate_join_cuts
+from seqent.core import check_tiling
+from seqent.errors import MAX_TILING_CELLS
 from seqent.seqentropy import _coded_join, _merge, join_partition
 from seqent.systems import RectLattice, golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
@@ -45,7 +49,10 @@ from oracles import (
     mask_apply,
     oracle_correlation_matrix,
     oracle_distance,
+    pairwise_check_tiling,
     reimaging_boundary_growth,
+    scan_apply,
+    scan_label_at,
     segmentset_boundary_growth,
     shift_cylinder,
 )
@@ -394,6 +401,109 @@ def test_rect_lattice_apply_matches_mask_oracle(T, rng):
     X, Y = (np.array(v, dtype=lattice.trans.dtype) for v in zip(*pairs))
     for got, want in zip(lattice.apply(X, Y), mask_apply(lattice, X, Y)):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@st.composite
+def dyadic_exchanges(draw):
+    """A rectangle exchange on the grid of step 1/16: up to five guillotine
+    splits of the square, the two halves of each split trading places in its
+    image or not, so that both the sources and the images tile."""
+    sources, shifts = [], []
+
+    def split(src, img, splits):  # src and img: (x0, x1, y0, y1) of the same shape
+        axis = draw(st.sampled_from([0, 2]))
+        lo, hi = src[axis], src[axis + 1]
+        if splits == 0 or hi - lo < 2:
+            sources.append(Rect(*(Fraction(v, 16) for v in src)))
+            shifts.append((Fraction(img[0] - src[0], 16), Fraction(img[2] - src[2], 16)))
+            return
+        cut = draw(st.integers(lo + 1, hi - 1))
+        a, b, ilo = cut - lo, hi - cut, img[axis]
+        spans = ((ilo + b, ilo + a + b), (ilo, ilo + b)) if draw(st.booleans()) else \
+            ((ilo, ilo + a), (ilo + a, ilo + a + b))
+        for (s0, s1), (i0, i1) in zip(((lo, cut), (cut, hi)), spans):
+            child_src, child_img = list(src), list(img)
+            child_src[axis:axis + 2], child_img[axis:axis + 2] = (s0, s1), (i0, i1)
+            split(tuple(child_src), tuple(child_img), splits - 1)
+
+    split((0, 16, 0, 16), (0, 16, 0, 16), draw(st.integers(0, 5)))
+    order = draw(st.permutations(range(len(sources))))
+    return RectangleExchange(tuple(sources[k] for k in order), tuple(shifts[k] for k in order))
+
+
+@st.composite
+def dyadic_rectangle_sets(draw):
+    """The sources of :func:`dyadic_exchanges`, as they are or with one
+    rectangle grown or shrunk by 1/32 on one side or pushed by a multiple of
+    1/16, so that some overlap, leave a gap or leave the square."""
+    rects = list(draw(dyadic_exchanges()).sources)
+    k = draw(st.integers(0, len(rects) - 1))
+    x0, x1, y0, y1 = (rects[k].x0, rects[k].x1, rects[k].y0, rects[k].y1)
+    kind = draw(st.sampled_from(["tiling", "grown", "shrunk", "pushed"]))
+    if kind in ("grown", "shrunk"):
+        side = draw(st.integers(0, 3))
+        step = Fraction(1 if (kind == "grown") == (side % 2 == 1) else -1, 32)
+        corners = [x0, x1, y0, y1]
+        corners[side] += step
+        rects[k] = Rect(*corners)
+    elif kind == "pushed":
+        dx, dy = (Fraction(draw(st.integers(-16, 16)), 16) for _ in range(2))
+        rects[k] = Rect(x0 + dx, x1 + dx, y0 + dy, y1 + dy)
+    return rects
+
+
+def tiling_outcome(check, rects):
+    """(error class, message) of a tiling check, or None if it accepts."""
+    try:
+        check(rects, "test")
+    except SeqentError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@SETTINGS
+@given(dyadic_rectangle_sets())
+@example([Rect(0, 1, 0, Fraction(1, 2)), Rect(0, 1, Fraction(1, 4), 1)])
+@example([Rect(0, Fraction(1, 2), 0, 1), Rect(Fraction(1, 2), Fraction(3, 2), 0, 1)])
+@example([Rect(0, Fraction(1, 2), 0, 1)])
+def test_tiling_grid_accepts_what_the_pairwise_oracle_accepts(rects):
+    got = tiling_outcome(check_tiling, rects)
+    assert got == tiling_outcome(pairwise_check_tiling, rects)
+    if got is None:  # every cell of the grid lies in its owner, and only in it
+        xs, ys, owner = check_tiling(rects, "test")
+        for i, (x0, x1) in enumerate(zip(xs, xs[1:])):
+            for j, (y0, y1) in enumerate(zip(ys, ys[1:])):
+                r = rects[owner[i, j]]
+                assert r.x0 <= x0 < x1 <= r.x1 and r.y0 <= y0 < y1 <= r.y1
+
+
+def test_tiling_cell_budget_raises_before_the_table():
+    n = 2 ** 11 + 1  # n columns and n rows make n^2 cells, past MAX_TILING_CELLS = 2^22
+    columns = [Rect(Fraction(k, n), Fraction(k + 1, n), 0, 1) for k in range(n)]
+    rows = [Rect(0, 1, Fraction(k, n), Fraction(k + 1, n)) for k in range(n)]
+    assert (n * n > MAX_TILING_CELLS) and tiling_outcome(check_tiling, columns) is None
+    assert tiling_outcome(check_tiling, columns + rows)[0] is BudgetError
+
+
+@SETTINGS
+@given(dyadic_exchanges(), st.lists(st.sampled_from("ab"), min_size=32, max_size=32),
+       st.randoms(use_true_random=False))
+def test_grid_lookups_match_linear_scans(T, labels, rng):
+    xi = RectanglePartition(tuple(zip(T.sources, labels)))
+    edges = sorted({v for r in T.sources for v in (r.x0, r.x1, r.y0, r.y1)} - {Fraction(1)})
+    for _ in range(40):  # grid edges themselves, and points in between
+        pt = tuple(rng.choice(edges) if rng.random() < 0.5 else
+                   Fraction(rng.randrange(2**20), 2**20) for _ in range(2))
+        assert xi.label_at(pt) == scan_label_at(xi, pt)
+        assert T.apply(pt) == scan_apply(T, pt)
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.lists(TIMES, min_size=1, max_size=5))
+def test_decoded_join_is_a_valid_partition(T, xi, times):
+    join = join_partition(T, xi, times)
+    assert join == IntervalPartition(join.cuts, join.labels)
+    assert all(type(c) is Fraction for c in join.cuts)
 
 
 @SETTINGS

@@ -21,7 +21,6 @@ from seqent import (
     rigidity_scan,
     triple_correlation,
     triple_correlation_limits,
-    vertical_half,
     weaklimits,
 )
 from seqent.errors import MAX_POWER
@@ -91,7 +90,7 @@ class TestCorrelation:
             assert correlation(ROT, A, B, m) == expected
 
     def test_baker_vertical_half_decorrelates(self):
-        A = B = vertical_half()
+        A = B = Dyadic2D(1, 0, 0, 0)  # the vertical half [0, 1/2) x [0, 1)
         for m in range(1, 10):
             assert correlation(BakerMap(), A, B, m) == F(1, 4)
 
@@ -99,7 +98,7 @@ class TestCorrelation:
         from seqent import RectangleExchange
 
         with pytest.raises(ValidationError):
-            correlation(RectangleExchange.identity(), vertical_half(), vertical_half(), 1)
+            correlation(RectangleExchange.identity(), Dyadic2D(1, 0, 0, 0), Dyadic2D(1, 0, 0, 0), 1)
 
     def test_measure_preservation_sum_rule(self):
         # sum over a dyadic partition's atoms A of mu(T^-m A cap B) = mu(B)
@@ -305,6 +304,12 @@ class TestFamilyBudget:
         with pytest.raises(BudgetError):
             scan(Family((Dyadic1D(0, 0), Dyadic1D(12, 5))))
 
+    def test_sparse_family_budget_names_its_depth(self):
+        fam = Family((Dyadic1D(0, 0), Dyadic1D(12, 5)))
+        with pytest.raises(BudgetError, match="8191 test sets of the complete dyadic family of "
+                                              "depth 12, .* sets of level up to 12"):
+            dist_to_theta(golden_rotation().to_iet(), 100, fam)
+
     def test_kernel_checks_any_family_before_work(self):
         sets = (Dyadic1D(0, 0), *(Dyadic1D(13, k) for k in range(4096)))
         with pytest.raises(BudgetError):
@@ -313,7 +318,7 @@ class TestFamilyBudget:
 
 class TestTripleCorrelation:
     def test_baker_three_fold_independence(self):
-        A = vertical_half()
+        A = Dyadic2D(1, 0, 0, 0)
         for m, n in ((1, 2), (3, 7), (5, 19)):
             assert triple_correlation(BakerMap(), A, m, n) == F(1, 8)
 
@@ -323,7 +328,7 @@ class TestTripleCorrelation:
 
     def test_equal_times_rejected(self):
         with pytest.raises(ValidationError):
-            triple_correlation(BakerMap(), vertical_half(), 3, 3)
+            triple_correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), 3, 3)
 
     def test_limit_formulas(self):
         assert triple_correlation_limits(F(1, 2)) == (F(1, 4), F(1, 4))
@@ -389,7 +394,7 @@ class TestSetsFitTheSystem:
 
     def test_baker_correlations_budget_their_power(self):
         with pytest.raises(BudgetError):
-            correlation(BakerMap(), vertical_half(), vertical_half(), MAX_POWER + 1)
+            correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), Dyadic2D(1, 0, 0, 0), MAX_POWER + 1)
         with pytest.raises(BudgetError):
             correlation_matrix(BakerMap(), -(MAX_POWER + 1), FAM2D)
 

@@ -33,6 +33,7 @@ from .core import (
     Rect,
     RectanglePartition,
     as_integer,
+    as_real,
 )
 from .errors import (
     AliasingError,
@@ -182,25 +183,6 @@ def estimate_join_cuts(system: IntervalExchange, partition, family: IndexFamily)
     return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 
-# Config keys whose values, at any depth, are integers or lists of them.
-INTEGER_KEYS = {"N", "m", "n", "j", "m_cap", "depth", "window", "n_samples", "seed", "order",
-                "alias_limit", "permutation", "x_depth", "y_depth", "c", "cap", "members",
-                "j_values", "pairs", "level", "index", "x_level", "x_index", "y_level", "y_index"}
-
-
-def _check_integers(value, key) -> None:
-    """Raise ValidationError for a float, a bool or a string under an integer
-    key, at any depth of the config (:func:`~seqent.core.as_integer`)."""
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _check_integers(v, k)
-    elif isinstance(value, list):
-        for v in value:
-            _check_integers(v, key)
-    elif key in INTEGER_KEYS and value is not None:
-        as_integer(value, key)
-
-
 def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
     """Check a config against its ``EXPERIMENTS`` entry before any work; returns
     (diagnostic, error class or None) pairs and the runner's keyword arguments,
@@ -214,7 +196,6 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         stem = cfg.get("name", name)  # the output files' name, inside --out-dir
         if not isinstance(stem, str) or stem in ("", ".", "..") or Path(stem).name != stem:
             raise ConfigError(f"name {stem!r} must be a plain file name")
-        _check_integers(cfg, None)
         system = build_system(_require(cfg, "system"))
         if not isinstance(system, experiment.systems):
             accepted = ", ".join(cls.__name__ for cls in experiment.systems)
@@ -222,8 +203,6 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         for field in experiment.fields:
             if field != "partition" or not isinstance(system, BernoulliSystem):
                 _require(cfg, field)
-        for field in ("r", "epsilon"):  # raises for a value of the wrong type
-            float(cfg.get(field, 0))
         built = {"system": system}
         if "partition" in experiment.fields:  # a Bernoulli shift's partition: its coordinate window
             built["partition"] = (cfg.get("window", 1) if isinstance(system, BernoulliSystem)
@@ -320,12 +299,11 @@ def _scan_rows(report):
 
 
 def _run_mixing(cfg, system, test_family):
-    return _scan_rows(mixing_time_scan(system, cfg.get("j", 0), float(cfg["r"]), cfg["m_cap"],
-                                       test_family))
+    return _scan_rows(mixing_time_scan(system, cfg.get("j", 0), cfg["r"], cfg["m_cap"], test_family))
 
 
 def _run_rigidity(cfg, system, test_family):
-    return _scan_rows(rigidity_scan(system, cfg["m_cap"], float(cfg["epsilon"]), test_family))
+    return _scan_rows(rigidity_scan(system, cfg["m_cap"], cfg["epsilon"], test_family))
 
 
 def _run_triple(cfg, system, test_set):
@@ -385,9 +363,12 @@ EXPERIMENTS: dict[str, Experiment] = {
     "boundary-growth": Experiment((RectangleExchange,), ("partition", "N"), _run_boundary,
                                   lambda cfg, T: check_ledger_steps(cfg["N"])),
     "mixing-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "r"), _run_mixing,
-                              lambda cfg, T: scan_times(T, cfg.get("j", 0) + 1, cfg["m_cap"])),
+                              lambda cfg, T: (as_real(cfg["r"], "r"),
+                                              scan_times(T, as_integer(cfg.get("j", 0), "j") + 1,
+                                                         cfg["m_cap"]))),
     "rigidity-scan": Experiment(EXACT_CORRELATIONS, ("m_cap", "epsilon"), _run_rigidity,
-                                lambda cfg, T: scan_times(T, 1, cfg["m_cap"])),
+                                lambda cfg, T: (as_real(cfg["epsilon"], "epsilon"),
+                                                scan_times(T, 1, cfg["m_cap"]))),
     "triple-correlation": Experiment(EXACT_CORRELATIONS, ("set", "pairs"), _run_triple,
                                      lambda cfg, T: [triple_times(T, m, n)
                                                      for m, n in cfg["pairs"]]),

@@ -8,6 +8,8 @@ working precision and rounds the result to a float.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +46,15 @@ def as_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):  # int: fast path
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, what: str) -> float:
+    """value as a finite float; a bool, a string, a NaN or an infinity raises."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int or a Fraction past the float range
+            if math.isfinite(real := float(value)):
+                return real
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +164,7 @@ class IntervalPartition:
     @classmethod
     def dyadic(cls, level: int) -> "IntervalPartition":
         """The 2**level equal dyadic intervals, distinctly labeled."""
-        if level < 0:
+        if as_integer(level, "dyadic level") < 0:
             raise ValidationError("dyadic level must be >= 0")
         n = 2**level
         return cls(tuple(Fraction(k, n) for k in range(n)), tuple(range(n)))
@@ -268,6 +279,9 @@ class RectanglePartition:
 
     @classmethod
     def dyadic(cls, x_level: int, y_level: int) -> "RectanglePartition":
+        x_level, y_level = as_integer(x_level, "x level"), as_integer(y_level, "y level")
+        if min(x_level, y_level) < 0:
+            raise ValidationError("dyadic levels must be >= 0")
         nx, ny = 2**x_level, 2**y_level
         atoms = []
         for i in range(nx):

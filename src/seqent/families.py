@@ -67,9 +67,12 @@ GROWTH_FORMS = ("c", "j", "j2", "cj")
 
 
 def resolve_growth(form: str, j: int, c: int | None = None) -> int:
-    """Evaluate a whitelisted growth spec L(j)."""
-    if form in ("c", "cj") and c is None:
-        raise ValidationError(f"growth form {form!r} needs a constant c")
+    """Evaluate a whitelisted growth spec L(j); the constant c of the forms
+    "c" and "cj" must be an integer."""
+    if form in ("c", "cj"):
+        if c is None:
+            raise ValidationError(f"growth form {form!r} needs a constant c")
+        c = as_integer(c, "growth constant c")
     if form == "c":
         return c
     if form == "j":

@@ -85,7 +85,10 @@ def _join_gaps(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
     T^p xi is the xi-label of T^-p x, so forward joins evaluate the inverse
     powers.  On T's integer lattice scaled by xi's denominators, the cuts are
     each power's cuts and preimages of xi's cuts; every gap then lies in one
-    piece of each power, so it is labelled at its left endpoint."""
+    piece of each power, so it is labelled at its left endpoint.  ValidationError
+    unless T is an interval exchange."""
+    if not isinstance(T, IntervalExchange):
+        raise ValidationError(f"exact interval joins run on interval exchanges, not {type(T).__name__}")
     if signs not in ("forward", "backward"):
         raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
     check_partition(T, xi)
@@ -295,8 +298,9 @@ def mc_join_entropy(T, xi: RectanglePartition, family: IndexFamily,
     with the Miller-Madow bias correction (exactly 0 for one atom); the
     half-width is a 95% bootstrap percentile interval from N_BOOTSTRAP
     multinomial resamples of the counts, sorted in decreasing order.
-    n_samples below MIN_MC_SAMPLES raises ValidationError, and above
-    MAX_MC_SAMPLES BudgetError, before sampling (:func:`check_join`).
+    A seed or n_samples that is not an integer, or n_samples below
+    MIN_MC_SAMPLES, raises ValidationError, and n_samples above MAX_MC_SAMPLES
+    BudgetError, before sampling (:func:`check_join`).
     """
     if not isinstance(T, (RectangleExchange, BakerMap)):
         raise ValidationError(f"Monte Carlo joins run on rectangle exchanges and the baker map, "
@@ -342,12 +346,13 @@ def check_partition(T, xi) -> None:
 def check_join(T, xi, family: IndexFamily, mc: McOptions | None) -> None:
     """Raise before any work unless :func:`join_for` takes the join: xi fits T
     (:func:`check_partition`), a planar join's McOptions ``mc`` (None for
-    other systems) have MIN_MC_SAMPLES to MAX_MC_SAMPLES samples and the join
-    passes :func:`check_sample_bits`, and an interval exchange passes
-    :func:`check_powers`."""
+    other systems) have an integer seed and MIN_MC_SAMPLES to MAX_MC_SAMPLES
+    samples and the join passes :func:`check_sample_bits`, and an interval
+    exchange passes :func:`check_powers`."""
     check_partition(T, xi)
     if isinstance(T, (RectangleExchange, BakerMap)):
-        if mc.n_samples < MIN_MC_SAMPLES:
+        as_integer(mc.seed, "seed")
+        if as_integer(mc.n_samples, "n_samples") < MIN_MC_SAMPLES:
             raise ValidationError(f"need n_samples >= {MIN_MC_SAMPLES}, got {mc.n_samples}")
         if mc.n_samples > MAX_MC_SAMPLES:
             raise BudgetError(f"n_samples {mc.n_samples} exceeds budget {MAX_MC_SAMPLES}")
@@ -420,8 +425,9 @@ class EntropyTrace:
 
 
 def check_j_values(j_values: Iterable[int]) -> list[int]:
-    """The j values of a trace as a list; ValidationError if there are none."""
-    j_values = list(j_values)
+    """The j values of a trace as a list of integers; ValidationError if there
+    are none or one is not an integer."""
+    j_values = [as_integer(j, "j") for j in j_values]
     if not j_values:
         raise ValidationError("a trace needs at least one j value")
     return j_values
@@ -447,7 +453,7 @@ def entropy_trace(T, xi, family_for_j: Callable[[int], IndexFamily],
 
 def partition_library(T, depth: int):
     """Dyadic partition library for the sup envelope; depth < 1 raises ValidationError."""
-    if depth < 1:
+    if as_integer(depth, "depth") < 1:
         raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
     if isinstance(T, BernoulliSystem):
         return {f"window-{w}": w for w in range(1, depth + 1)}
@@ -539,7 +545,7 @@ def _complement(segs: np.ndarray, Q: int) -> np.ndarray:
 def check_ledger_steps(N: int) -> range:
     """The steps 1..N of a boundary ledger; ValidationError for N < 0 and
     BudgetError for N > MAX_LEDGER_STEPS."""
-    if N < 0:
+    if as_integer(N, "N") < 0:
         raise ValidationError(f"the boundary ledger needs N >= 0, got {N}")
     if N > MAX_LEDGER_STEPS:
         raise BudgetError(f"boundary ledger limited to N <= {MAX_LEDGER_STEPS}, got {N}")
@@ -574,6 +580,7 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     2^62 (:func:`~seqent.systems.int_dtype`) and Python ints beyond.
     B(n) is the sum of lengths over Q.
     """
+    seams = interior_discontinuity_segments(T)  # ValidationError unless T is a rectangle exchange
     check_partition(T, xi)
     steps = check_ledger_steps(N)
     corners = [v for r, _ in xi.atoms for v in (r.x0, r.x1, r.y0, r.y1)]
@@ -582,7 +589,7 @@ def boundary_growth(T: RectangleExchange, xi: RectanglePartition, N: int) -> lis
     dtype = int_dtype(2 * Q + 2)
     atoms = lattice_ints(corners, Q).astype(dtype).reshape(-1, 4)
     vertical, horizontal = (lattice_ints([v for seg in side for v in seg], Q).astype(dtype)
-                            .reshape(-1, 3) for side in interior_discontinuity_segments(T))
+                            .reshape(-1, 3) for side in seams)
     up = np.array([Q + 1, 0, 0], dtype=dtype)  # moves a horizontal row to its band
     base = np.concatenate([atoms[:, [0, 2, 3]], atoms[:, [1, 2, 3]],
                            atoms[:, [2, 0, 1]] + up, atoms[:, [3, 0, 1]] + up])

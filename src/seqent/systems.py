@@ -41,8 +41,10 @@ class IntervalExchange:
 
     ``lengths[i]`` is the length of the i-th domain subinterval (left to
     right); ``permutation[i]`` is the position that subinterval occupies in
-    the image, also counted from the left.  ``alias_limit``, when set,
-    bounds ``|power| * interval_count`` for any requested power.
+    the image, also counted from the left.  ``alias_limit``, when set, is an
+    integer >= 1 that bounds ``|power| * interval_count`` for any requested
+    power.  ``cuts`` and ``translations`` (not fields) are the left end of
+    each subinterval and the shift that moves it.
     """
 
     lengths: tuple[Fraction, ...]
@@ -60,18 +62,19 @@ class IntervalExchange:
             raise ValidationError("lengths must sum exactly to 1")
         if sorted(perm) != list(range(len(lengths))):
             raise ValidationError("permutation must be a bijection on the intervals")
-        # domain cut points
+        if self.alias_limit is not None and as_integer(self.alias_limit, "alias_limit") < 1:
+            raise ValidationError(f"alias_limit must be >= 1, got {self.alias_limit}")
         cuts = [ZERO]
         for v in lengths[:-1]:
             cuts.append(cuts[-1] + v)
-        object.__setattr__(self, "_cuts", tuple(cuts))
+        object.__setattr__(self, "cuts", tuple(cuts))
         # left endpoint of each interval's image: a running sum in image order
         image_left = [ZERO] * len(lengths)
         left = ZERO
         for i in sorted(range(len(lengths)), key=perm.__getitem__):
             image_left[i] = left
             left += lengths[i]
-        object.__setattr__(self, "_translations", tuple(image_left[i] - cuts[i] for i in range(len(lengths))))
+        object.__setattr__(self, "translations", tuple(image_left[i] - cuts[i] for i in range(len(lengths))))
 
     # -- structure ---------------------------------------------------------
 
@@ -90,22 +93,14 @@ class IntervalExchange:
     def __len__(self):
         return len(self.lengths)
 
-    @property
-    def cuts(self) -> tuple[Fraction, ...]:
-        return self._cuts
-
-    @property
-    def translations(self) -> tuple[Fraction, ...]:
-        return self._translations
-
     # -- action ------------------------------------------------------------
 
     def apply(self, x: Fraction) -> Fraction:
         x = as_fraction(x)
         if not 0 <= x < 1:
             raise DomainError(f"{x} outside [0,1)")
-        i = bisect.bisect_right(self._cuts, x) - 1
-        return x + self._translations[i]
+        i = bisect.bisect_right(self.cuts, x) - 1
+        return x + self.translations[i]
 
     def inverse(self) -> "IntervalExchange":
         return IetLattice.of(self).inverse.to_iet(self.alias_limit)
@@ -279,7 +274,7 @@ class RotationSpec:
 def golden_rotation(order: int = 41) -> RotationSpec:
     """Golden-mean convergent F_{order-1}/F_order; its rigidity times are the
     Fibonacci numbers below F_order (:func:`fibonacci_numbers`)."""
-    if order < 20:
+    if as_integer(order, "order") < 20:
         raise ValidationError("order must be >= 20 to clear the aliasing guard")
     fibs = fibonacci_numbers(order)
     return RotationSpec(Fraction(fibs[-2], fibs[-1]))
@@ -403,8 +398,11 @@ def interior_discontinuity_segments(T: RectangleExchange):
     lie strictly inside the unit square: the seams the forward map creates.
     The set where T is discontinuous (its source-side seams) is this set for
     ``T.inverse()``.  Returns (vertical, horizontal) segment lists as
-    (coordinate, lo, hi) triples.
+    (coordinate, lo, hi) triples; ValidationError unless T is a rectangle
+    exchange.
     """
+    if not isinstance(T, RectangleExchange):
+        raise ValidationError(f"seams are those of a rectangle exchange, not {type(T).__name__}")
     vertical = []
     horizontal = []
     for r in T.images():
@@ -446,13 +444,6 @@ class BakerMap:
             raise DomainError(f"point {pt} outside the unit square")
         b = 1 if x >= Fraction(1, 2) else 0
         return ((2 * x) % 1, (y + b) / 2)
-
-    def apply_inverse(self, pt) -> tuple[Fraction, Fraction]:
-        x, y = as_fraction(pt[0]), as_fraction(pt[1])
-        if not (0 <= x < 1 and 0 <= y < 1):
-            raise DomainError(f"point {pt} outside the unit square")
-        b = 1 if y >= Fraction(1, 2) else 0
-        return ((x + b) / 2, (2 * y) % 1)
 
 
 # -- Bernoulli systems -------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ONE, ZERO, IntervalPartition, as_fraction, as_integer
+from .core import ONE, ZERO, IntervalPartition, as_fraction, as_integer, as_real
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
 from .seqentropy import _join_gaps
 from .systems import (
@@ -74,7 +74,8 @@ class TestSet1D:
     k: int
 
     def __post_init__(self):
-        if self.level < 0 or not 0 <= self.k < 2**self.level:
+        level, k = as_integer(self.level, "level"), as_integer(self.k, "index")
+        if level < 0 or not 0 <= k < 2**level:
             raise ValidationError(f"bad dyadic interval ({self.level},{self.k})")
 
     @property
@@ -105,9 +106,11 @@ class TestSet2D:
     yk: int
 
     def __post_init__(self):
-        if self.xlevel < 0 or not 0 <= self.xk < 2**self.xlevel:
+        xlevel, xk = as_integer(self.xlevel, "x level"), as_integer(self.xk, "x index")
+        ylevel, yk = as_integer(self.ylevel, "y level"), as_integer(self.yk, "y index")
+        if xlevel < 0 or not 0 <= xk < 2**xlevel:
             raise ValidationError("bad dyadic x-interval")
-        if self.ylevel < 0 or not 0 <= self.yk < 2**self.ylevel:
+        if ylevel < 0 or not 0 <= yk < 2**ylevel:
             raise ValidationError("bad dyadic y-interval")
 
     @property
@@ -160,6 +163,7 @@ class TestFamily:
     @classmethod
     def dyadic_intervals(cls, depth: int) -> "TestFamily":
         """All dyadic intervals of level 0..depth (2^(depth+1)-1 sets)."""
+        depth = as_integer(depth, "depth")
         check_test_pairs(2 ** (min(depth, 62) + 1) - 1, "test sets")  # (any depth past 62 is over)
         sets = [TestSet1D(l, k) for l in range(depth + 1) for k in range(2**l)]
         return cls(tuple(sets))
@@ -167,7 +171,7 @@ class TestFamily:
     @classmethod
     def dyadic_rectangles(cls, depth: int) -> "TestFamily":
         """All dyadic rectangles with per-axis level <= depth // 2."""
-        per_axis = depth // 2
+        per_axis = as_integer(depth, "depth") // 2
         check_test_pairs((2 ** (min(per_axis, 31) + 1) - 1) ** 2, "test sets")
         sets = [
             TestSet2D(i, a, j, b)
@@ -438,14 +442,6 @@ class AdmissibleSpec:
         if a + sum((c for _, c in terms), ZERO) != 1:
             raise ValidationError("admissible coefficients must sum exactly to 1")
 
-    @classmethod
-    def pure_theta(cls) -> "AdmissibleSpec":
-        return cls(ONE, ())
-
-    @classmethod
-    def pure_identity(cls) -> "AdmissibleSpec":
-        return cls(ZERO, ((0, ONE),))
-
 
 def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
@@ -507,12 +503,16 @@ def scan_times(T, first: int, m_cap: int) -> range:
 
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily) -> ScanReport:
-    """Scan m in (j, m_cap] for the first m with dist-to-Theta above r."""
+    """Scan m in (j, m_cap] for the first m with dist-to-Theta above r, a
+    finite real (:func:`~seqent.core.as_real`, checked before any time)."""
+    r = as_real(r, "r")
     return _scan(T, scan_times(T, as_integer(j, "j") + 1, m_cap), family, "theta", lambda v: v > r)
 
 
 def rigidity_scan(T, m_cap: int, eps: float, family: TestFamily) -> ScanReport:
-    """List all m <= m_cap with dist-to-identity below eps (rigidity times)."""
+    """List all m <= m_cap with dist-to-identity below eps (rigidity times), a
+    finite real (:func:`~seqent.core.as_real`, checked before any time)."""
+    eps = as_real(eps, "epsilon")
     return _scan(T, scan_times(T, 1, m_cap), family, "identity", lambda v: v < eps)
 
 

@@ -133,6 +133,14 @@ def iet_correlation(U: IntervalExchange, A, B) -> Fraction:
     return total
 
 
+def baker_inverse(pt) -> tuple:
+    """The inverse baker map (x, y) -> ((x + b)/2, 2y mod 1), b the leading
+    binary digit of y, on a point of ``Fraction`` coordinates."""
+    x, y = pt
+    b = 1 if y >= Fraction(1, 2) else 0
+    return ((x + b) / 2, (2 * y) % 1)
+
+
 def shift_cylinder(cyl: dict, m: int) -> dict:
     return {coord + m: bit for coord, bit in cyl.items()}
 

@@ -9,6 +9,7 @@ import seqent.cli
 from seqent import (
     BakerMap,
     BudgetError,
+    IntervalExchange,
     IntervalPartition,
     Rect,
     RectangleExchange,
@@ -22,6 +23,8 @@ from seqent import (
     make_progression_family,
     mc_join_entropy,
     mixing_time_scan,
+    resolve_growth,
+    rigidity_scan,
     triple_correlation,
 )
 from seqent.cli import PRESETS, main, validate_config
@@ -397,6 +400,35 @@ MISMATCHED_CONFIGS = {
         "experiment": "boundary-growth", "system": {"kind": "vertical-swap"},
         "partition": {"kind": "quadrants"}, "N": True,
     },
+    "mc-entropy-with-float-seed": {
+        "experiment": "mc-entropy", "system": {"kind": "baker"},
+        "partition": {"kind": "vertical-halves"}, "family": EXPLICIT_FAMILY,
+        "n_samples": 1000, "seed": 1.5,
+    },
+    "rigidity-scan-with-float-alias_limit": {
+        "experiment": "rigidity-scan",
+        "system": {"kind": "rotation", "alpha": "13/21", "alias_limit": 1.5},
+        "m_cap": 3, "epsilon": 0.02,
+    },
+    "mixing-scan-with-boolean-j": {
+        "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 3, "j": True, "r": 0.05,
+    },
+    "entropy-trace-with-boolean-c": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1},
+        "family": {"kind": "progression", "L": {"form": "cj", "c": True}}, "j_values": [2],
+    },
+    "mc-entropy-with-float-x_depth": {
+        "experiment": "mc-entropy", "system": {"kind": "identity-rect"},
+        "partition": {"kind": "dyadic-rect", "x_depth": 1.0, "y_depth": 1},
+        "family": EXPLICIT_FAMILY, "seed": 1,
+    },
+    # a threshold is a finite JSON number
+    "mixing-scan-with-NaN-r": {
+        "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 3, "r": float("nan"),
+    },
     # a JSON list as a partition label: atoms are keyed by label
     "entropy-trace-with-list-labels": {
         "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
@@ -467,8 +499,34 @@ class TestConfigErrors:
         assert not list(tmp_path.glob("*.csv"))
 
 
-# the library call each "values the library rejects at run time" config makes
+GOLDEN = golden_rotation().to_iet()
+SWAP, QUADRANTS = RectangleExchange.vertical_swap(), RectanglePartition.quadrants()
+
+# the library call made by each config of a value of the wrong type or a value
+# the library rejects at run time
 LIBRARY_CALLS = {
+    "boundary-growth-with-non-numeric-N": lambda: boundary_growth(SWAP, QUADRANTS, "ten"),
+    "boundary-growth-with-boolean-N": lambda: boundary_growth(SWAP, QUADRANTS, True),
+    "mixing-scan-with-non-numeric-r":
+        lambda: mixing_time_scan(GOLDEN, 0, "abc", 3, Family.dyadic_intervals(6)),
+    "mixing-scan-with-NaN-r":
+        lambda: mixing_time_scan(GOLDEN, 0, float("nan"), 3, Family.dyadic_intervals(6)),
+    "rigidity-scan-with-float-m_cap":
+        lambda: rigidity_scan(GOLDEN, 20.9, 0.02, Family.dyadic_intervals(6)),
+    "rigidity-scan-with-float-test-family-depth": lambda: Family.dyadic_intervals(3.7),
+    "rigidity-scan-with-float-alias_limit":
+        lambda: IntervalExchange.rotation("13/21", alias_limit=1.5),
+    "entropy-trace-with-float-members": lambda: explicit_family([1, 2.5, 3.9]),
+    "entropy-trace-with-float-j_values":
+        lambda: entropy_trace(GOLDEN, IntervalPartition.dyadic(1),
+                              lambda j: make_progression_family(j, j), [1.5, 2]),
+    "mc-entropy-with-float-seed":
+        lambda: mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
+                                explicit_family([1, 2]), 1000, 1.5),
+    "mc-entropy-with-float-x_depth": lambda: RectanglePartition.dyadic(1.0, 1),
+    "mixing-scan-with-boolean-j":
+        lambda: mixing_time_scan(GOLDEN, True, 0.05, 3, Family.dyadic_intervals(6)),
+    "entropy-trace-with-boolean-c": lambda: resolve_growth("cj", 2, True),
     "triple-correlation-with-equal-times":
         lambda: triple_correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), 2, 2),
     "mc-entropy-with-10-samples":

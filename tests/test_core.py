@@ -14,6 +14,7 @@ from seqent import (
     partition_measures,
     shannon_entropy,
 )
+from seqent.core import as_real
 
 from oracles import common_refinement
 
@@ -43,6 +44,17 @@ class TestAsFraction:
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):
             as_fraction("one half")
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0, 0.05, F(1, 3), 10**20])
+    def test_finite_reals_are_floats(self, value):
+        assert as_real(value, "r") == float(value)
+
+    @pytest.mark.parametrize("value", [True, "0.05", None, float("nan"), float("inf"), 10**400])
+    def test_others_rejected(self, value):
+        with pytest.raises(ValidationError):
+            as_real(value, "r")
 
 
 class TestShannonEntropy:

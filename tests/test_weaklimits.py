@@ -189,12 +189,12 @@ class TestDistances:
 
 class TestAdmissible:
     def test_pure_theta_reduction(self):
-        Q = AdmissibleSpec.pure_theta()
+        Q = AdmissibleSpec(1, ())
         for m in (1, 3):
             assert dist_to_admissible(ROT, m, Q, FAM4) == dist_to_theta(ROT, m, FAM4)
 
     def test_pure_identity_reduction(self):
-        Q = AdmissibleSpec.pure_identity()
+        Q = AdmissibleSpec(0, ((0, 1),))
         for m in (1, 3):
             assert dist_to_admissible(ROT, m, Q, FAM4) == dist_to_identity(ROT, m, FAM4)
 
@@ -211,7 +211,7 @@ class TestAdmissible:
         with pytest.raises(BudgetError):
             dist_to_admissible(ROT, 1, Q, FAM4)
         with pytest.raises(BudgetError):
-            dist_to_admissible(ROT, MAX_POWER + 1, AdmissibleSpec.pure_identity(), FAM4)
+            dist_to_admissible(ROT, MAX_POWER + 1, AdmissibleSpec(0, ((0, 1),)), FAM4)
 
     def test_coefficients_validated(self):
         with pytest.raises(ValidationError):
@@ -405,7 +405,7 @@ NOT_INTEGER_TIMES = {
     "correlation": lambda: correlation(R37, HALF, HALF, 1.5),
     "correlation-bool": lambda: correlation(R37, HALF, HALF, True),
     "dist-to-theta": lambda: dist_to_theta(R37, 1.5, FAM4),
-    "dist-to-admissible": lambda: dist_to_admissible(R37, 1.5, AdmissibleSpec.pure_theta(), FAM4),
+    "dist-to-admissible": lambda: dist_to_admissible(R37, 1.5, AdmissibleSpec(1, ()), FAM4),
     "join-partition": lambda: join_partition(R37, IntervalPartition.halves(), [1.5]),
     "triple-correlation": lambda: triple_correlation(R37, HALF, 1.5, 2),
     "admissible-power": lambda: AdmissibleSpec(0, ((1.7, 1),)),

@@ -9,8 +9,9 @@ Subcommands:
 * ``seqent list-presets`` -- catalog of built-in experiment configs
   (run one with ``--config preset:NAME``).
 
-Each experiment is one ``EXPERIMENTS`` entry; validation builds what its
-runner needs once, and ``run`` passes that on.
+Each experiment is one ``EXPERIMENTS`` entry, and each system, partition and
+index-family kind one ``SYSTEMS``, ``PARTITIONS`` or ``FAMILIES`` entry;
+validation builds what the runner needs once, and ``run`` passes that on.
 
 Configs are JSON with every measure written as an exact fraction string
 ("13/21"); floating literals are rejected.  Exit codes: 0 ok, 1 validation
@@ -88,64 +89,80 @@ from .weaklimits import (
 # -- config construction -------------------------------------------------------
 
 
-def build_system(spec: dict):
-    kind = spec.get("kind")
-    if kind == "identity-iet":
-        return IntervalExchange.identity()
-    if kind == "iet":
-        return IntervalExchange(tuple(spec["lengths"]), tuple(spec["permutation"]))
-    if kind == "rotation":
-        return IntervalExchange.rotation(spec["alpha"], alias_limit=spec.get("alias_limit"))
-    if kind == "golden-rotation":
-        return golden_rotation(spec.get("order", 41)).to_iet()
-    if kind == "bernoulli":
-        return BernoulliSystem(tuple(spec["masses"]))
-    if kind == "baker":
-        return BakerMap()
-    if kind == "identity-rect":
-        return RectangleExchange.identity()
-    if kind == "vertical-swap":
-        return RectangleExchange.vertical_swap()
-    if kind == "product-rotations":
-        return RectangleExchange.product_rotations(spec["alpha"], spec["beta"])
-    if kind == "rect-exchange":
-        sources = tuple(Rect(*corners) for corners in spec["sources"])
-        return RectangleExchange(sources, tuple(spec["translations"]))
-    raise ValidationError(f"unknown system kind {kind!r}")
+class ConfigError(ValidationError):
+    pass
 
 
-def build_partition(spec: dict, system):
-    kind = spec.get("kind")
-    if kind == "sources" and isinstance(system, RectangleExchange):  # one atom per source
-        return RectanglePartition(tuple((r, i) for i, r in enumerate(system.sources)))
-    if kind == "dyadic":
-        return IntervalPartition.dyadic(spec["depth"])
-    if kind == "cuts":
-        return IntervalPartition.from_cut_list(spec["cuts"], spec.get("labels"))
-    if kind == "dyadic-rect":
-        return RectanglePartition.dyadic(spec["x_depth"], spec["y_depth"])
-    if kind == "quadrants":
-        return RectanglePartition.quadrants()
-    if kind == "vertical-halves":
-        return RectanglePartition.vertical_halves()
-    if kind == "rects":
-        return RectanglePartition(tuple((Rect(*c), label) for c, label in spec["atoms"]))
-    raise ValidationError(f"unknown partition kind {kind!r} for {type(system).__name__}")
+def _read(name: str, spec, build, *args):
+    """``build(spec, *args)`` for the config object ``name``, where ``build`` is a
+    builder or a table of one builder per ``kind``.  The config-shape rules live
+    here: ``spec`` is a JSON object, its kind is a key of the table, and a key a
+    builder reads is present; each is a ConfigError that names the object."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {json.dumps(spec)}")
+    if isinstance(build, dict):
+        kinds = tuple(build)
+        if spec.get("kind") not in kinds:
+            raise ConfigError(f"unknown {name} kind {spec.get('kind')!r}; choose from {kinds}")
+        build = build[spec["kind"]]
+    try:
+        return build(spec, *args)
+    except KeyError as exc:
+        raise ConfigError(f"{name} needs the key {exc.args[0]!r}") from None
 
 
-def build_family_maker(spec: dict):
-    kind = spec.get("kind")
-    if kind == "progression":
-        form = spec.get("L", {}).get("form", "j")
-        c = spec.get("L", {}).get("c")
-        return lambda j: make_progression_family(j, resolve_growth(form, j, c))
-    if kind == "geometric":
-        cap = spec["cap"]
-        return lambda j: make_geometric_family(j, cap)
-    if kind == "explicit":
-        members = spec["members"]
-        return lambda j: explicit_family(members)
-    raise ValidationError(f"unknown family kind {kind!r}")
+SYSTEMS: dict[str, Callable[[dict], object]] = {
+    "identity-iet": lambda spec: IntervalExchange.identity(),
+    "iet": lambda spec: IntervalExchange(tuple(spec["lengths"]), tuple(spec["permutation"])),
+    "rotation": lambda spec: IntervalExchange.rotation(spec["alpha"], spec.get("alias_limit")),
+    "golden-rotation": lambda spec: golden_rotation(spec.get("order", 41)).to_iet(),
+    "bernoulli": lambda spec: BernoulliSystem(tuple(spec["masses"])),
+    "baker": lambda spec: BakerMap(),
+    "identity-rect": lambda spec: RectangleExchange.identity(),
+    "vertical-swap": lambda spec: RectangleExchange.vertical_swap(),
+    "product-rotations":
+        lambda spec: RectangleExchange.product_rotations(spec["alpha"], spec["beta"]),
+    "rect-exchange": lambda spec: RectangleExchange(
+        tuple(Rect(*corners) for corners in spec["sources"]), tuple(spec["translations"])),
+}
+
+
+def _source_atoms(spec: dict, system) -> RectanglePartition:
+    """One atom per source rectangle of a rectangle exchange."""
+    if not isinstance(system, RectangleExchange):
+        raise ValidationError(f"partition kind 'sources' needs a rectangle exchange, "
+                              f"not {type(system).__name__}")
+    return RectanglePartition(tuple((r, i) for i, r in enumerate(system.sources)))
+
+
+PARTITIONS: dict[str, Callable[[dict, object], object]] = {
+    "sources": _source_atoms,
+    "dyadic": lambda spec, system: IntervalPartition.dyadic(spec["depth"]),
+    "cuts": lambda spec, system: IntervalPartition.from_cut_list(spec["cuts"], spec.get("labels")),
+    "dyadic-rect":
+        lambda spec, system: RectanglePartition.dyadic(spec["x_depth"], spec["y_depth"]),
+    "quadrants": lambda spec, system: RectanglePartition.quadrants(),
+    "vertical-halves": lambda spec, system: RectanglePartition.vertical_halves(),
+    "rects": lambda spec, system: RectanglePartition(
+        tuple((Rect(*corners), label) for corners, label in spec["atoms"])),
+}
+
+
+def _growth(spec: dict, j: int) -> int:
+    L = _read("family.L", spec.get("L", {}), lambda L: L)
+    return resolve_growth(L.get("form", "j"), j, L.get("c"))
+
+
+# the index family of one j
+FAMILIES: dict[str, Callable[[dict, int], IndexFamily]] = {
+    "progression": lambda spec, j: make_progression_family(j, _growth(spec, j)),
+    "geometric": lambda spec, j: make_geometric_family(j, spec["cap"]),
+    "explicit": lambda spec, j: explicit_family(spec["members"]),
+}
+
+
+def build_system(spec):
+    return _read("system", spec, SYSTEMS)
 
 
 def build_test_family(spec: dict, system) -> TestFamily:
@@ -165,10 +182,6 @@ def build_test_set(spec: dict):
 # -- validation -----------------------------------------------------------------
 
 
-class ConfigError(ValidationError):
-    pass
-
-
 def _require(cfg: dict, field: str):
     if field not in cfg:
         raise ConfigError(f"config field {field!r} is required for {cfg.get('experiment')}")
@@ -183,11 +196,11 @@ def estimate_join_cuts(system: IntervalExchange, partition, family: IndexFamily)
     return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 
-def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]], dict | None]:
+def validate_config(cfg: dict) -> tuple[list[str], dict]:
     """Check a config against its ``EXPERIMENTS`` entry before any work; returns
-    (diagnostic, error class or None) pairs and the runner's keyword arguments,
-    or None after the first error.  Library rules are checked by the library's guards."""
-    diagnostics: list[tuple[str, type[Exception] | None]] = []
+    notes and the runner's keyword arguments, or raises the first error, a
+    SeqentError.  Library rules are checked by the library's guards."""
+    notes: list[str] = []
     try:
         name = cfg.get("experiment")
         if name not in EXPERIMENTS:
@@ -206,21 +219,21 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
         built = {"system": system}
         if "partition" in experiment.fields:  # a Bernoulli shift's partition: its coordinate window
             built["partition"] = (cfg.get("window", 1) if isinstance(system, BernoulliSystem)
-                                  else build_partition(cfg["partition"], system))
+                                  else _read("partition", cfg["partition"], PARTITIONS, system))
             if "family" not in experiment.fields:  # else check_join checks it for each j
                 check_partition(system, built["partition"])
         if "set" in experiment.fields:
-            built["test_set"] = build_test_set(cfg["set"])
+            built["test_set"] = _read("set", cfg["set"], build_test_set)
             check_sets(system, [built["test_set"]])
         if "m_cap" in experiment.fields:
-            built["test_family"] = build_test_family(cfg.get("test_family", {}), system)
+            built["test_family"] = _read("test_family", cfg.get("test_family", {}),
+                                         build_test_family, system)
         experiment.check(cfg, system)
         if "family" in experiment.fields:
             if isinstance(system, (RectangleExchange, BakerMap)):
                 if cfg.get("seed") is None:
                     raise ConfigError("Monte Carlo experiments need an explicit seed")
                 built["mc"] = McOptions(cfg.get("n_samples", 10000), cfg["seed"])
-            maker = build_family_maker(cfg["family"])
             families = built["families"] = {}
             if "partition" in built:
                 partition = built["partition"]
@@ -228,7 +241,7 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
                 partition = list(partition_library(system, cfg.get("depth", 4)).values())[-1]
             for j in check_j_values(cfg["j_values"] if "j_values" in experiment.fields
                                     else [cfg.get("j", 1)]):
-                fam = families[j] = maker(j)
+                fam = families[j] = _read("family", cfg["family"], FAMILIES, j)
                 check_join(system, partition, fam, built.get("mc"))
                 if isinstance(system, IntervalExchange):
                     cuts = estimate_join_cuts(system, partition, fam)
@@ -236,19 +249,12 @@ def validate_config(cfg: dict) -> tuple[list[tuple[str, type[Exception] | None]]
                         raise BudgetError(
                             f"predicted {cuts} join cut points exceed budget {MAX_JOIN_CUTS}"
                         )
-                    diagnostics.append((f"j={j}: predicted cut budget {cuts} (ok)", None))
-        return diagnostics, built
-    except (SeqentError, KeyError) as exc:
-        error = exc
+                    notes.append(f"j={j}: predicted cut budget {cuts} (ok)")
+        return notes, built
+    except SeqentError:
+        raise
     except (ValueError, TypeError) as exc:  # a config value of the wrong type
-        error = ConfigError(f"bad config value: {exc}")
-    diagnostics.append((f"ERROR[{type(error).__name__}]: {error}", type(error)))
-    return diagnostics, None
-
-
-def _exit_code(error: type[Exception]) -> int:
-    """2 for budget and aliasing errors, 1 for every other config or library error."""
-    return 2 if issubclass(error, (AliasingError, BudgetError)) else 1
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 # -- experiments -----------------------------------------------------------------
@@ -545,19 +551,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command == "run" and args.seed is not None:
             cfg["seed"] = args.seed
-        diagnostics, built = validate_config(cfg)
+        notes, built = validate_config(cfg)
         if args.command == "validate":
-            for text, _ in diagnostics:
-                print(text)
-            if built is None:
-                return _exit_code(diagnostics[-1][1])
+            for note in notes:
+                print(note)
             print("ok")
             return 0
 
-        if built is None:
-            text, error = diagnostics[-1]
-            print(text, file=sys.stderr)
-            return _exit_code(error)
         start = time.time()
         rows, warnings = run_experiment(cfg, built)
         write_outputs(cfg, rows, warnings, Path(args.out_dir), args.format,
@@ -566,12 +566,10 @@ def main(argv=None) -> int:
             print(f"note: {w}")
         print(f"wrote {len(rows)} rows to {args.out_dir}")
         return 0
-    except (SeqentError, KeyError) as exc:  # under validate, only load_config's errors
-        if args.command == "validate":  # on stdout, like every validate diagnostic
-            print(f"ERROR[{type(exc).__name__}]: {exc}")
-        else:
-            print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return _exit_code(type(exc))
+    except SeqentError as exc:  # validate reports on stdout, run on stderr
+        print(f"ERROR[{type(exc).__name__}]: {exc}",
+              file=sys.stdout if args.command == "validate" else sys.stderr)
+        return 2 if isinstance(exc, (AliasingError, BudgetError)) else 1
     except Exception as exc:  # internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -87,7 +87,7 @@ class IntervalExchange:
         """Rotation x -> x + alpha (mod 1) as a 2-interval exchange."""
         alpha = as_fraction(alpha) % 1
         if alpha == 0:
-            return cls.identity()
+            return cls((ONE,), (0,), alias_limit=alias_limit)
         return cls((ONE - alpha, alpha), (1, 0), alias_limit=alias_limit)
 
     def __len__(self):

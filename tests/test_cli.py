@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -132,8 +133,8 @@ class TestRun:
         assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 2
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
-        # a family maker returning None is a program fault, not a config error
-        monkeypatch.setattr("seqent.cli.build_family_maker", lambda spec: lambda j: None)
+        # a family builder returning None is a program fault, not a config error
+        monkeypatch.setitem(seqent.cli.FAMILIES, "progression", lambda spec, j: None)
         path = write_config(tmp_path, {
             "experiment": "entropy-trace",
             "system": {"kind": "bernoulli", "masses": ["1/2", "1/2"]},
@@ -141,6 +142,15 @@ class TestRun:
             "j_values": [2],
         })
         assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 3
+
+    def test_key_error_at_run_time_is_internal(self, tmp_path, capsys, monkeypatch):
+        # a KeyError outside config reading is a program fault, not a config mistake
+        trace = seqent.cli.EXPERIMENTS["entropy-trace"]
+        monkeypatch.setitem(seqent.cli.EXPERIMENTS, "entropy-trace",
+                            dataclasses.replace(trace, run=lambda cfg, **built: {}["rows"]))
+        path = write_config(tmp_path, IDENTITY_TRACE)
+        assert run_cli("run", "--config", path, "--out-dir", str(tmp_path)) == 3
+        assert "internal error: KeyError" in capsys.readouterr().err
 
     def test_unknown_config_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "missing.json"),
@@ -230,8 +240,8 @@ class TestValidate:
             "j_values": [4],
             "depth": 6,
         }
-        diagnostics, built = validate_config(cfg)
-        predicted = int(re.search(r"predicted cut budget (\d+)", diagnostics[0][0]).group(1))
+        notes, built = validate_config(cfg)
+        predicted = int(re.search(r"predicted cut budget (\d+)", notes[0]).group(1))
         deepest = join_partition(built["system"], IntervalPartition.dyadic(6),
                                  built["families"][4].members)
         assert predicted >= len(deepest.cuts) == 301
@@ -253,13 +263,13 @@ class TestValidate:
 
     def test_join_cut_estimate_is_a_union_bound(self):
         # 1..4096 on golden-rotation halves: 8,193 cuts, far inside MAX_JOIN_CUTS
-        diagnostics, built = validate_config({
+        notes, built = validate_config({
             "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
             "partition": {"kind": "dyadic", "depth": 1},
             "family": {"kind": "progression", "L": {"form": "c", "c": 4096}}, "j_values": [1],
         })
         assert built is not None
-        assert diagnostics == [("j=1: predicted cut budget 12289 (ok)", None)]
+        assert notes == ["j=1: predicted cut budget 12289 (ok)"]
 
     def test_join_cut_budget_checked_before_joining(self, tmp_path, capsys):
         # 10^6 powers of a 12-interval exchange: up to 11 * 10^6 + 1 cuts
@@ -319,7 +329,7 @@ class TestValidate:
         assert captured.err == ""
         if not config.startswith("preset:"):  # run reports the same class on stderr
             assert run_cli("run", "--config", config, "--out-dir", str(tmp_path)) == 1
-            assert "error[ConfigError]: " in capsys.readouterr().err
+            assert "ERROR[ConfigError]: " in capsys.readouterr().err
 
     def test_exit_code_follows_error_class_not_message(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "Budget-scan"})
@@ -469,6 +479,35 @@ MISMATCHED_CONFIGS = {
         "partition": {"kind": "dyadic", "depth": 1},
         "family": {"kind": "progression", "L": {"form": "j"}}, "j_values": [],
     },
+    # config objects of the wrong shape: not a JSON object, or missing a key
+    "system-not-an-object": {
+        "experiment": "rigidity-scan", "system": "golden-rotation", "m_cap": 3, "epsilon": 0.02,
+    },
+    "partition-not-an-object": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": ["dyadic"], "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
+    "family-L-not-an-object": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "dyadic", "depth": 1},
+        "family": {"kind": "progression", "L": "j"}, "j_values": [1],
+    },
+    "test-family-not-an-object": {
+        "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 3, "epsilon": 0.02, "test_family": [6],
+    },
+    "set-not-an-object": {
+        "experiment": "triple-correlation", "system": {"kind": "baker"}, "set": 3,
+        "pairs": [[1, 2]],
+    },
+    "iet-without-lengths": {
+        "experiment": "entropy-trace", "system": {"kind": "iet", "permutation": [1, 0]},
+        "partition": {"kind": "dyadic", "depth": 1}, "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
+    "unknown-partition-kind": {
+        "experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+        "partition": {"kind": "thirds"}, "family": EXPLICIT_FAMILY, "j_values": [1],
+    },
 }
 
 
@@ -485,6 +524,19 @@ class TestConfigErrors:
             assert issubclass(getattr(seqent.cli, errors[0]), SeqentError)
             assert "internal error" not in captured.err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name, message", [
+        ("system-not-an-object", 'ERROR[ConfigError]: system must be a JSON object, not '
+                                 '"golden-rotation"'),
+        ("family-L-not-an-object", 'ERROR[ConfigError]: family.L must be a JSON object'),
+        ("iet-without-lengths", "ERROR[ConfigError]: system needs the key 'lengths'"),
+        ("unknown-partition-kind", "ERROR[ConfigError]: unknown partition kind 'thirds'; "
+                                   "choose from ('sources', 'dyadic', "),
+    ])
+    def test_shape_error_names_the_object(self, tmp_path, capsys, name, message):
+        path = write_config(tmp_path, MISMATCHED_CONFIGS[name])
+        assert run_cli("validate", "--config", path) == 1
+        assert capsys.readouterr().out.startswith(message)
 
     def test_ledger_steps_budgeted_by_validate_and_run(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -586,9 +638,9 @@ class TestBudgets:
 class TestOneHomePerRule:
     @pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
     def test_library_raises_the_class_validate_reports(self, name):
-        diagnostics, built = validate_config(MISMATCHED_CONFIGS[name])
-        assert built is None
-        reported = diagnostics[-1][1]
+        with pytest.raises(SeqentError) as error:
+            validate_config(MISMATCHED_CONFIGS[name])
+        reported = type(error.value)
         with pytest.raises(reported) as info:
             LIBRARY_CALLS[name]()
         assert type(info.value) is reported
@@ -666,9 +718,8 @@ class TestEveryKindValidates:
         systems = {spec["kind"] for spec, _ in SYSTEM_KINDS.values()}
         partitions = {extra["partition"]["kind"] for _, extra in SYSTEM_KINDS.values()
                       if "partition" in extra}
-        assert systems == set(SYSTEM_KINDS)
-        assert partitions == {"sources", "dyadic", "cuts", "dyadic-rect", "quadrants",
-                              "vertical-halves", "rects"}
+        assert systems == set(SYSTEM_KINDS) == set(seqent.cli.SYSTEMS)
+        assert partitions == set(seqent.cli.PARTITIONS)
 
     @pytest.mark.parametrize("kind", sorted(SYSTEM_KINDS))
     def test_validates(self, tmp_path, capsys, kind):

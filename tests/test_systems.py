@@ -182,8 +182,13 @@ class TestRotationSpec:
 
     @pytest.mark.parametrize("limit", [0, 1.5, True, "3"])
     def test_alias_limit_is_an_integer_of_at_least_one(self, limit):
-        with pytest.raises(ValidationError):
-            IntervalExchange.rotation(F(1, 3), alias_limit=limit)
+        for alpha in (F(1, 3), 0, 1):  # a whole alpha gives the identity, under the same guard
+            with pytest.raises(ValidationError):
+                IntervalExchange.rotation(alpha, alias_limit=limit)
+
+    def test_identity_rotation_keeps_its_alias_limit(self):
+        assert IntervalExchange.rotation(1, alias_limit=5).alias_limit == 5
+        assert IntervalExchange.rotation(0) == IntervalExchange.identity()
 
     def test_order_is_an_integer(self):
         with pytest.raises(ValidationError):

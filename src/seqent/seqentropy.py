@@ -179,11 +179,11 @@ class McOptions:
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
-    """Miller-Madow corrected plug-in entropy (bits) per row of counts."""
-    counts = np.atleast_2d(counts).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        clogc = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
-    plug = np.log2(n) - clogc.sum(axis=1) / n
+    """Miller-Madow corrected plug-in entropy (bits) per row of counts; c log2 c
+    is read from a float64 table over c = 0 .. max count (0 for c = 0)."""
+    counts = np.atleast_2d(counts)
+    c = np.arange(counts.max() + 1, dtype=np.float64)
+    plug = np.log2(n) - (c * np.log2(np.maximum(c, 1)))[counts].sum(axis=1) / n
     support = (counts > 0).sum(axis=1)
     return plug + (support - 1) / (2.0 * n * LN2)
 

@@ -11,27 +11,29 @@ of coarse sets.
 
 All correlation matrices come from one exact integer kernel,
 :func:`_numerators`, which evaluates the requested times in windows
-[m0, m0 + B) of consecutive powers and returns each window as one stacked
-(B, N, N) array for a family of N sets.  For an interval exchange the sets
-are read from the complete dyadic family of their depth d, so B comes from
-the element budget BLOCK_ENTRIES (B * (2^(d+1) - 1)^2 entries, at least one
-power per window); a single time, and every power of the baker map, is a
-window of one.  For an interval exchange whose lengths have lcm denominator
-Q, every cut, translation and dyadic endpoint of every power is a multiple
-of 1/G, G = Q * 2^d, so the powers are integer arrays
-(:class:`~seqent.systems.IetLattice`).  Time m0 + k is the step power
-T^k, built once per call, composed with T^m0 from one lattice sweep over
-the window starts; one sort of all the gap points of a window (offset by
-k * G), searches for their pieces and cells, and one scatter-add of the
-gap lengths fill the window, whose rows are then summed over the dyadic
-blocks.  Sums of lengths accumulate in float64 while G < 2^53, where every
-sum up to G is exact, else in int64 while every intermediate stays below
-2^62, else in Python integers.  For the baker map a test rectangle is a
-(mask, bits) pair over shift coordinates.  Floats are c / G per entry, in
-numpy while G < 2^53 and by Python's correctly rounded integer division
-above, equal to float(Fraction(c, G)); the distances then run the same
-operations in the same order on every matrix, so they do not depend on the
-window size.  Pair and triple correlations are one exact mass, :func:`_mass`.
+[m0, m0 + B) of consecutive powers and returns each window as one stack, a
+(b, N, N) array with b <= B, for a family of N sets.  For an interval
+exchange the sets are read from the complete dyadic family of their depth d,
+so B comes from the element budget BLOCK_ENTRIES (B * (2^(d+1) - 1)^2
+entries, at least one power per stack); a single time, and every power of
+the baker map, is a stack of one.  For an interval exchange whose lengths
+have lcm denominator Q, every cut, translation and dyadic endpoint of every
+power is a multiple of 1/G, G = Q * 2^d, so the powers are integer arrays
+(:class:`~seqent.systems.IetLattice`).  Windows that follow each other end
+to end make a run, taken in gap sweeps of several stacks: time m0 + k is the
+step power T^k, built once per call, composed with T^m0, which comes from
+one lattice sweep over the run starts; one sort of all the gap points of a
+sweep (offset by k * G) and searches for their pieces and cells place every
+gap, and one scatter-add of its slice of gap lengths fills each stack, whose
+rows are then summed over the dyadic blocks.  Sums of lengths accumulate in
+float64 while G < 2^53, where every sum up to G is exact, else in int64
+while every intermediate stays below 2^62, else in Python integers.  For the
+baker map a test rectangle is a (mask, bits) pair over shift coordinates.
+Floats are c / G per entry, in numpy while G < 2^53 and by Python's
+correctly rounded integer division above, equal to float(Fraction(c, G));
+the distances then run the same operations in the same order on every
+matrix, so they depend on neither the stack nor the sweep size.  Pair and
+triple correlations are one exact mass, :func:`_mass`.
 """
 from __future__ import annotations
 
@@ -200,25 +202,41 @@ class TestFamily:
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
-# Entries of one window of stacked correlation matrices: sets of depth d
-# evaluate about BLOCK_ENTRIES // (2^(d+1) - 1)^2 consecutive powers per window.
-BLOCK_ENTRIES = 2**16
+# Entries of one stack of correlation matrices: sets of depth d evaluate about
+# BLOCK_ENTRIES // (2^(d+1) - 1)^2 consecutive powers per stack.
+BLOCK_ENTRIES = 3 * 2**15
 
 
-def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
+def _sweep_width(gaps: np.ndarray, n: int, B: int, budget: int) -> int:
+    """The powers one gap sweep takes from a run with n powers left: all the
+    powers whose cumulative gap counts ``gaps`` stay within ``budget``, in
+    whole stacks of B unless they end the run, and at least min(B, n)."""
+    W = int(np.count_nonzero(gaps[:n] <= budget))
+    return n if W == n else min(n, max(B, W - W % B))
+
+
+def _iet_blocks(T: IntervalExchange, runs: dict[int, int], B: int, sets):
     """(G, iterator of (m0, C)) for an interval exchange: see :func:`_numerators`.
 
-    Time m0 + k is P_k o V with V = T^m0 from one lattice sweep over the
-    window starts and the step powers P_k = T^k built once.  Every gap between
-    V's cuts, the cell edges and the V-preimages of P_k's cuts and of
-    P_k^-1(edges) lies in one piece of P_k o V and one cell, and maps into one
-    cell; the offsets k * G put all k of a window in one sorted array.  One
-    scatter-add puts each gap's length in window k, in the row of its image
-    cell and the column of every set holding its own cell, of the complete
-    dyadic family of depth d: interval (l, k) is row and column 2^l - 1 + k,
-    and cell c lies in the sets (l, c >> (d - l)).  The rows are then summed
-    over each set by halving them level by level.  Any other family is read
-    from the complete one by taking its rows and columns.
+    The run of powers m0 .. m0 + n - 1 (``runs[m0] = n``) is taken in gap
+    sweeps of up to W powers (:func:`_sweep_width`): the gaps of a sweep, with
+    their (depth + 1) columns each, would fill at most the image rows of one
+    stack (B * D * N entries, and no more than BLOCK_ENTRIES), so powers with
+    thousands of pieces fall back to sweeps of B powers.  Time m0 + k of a
+    sweep is P_k o V: V = T^m0 comes from one lattice sweep over the run
+    starts, or is P_W o V of the sweep before, and the step powers P_k = T^k
+    are built once, for k up to sqrt(BLOCK_ENTRIES / pieces) at most, since
+    they have up to k * pieces cuts each.  Every gap between V's cuts, the
+    cell edges and the V-preimages of P_k's cuts and of P_k^-1(edges) lies in
+    one piece of P_k o V and one cell, and maps into one cell; the offsets
+    k * G put all k of a sweep in one sorted array, where the gaps of power k
+    are one slice.  A stack of B powers takes the slices of its powers: one
+    scatter-add puts each gap's length in the stack's matrix k, in the row of
+    its image cell and the column of every set holding its own cell, of the
+    complete dyadic family of depth d: interval (l, k) is row and column
+    2^l - 1 + k, and cell c lies in the sets (l, c >> (d - l)).  The rows are
+    then summed over each set by halving them level by level.  Any other
+    family is read from the complete one by taking its rows and columns.
     """
     depth = max(s.level for s in sets)
     D, N = 1 << depth, (2 << depth) - 1
@@ -226,44 +244,68 @@ def _iet_blocks(T: IntervalExchange, starts: list[int], width: int, sets):
     pick = None if pick == list(range(N)) else pick  # read C-contiguous, as the sums need
     levels = np.arange(depth + 1)
     members = (1 << levels) - 1 + (np.arange(D)[:, None] >> (depth - levels))  # [cell, level]
+    budget = min(B * D * N, BLOCK_ENTRIES) // (depth + 1)  # gaps of one sweep
+    most = min(max(runs.values()),  # powers of one sweep, each with 2D + 2 gaps or more
+               max(B, min(budget // (2 * D + 2), math.isqrt(BLOCK_ENTRIES // len(T)))))
     lattice = IetLattice.of(T).scaled(D)
-    G, dtype = lattice.Q, int_dtype(lattice.Q * width)
+    G, dtype = lattice.Q, int_dtype(lattice.Q * most)
     lattice = IetLattice(G, lattice.cuts.astype(dtype), lattice.trans.astype(dtype))
     acc = np.float64 if G < 2**53 else dtype  # float64 sums of lengths up to G are exact
-    # over k * D + cell: the flat offsets of its image's row and of its sets' columns
+    width, unit = min(B, most), G >> depth  # matrices of the largest stack; cell length
+    # over k * D + cell, k < B: the flat offsets of its image's row and of its sets' columns
     row_offset = ((np.arange(width)[:, None] * N + np.arange(D - 1, N)) * N).ravel()
     columns = np.tile(members, (width, 1))
     R = np.zeros((width, N, N), dtype=acc)  # [k, image cell or set, set], reused
-    edges = np.array([c * (G >> depth) for c in range(D)], dtype=dtype)  # cells' left ends
-    shifts = np.arange(width, dtype=dtype) * G
-    cells = (edges + shifts[:, None]).ravel()
-    end = np.array([width * G], dtype=dtype)
-    steps = [P for _, P in lattice.powers(range(width))]
-    step_cuts = np.concatenate([P.cuts + s for P, s in zip(steps, shifts)])
-    step_trans = np.concatenate([P.trans for P in steps])
-    marks = [np.concatenate((P.cuts, P.inverse.apply(edges))) for P in steps]
+    edges = np.arange(D, dtype=dtype) * unit  # cells' left ends
+    shifts = np.arange(most, dtype=dtype) * G
+    steps = [P for _, P in lattice.powers(range(most + 1))]  # P_W o V starts a further sweep
+    sizes = np.cumsum([len(P.cuts) for P in steps[:most]])  # cuts of P_0 .. P_k
+    step_cuts = np.concatenate([P.cuts + s for P, s in zip(steps[:most], shifts)])
+    step_trans = np.concatenate([P.trans for P in steps[:most]])
+    marks = [np.concatenate((P.cuts, P.inverse.apply(edges))) for P in steps[:most]]
     mark_shifts = np.repeat(shifts, [len(y) for y in marks])
     marks = np.concatenate(marks)
 
-    def block(V: IetLattice) -> np.ndarray:
-        x = np.sort(np.concatenate(((np.concatenate((V.cuts, edges)) + shifts[:, None]).ravel(),
-                                    V.inverse.apply(marks) + mark_shifts, end)), kind="stable")
-        left = x[:-1]
-        pieces = np.searchsorted((V.cuts + shifts[:, None]).ravel(), left, side="right") - 1
-        y = left + V.trans[pieces % len(V.cuts)]
-        z = y + step_trans[np.searchsorted(step_cuts, y, side="right") - 1]
-        src = np.searchsorted(cells, left, side="right") - 1  # k * D + cell
-        dst = np.searchsorted(cells, z, side="right") - 1
-        index = (row_offset[dst][:, None] + columns[src]).ravel()
-        lengths = np.repeat(np.diff(x).astype(acc), depth + 1)
-        R[:, D - 1:] = 0  # the rows of image cells; the others are overwritten
-        np.add.at(R.reshape(-1), index, lengths)
-        for level in range(depth - 1, -1, -1):
-            first, mid = (1 << level) - 1, (2 << level) - 1
-            np.add(R[:, mid:2 * mid + 1:2], R[:, mid + 1:2 * mid + 2:2], out=R[:, first:mid])
-        return R if pick is None else np.take(np.take(R, pick, axis=1), pick, axis=2)
+    def cell(x: np.ndarray) -> np.ndarray:
+        """k % B * D + c for the points x in cell c of power k: their place in a stack."""
+        return (x // unit % (B * D)).astype(np.intp, copy=False)
 
-    return G, ((m0, block(V)) for m0, V in lattice.powers(starts))
+    def sweep(V: IetLattice, m0: int, W: int):
+        cut = int(sizes[W - 1])  # the cuts of P_k, k < W; their marks add D each
+        x = np.sort(np.concatenate(((np.concatenate((V.cuts, edges)) + shifts[:W, None]).ravel(),
+                                    V.inverse.apply(marks[:cut + W * D])
+                                    + mark_shifts[:cut + W * D], [W * G])), kind="stable")
+        pieces = np.searchsorted((V.cuts + shifts[:W, None]).ravel(), x[:-1], side="right") - 1
+        z = x[:-1] + V.trans[pieces % len(V.cuts)]
+        z += step_trans[np.searchsorted(step_cuts[:cut], z, side="right") - 1]
+        rows, src = row_offset[cell(z)], cell(x[:-1])
+        lengths = np.diff(x).astype(acc)
+        bounds = [*np.searchsorted(x, shifts[:W:B]).tolist(), len(lengths)]  # stacks' gaps
+        del x, pieces, z  # the stacks keep what they read
+        for k0, a, b in zip(range(0, W, B), bounds, bounds[1:]):
+            stack = R[:min(B, W - k0)]
+            stack[:, D - 1:] = 0  # the rows of image cells; the others are overwritten
+            index = (rows[a:b, None] + columns[src[a:b]]).ravel()
+            np.add.at(R.reshape(-1), index, np.repeat(lengths[a:b], depth + 1))
+            for level in range(depth - 1, -1, -1):
+                first, mid = (1 << level) - 1, (2 << level) - 1
+                np.add(stack[:, mid:2 * mid + 1:2], stack[:, mid + 1:2 * mid + 2:2],
+                       out=stack[:, first:mid])
+            yield m0 + k0, (stack if pick is None
+                            else np.take(np.take(stack, pick, axis=1), pick, axis=2))
+
+    def blocks():
+        for m0, V in lattice.powers(runs):
+            n = runs[m0]
+            while n:  # gaps of the powers up to k: V's cuts, the edges and P_k's marks
+                gaps = np.arange(1, most + 1) * (len(V.cuts) + 2 * D) + sizes
+                W = _sweep_width(gaps, n, B, budget)
+                yield from sweep(V, m0, W)
+                m0, n = m0 + W, n - W
+                if n:
+                    V = steps[W].compose(V)
+
+    return G, blocks()
 
 
 def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
@@ -273,7 +315,7 @@ def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
 
 
 def _baker_blocks(times: list[int], sets):
-    """(G, iterator of (m, C)) for the baker map, one power per window, with
+    """(G, iterator of (m, C)) for the baker map, one power per stack, with
     C[0] = 4^level * mu(S^-m A intersect B) for shift cylinders: A shifted by
     m and B are consistent iff their bits agree where both masks are set, and
     then the measure is 2^-(number of bits fixed by either)."""
@@ -305,13 +347,17 @@ def _numerators(T, ms, sets):
     for k < len(C), covering every requested m.
 
     For an interval exchange the times are taken in windows of B =
-    BLOCK_ENTRIES // N^2 consecutive powers for the N = 2^(d+1) - 1 sets the
-    kernel evaluates, at least one and at most sqrt(BLOCK_ENTRIES / pieces),
-    since the step powers T^k, k < B, have up to B^2 * pieces cuts; with unit
-    Q and sets of depth d, G = Q * 2^d.
-    For the baker map the sets are shift cylinders and each window is one
+    BLOCK_ENTRIES // N^2 consecutive powers from a requested time, for the
+    N = 2^(d+1) - 1 sets the kernel evaluates, at least one and at most
+    sqrt(BLOCK_ENTRIES / pieces), since the step powers T^k, k < B, have up
+    to B^2 * pieces cuts; each window is one stack C, up to its last
+    requested time, so a list of times at least B apart evaluates only those
+    powers.  Windows that follow each other end to end form a run, whose
+    gaps are sorted in sweeps of several stacks (:func:`_iet_blocks`); with
+    unit Q and sets of depth d, G = Q * 2^d.
+    For the baker map the sets are shift cylinders and each stack is one
     power.  Entries are exact integers, in float64 for an interval exchange
-    while G < 2^53, else of :func:`int_dtype`.  A window may be a reused
+    while G < 2^53, else of :func:`int_dtype`.  A stack may be a reused
     buffer, valid until the next.
     """
     check_sets(T, sets)
@@ -325,13 +371,13 @@ def _numerators(T, ms, sets):
     check_test_pairs(N, f"test sets of the complete dyadic family of depth {depth}, which an "
                         f"interval exchange evaluates for sets of level up to {depth},")
     B = max(1, min(BLOCK_ENTRIES // N**2, math.isqrt(BLOCK_ENTRIES // len(T))))
-    starts, width = [], 1  # windows [m0, m0 + B) over the times; width: largest offset + 1
+    runs = []  # [m0, n]: the powers m0 .. m0 + n - 1, windows of B from m0 end to end
     for m in times:
-        if starts and m < starts[-1] + B:
-            width = max(width, m - starts[-1] + 1)
+        if runs and (m == sum(runs[-1]) or m < runs[-1][0] + -(-runs[-1][1] // B) * B):
+            runs[-1][1] = m - runs[-1][0] + 1  # the next power, or one in the last window
         else:
-            starts.append(m)
-    return _iet_blocks(T, starts, width, sets)
+            runs.append([m, 1])
+    return _iet_blocks(T, dict(runs), B, sets)
 
 
 def _floats(G: int, C: np.ndarray) -> np.ndarray:
@@ -396,7 +442,7 @@ def _targets(family: TestFamily, mode: str) -> np.ndarray:
 
 def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) -> list[float]:
     """The weighted sigma-normalized deviation of T^m's float correlation matrix
-    from ``targets`` for each m in ``ms``, one window of stacked matrices at a time."""
+    from ``targets`` for each m in ``ms``, one stack of matrices at a time."""
     w = family.pair_weight_matrix()
     s = family.sigmas()
     scale = np.outer(s, s)
@@ -409,9 +455,9 @@ def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) ->
         np.abs(c, out=c)
         np.divide(c, scale, out=c)
         np.multiply(w, c, out=c)
-        for k, dev in enumerate(c):  # one sum per matrix: numpy's row-wise order
-            values[m0 + k] = float(dev.sum())  # over a stack differs for short rows
-        del C, c  # free this window before the next one is built
+        # one pairwise sum per matrix, each over its own contiguous row of the stack
+        values.update(zip(range(m0, m0 + len(c)), c.reshape(len(c), -1).sum(axis=1).tolist()))
+        del C, c  # free this stack before the next one is built
     return [values[m] for m in ms]  # integers: _numerators checked them
 
 

@@ -19,9 +19,9 @@ from seqent import (BudgetError, IntervalExchange, IntervalPartition, Probabilit
                     RectangleExchange, ValidationError)
 from seqent.segments import SegmentSet
 from seqent.seqentropy import (
+    LN2,
     SAMPLE_BITS,
     JoinResult,
-    _entropy_from_counts,
     _image,
     _merge,
     check_ledger_steps,
@@ -231,6 +231,17 @@ def scan_apply(T, pt):
     return pt[0] + dx, pt[1] + dy
 
 
+def formula_entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """Miller-Madow corrected plug-in entropy (bits) per row of counts, with
+    c log2 c evaluated on every entry of the float64 count matrix."""
+    counts = np.atleast_2d(counts).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clogc = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
+    plug = np.log2(n) - clogc.sum(axis=1) / n
+    support = (counts > 0).sum(axis=1)
+    return plug + (support - 1) / (2.0 * n * LN2)
+
+
 def fraction_mc_join_entropy(T, xi, family, n_samples: int, seed: int,
                              n_bootstrap: int = 200) -> JoinResult:
     """Monte Carlo join entropy with one ``Fraction`` point per sample, moved
@@ -251,10 +262,10 @@ def fraction_mc_join_entropy(T, xi, family, n_samples: int, seed: int,
                 label[time_index[t]] = scan_label_at(xi, pt)
         counter[tuple(label)] += 1
     counts = np.array(sorted(counter.values(), reverse=True), dtype=np.int64)
-    estimate = 0.0 if len(counts) == 1 else float(_entropy_from_counts(counts, n_samples)[0])
+    estimate = 0.0 if len(counts) == 1 else float(formula_entropy_from_counts(counts, n_samples)[0])
     nprng = np.random.default_rng(seed)
     boot_counts = nprng.multinomial(n_samples, counts / n_samples, size=n_bootstrap)
-    boot = _entropy_from_counts(boot_counts, n_samples)
+    boot = formula_entropy_from_counts(boot_counts, n_samples)
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return JoinResult(
         entropy_bits=estimate,

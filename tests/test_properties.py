@@ -34,15 +34,16 @@ from seqent import (
 from seqent.cli import estimate_join_cuts
 from seqent.core import check_tiling
 from seqent.errors import MAX_TILING_CELLS
-from seqent.seqentropy import _coded_join, _merge, join_partition
+from seqent.seqentropy import _coded_join, _entropy_from_counts, _merge, join_partition
 from seqent.systems import RectLattice, golden_rotation, interior_discontinuity_segments, powers_of
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import _numerators, _scan_distances, correlation_matrix
+from seqent.weaklimits import _numerators, _scan_distances, _targets, correlation_matrix
 
 from oracles import (
     cylinder_measure,
+    formula_entropy_from_counts,
     fraction_join,
     fraction_power,
     iet_correlation,
@@ -112,9 +113,12 @@ def test_correlation_matrix_matches_fraction_oracle(T, m, family):
 
 @st.composite
 def scan_times(draw, far=40):
-    """Unsorted times with repeats and negative values, and a few far ones
-    that leave gaps wider than any window."""
+    """Unsorted times with repeats and negative values, a run of up to 12
+    consecutive ones (which spans several stacks of a gap sweep), and a few
+    far ones that leave gaps wider than any stack."""
     near = draw(st.lists(TIMES, min_size=1, max_size=10))
+    first = draw(TIMES)
+    near += list(range(first, first + draw(st.integers(0, 12))))
     times = near + draw(st.lists(st.integers(-far, far), max_size=2)) + near[:draw(
         st.integers(0, 2))]
     return draw(st.permutations(times))
@@ -133,18 +137,33 @@ def windows_of(width: int, family):
 
 
 def check_blocked_kernel(T, times, family, width):
-    """Every window's numerators and every scan distance equal the oracle's."""
+    """Every stack's numerators and every scan distance equal the oracle's;
+    returns the kernel's stacks as (m0, number of powers)."""
     oracle = {m: oracle_correlation_matrix(T, m, family) for m in times}
     with windows_of(width, family):
         G, blocks = _numerators(T, times, family.sets)
-        seen = {}
-        for m0, C in blocks:  # a window is valid until the next one
+        seen, stacks = {}, []
+        for m0, C in blocks:  # a stack is valid until the next one
+            stacks.append((m0, len(C)))
             for k, matrix in enumerate(C):
                 seen[m0 + k] = [[Fraction(int(v), G) for v in row] for row in matrix]
         assert all(seen[m] == oracle[m] for m in times)
         for mode in ("theta", "identity"):
             assert _scan_distances(T, times, family, mode) == [
                 oracle_distance(oracle[m], family, mode) for m in times]
+    return stacks
+
+
+def sweep_widths(monkeypatch) -> list[int]:
+    """The powers of each gap sweep the interval-exchange kernel takes from now on."""
+    widths, sweep_width = [], weaklimits._sweep_width
+
+    def spy(*args):
+        widths.append(sweep_width(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(weaklimits, "_sweep_width", spy)
+    return widths
 
 
 @st.composite
@@ -162,6 +181,61 @@ def wide_iets(draw):
        interval_families(), st.integers(1, 5))
 def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
     check_blocked_kernel(T, times, family, width)
+
+
+def test_one_gap_sweep_spans_stacks_and_ends_on_a_partial_one(monkeypatch):
+    # depth 4 in stacks of B = 2: the five powers' gaps fit one sweep
+    widths = sweep_widths(monkeypatch)
+    stacks = check_blocked_kernel(golden_rotation().to_iet(), list(range(5)),
+                                  Family.dyadic_intervals(4), 2)
+    assert stacks == [(0, 2), (2, 2), (4, 1)]
+    assert widths[0] == 5
+
+
+def test_strided_times_take_one_power_per_stack(monkeypatch):
+    # a stride of at least B: no power between two requested times is evaluated
+    widths = sweep_widths(monkeypatch)
+    times = list(range(-9, 40, 3))
+    stacks = check_blocked_kernel(THREE_IET, times, Family.dyadic_intervals(2), 3)
+    assert sorted(stacks) == [(m, 1) for m in times]
+    assert set(widths) == {1}
+
+
+def test_powers_of_many_pieces_fall_back_to_sweeps_of_one_stack(monkeypatch):
+    # T^60 of a 4-IET has over a hundred pieces: no sweep holds more than B = 2 powers
+    T = IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(3, 11), Fraction(93, 385)),
+                         (3, 2, 1, 0))
+    assert len(powers_of(T, [60])[60]) > 100
+    widths = sweep_widths(monkeypatch)
+    stacks = check_blocked_kernel(T, list(range(60, 65)), Family.dyadic_intervals(2), 2)
+    assert stacks == [(60, 2), (62, 2), (64, 1)]
+    assert widths[:3] == [2, 2, 1]
+
+
+def test_identity_target_holds_one_matrix():
+    family = Family.dyadic_intervals(6)
+    target = _targets(family, "identity")
+    assert target.base.size == len(family) ** 2
+
+
+@SETTINGS
+@given(st.integers(1, 9).flatmap(lambda w: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(0, 10**4)), min_size=w, max_size=w),
+    min_size=1, max_size=6)), st.integers(1, 10**5), st.booleans())
+def test_entropy_table_matches_the_count_formula(rows, n, one_row):
+    counts = np.array(rows[0] if one_row else rows, dtype=np.int64)
+    assert (_entropy_from_counts(counts, n).tobytes()
+            == formula_entropy_from_counts(counts, n).tobytes())
+
+
+def test_entropy_table_matches_the_count_formula_on_a_bootstrap():
+    # rows as long as a high-support Monte Carlo join's, zeros included
+    rng = np.random.default_rng(5)
+    p = rng.random(3000)
+    counts = rng.multinomial(10**4, p / p.sum(), size=40)
+    assert (counts == 0).any()
+    assert (_entropy_from_counts(counts, 10**4).tobytes()
+            == formula_entropy_from_counts(counts, 10**4).tobytes())
 
 
 @SETTINGS

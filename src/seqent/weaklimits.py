@@ -34,6 +34,15 @@ correctly rounded integer division above, equal to float(Fraction(c, G));
 the distances then run the same operations in the same order on every
 matrix, so they depend on neither the stack nor the sweep size.  Pair and
 triple correlations are one exact mass, :func:`_mass`.
+
+Scans and distances of a rotation (an interval exchange whose translations
+are all congruent mod 1, the identity included) take a closed form instead,
+:func:`_rotation_distances`: T^m is one shift m * rho mod G, and a matrix
+entry depends only on the two sets' levels and on the difference of their
+left ends, so each distinct entry is evaluated once per power, with no
+lattice power, and laid out over the matrix only to be summed.  Its cost
+does not depend on m, it holds no dense target, weight or scale matrix,
+and its distances are identical to the kernel's.
 """
 from __future__ import annotations
 
@@ -43,6 +52,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ONE, ZERO, IntervalPartition, as_fraction, as_integer, as_real
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
@@ -215,6 +225,16 @@ def _sweep_width(gaps: np.ndarray, n: int, B: int, budget: int) -> int:
     return n if W == n else min(n, max(B, W - W % B))
 
 
+def _family_reader(sets, N: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Reads the sets' rows and columns, in their order and C-contiguous (as
+    the sums need), from a stack of the complete dyadic family's N x N
+    matrices, where interval (l, k) is row and column 2^l - 1 + k."""
+    pick = [(1 << s.level) - 1 + s.k for s in sets]
+    if pick == list(range(N)):
+        return lambda stack: stack
+    return lambda stack: np.take(np.take(stack, pick, axis=1), pick, axis=2)
+
+
 def _iet_blocks(T: IntervalExchange, runs: dict[int, int], B: int, sets):
     """(G, iterator of (m0, C)) for an interval exchange: see :func:`_numerators`.
 
@@ -236,12 +256,11 @@ def _iet_blocks(T: IntervalExchange, runs: dict[int, int], B: int, sets):
     complete dyadic family of depth d: interval (l, k) is row and column
     2^l - 1 + k, and cell c lies in the sets (l, c >> (d - l)).  The rows are
     then summed over each set by halving them level by level.  Any other
-    family is read from the complete one by taking its rows and columns.
+    family is read from the complete one (:func:`_family_reader`).
     """
     depth = max(s.level for s in sets)
     D, N = 1 << depth, (2 << depth) - 1
-    pick = [(1 << s.level) - 1 + s.k for s in sets]  # the family's rows and columns,
-    pick = None if pick == list(range(N)) else pick  # read C-contiguous, as the sums need
+    read = _family_reader(sets, N)
     levels = np.arange(depth + 1)
     members = (1 << levels) - 1 + (np.arange(D)[:, None] >> (depth - levels))  # [cell, level]
     budget = min(B * D * N, BLOCK_ENTRIES) // (depth + 1)  # gaps of one sweep
@@ -291,8 +310,7 @@ def _iet_blocks(T: IntervalExchange, runs: dict[int, int], B: int, sets):
                 first, mid = (1 << level) - 1, (2 << level) - 1
                 np.add(stack[:, mid:2 * mid + 1:2], stack[:, mid + 1:2 * mid + 2:2],
                        out=stack[:, first:mid])
-            yield m0 + k0, (stack if pick is None
-                            else np.take(np.take(stack, pick, axis=1), pick, axis=2))
+            yield m0 + k0, read(stack)
 
     def blocks():
         for m0, V in lattice.powers(runs):
@@ -342,6 +360,23 @@ def _baker_blocks(times: list[int], sets):
     return 2**top, ((m, block(m)) for m in times)
 
 
+def _checked_times(T, ms, sets) -> list[int]:
+    """The distinct times ``ms``, sorted, once T and the sets have an exact
+    path, every time is an integer within the power budget, and the pairs
+    each power evaluates are within MAX_TEST_PAIRS: all before any work."""
+    check_sets(T, sets)
+    times = sorted({as_integer(m, "time") for m in ms})
+    check_powers(T, times)
+    if isinstance(T, BakerMap):
+        check_test_pairs(len(sets), "test sets")
+    else:
+        depth = max(s.level for s in sets)
+        check_test_pairs(2 ** (min(depth, 62) + 1) - 1,  # (any depth past 62 is over)
+                         f"test sets of the complete dyadic family of depth {depth}, which an "
+                         f"interval exchange evaluates for sets of level up to {depth},")
+    return times
+
+
 def _numerators(T, ms, sets):
     """(G, iterator of (m0, C)) with C[k, a, b] = G * mu(T^-(m0+k) A_a intersect A_b)
     for k < len(C), covering every requested m.
@@ -360,16 +395,10 @@ def _numerators(T, ms, sets):
     while G < 2^53, else of :func:`int_dtype`.  A stack may be a reused
     buffer, valid until the next.
     """
-    check_sets(T, sets)
-    times = sorted({as_integer(m, "time") for m in ms})
-    check_powers(T, times)
+    times = _checked_times(T, ms, sets)
     if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
-        check_test_pairs(len(sets), "test sets")
         return _baker_blocks(times, sets)
-    depth = max(s.level for s in sets)
-    N = 2 ** (min(depth, 62) + 1) - 1  # (any depth past 62 is over)
-    check_test_pairs(N, f"test sets of the complete dyadic family of depth {depth}, which an "
-                        f"interval exchange evaluates for sets of level up to {depth},")
+    N = (2 << max(s.level for s in sets)) - 1
     B = max(1, min(BLOCK_ENTRIES // N**2, math.isqrt(BLOCK_ENTRIES // len(T))))
     runs = []  # [m0, n]: the powers m0 .. m0 + n - 1, windows of B from m0 end to end
     for m in times:
@@ -440,6 +469,15 @@ def _targets(family: TestFamily, mode: str) -> np.ndarray:
     return _floats(G, next(blocks)[1])[0]
 
 
+def _deviations(c: np.ndarray, targets, scale, weight) -> np.ndarray:
+    """weight * |c - targets| / scale in place, the same operations in the same
+    order on every entry, whichever path gives the correlations c."""
+    np.subtract(c, targets, out=c)
+    np.abs(c, out=c)
+    np.divide(c, scale, out=c)
+    return np.multiply(weight, c, out=c)
+
+
 def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) -> list[float]:
     """The weighted sigma-normalized deviation of T^m's float correlation matrix
     from ``targets`` for each m in ``ms``, one stack of matrices at a time."""
@@ -450,15 +488,82 @@ def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) ->
     G, blocks = _numerators(T, ms, family.sets)
     values = {}
     for m0, C in blocks:
-        c = _floats(G, C)
-        np.subtract(c, targets, out=c)
-        np.abs(c, out=c)
-        np.divide(c, scale, out=c)
-        np.multiply(w, c, out=c)
+        c = _deviations(_floats(G, C), targets, scale, w)
         # one pairwise sum per matrix, each over its own contiguous row of the stack
         values.update(zip(range(m0, m0 + len(c)), c.reshape(len(c), -1).sum(axis=1).tolist()))
         del C, c  # free this stack before the next one is built
     return [values[m] for m in ms]  # integers: _numerators checked them
+
+
+def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFamily,
+                        mode: str) -> list[float]:
+    """:func:`_distances` to ``mode``'s targets for T: x -> x + rho/Q mod 1, in
+    closed form, with the same checks as :func:`_numerators` first.
+
+    With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and
+    G * mu(T^-m A_a intersect A_b) is the overlap of the arcs A_b and A_a - r
+    of the circle of length G.  It depends only on the levels of the two sets
+    and on the class (u_a - u_b) / (G / 2^l) mod 2^l of their left ends u,
+    l = max(l_a, l_b); so do the target, sigma_a * sigma_b and the pair weight.
+    A stack of B powers evaluates the overlap, c / G and the distance chain
+    of _distances once per class, then lays the values out over each power's
+    N x N matrix: the block of a level pair is a strided view of its class
+    values doubled (value i mod 2^l at i < 2^(l+1)).  Each matrix is summed
+    as _distances sums it, so every distance is identical to the kernel's.
+    """
+    sets = family.sets
+    times = _checked_times(T, ms, sets)
+    depth = max(s.level for s in sets)
+    N, G, dtype = (2 << depth) - 1, Q << depth, int_dtype(Q << depth)
+    mu = np.ldexp(1.0, -np.arange(depth + 1))  # measure and weight of a set of each level
+    sigma = np.sqrt(mu * (1.0 - mu))
+    la, lb = np.divmod(np.arange((depth + 1) ** 2), depth + 1)  # the level pairs, la major
+    counts = 1 << np.maximum(la, lb)  # classes of each level pair
+    first = np.cumsum(counts) - counts
+    lengths = np.array([G >> l for l in range(depth + 1)], dtype=dtype)
+    A_len, B_len = np.repeat(lengths[la], counts), np.repeat(lengths[lb], counts)
+    j = np.arange(counts.sum()) - np.repeat(first, counts)  # class, within its level pair
+    lefts = j.astype(dtype) * np.minimum(A_len, B_len)  # u_a - u_b mod G
+
+    def overlaps(r: np.ndarray) -> np.ndarray:
+        """The numerators of every class for the shifts r, a (b, 1) column."""
+        d = (lefts - r) % G  # A_a - r starts d after A_b
+        end = d + A_len
+        return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
+
+    theta = mu[la] * mu[lb]  # per level pair, as the scale and the weight
+    scale = sigma[la] * sigma[lb]
+    scale[scale == 0] = np.inf
+    # a family's pair weights sum exactly in float64, so this is the sum _distances divides by
+    weight = theta / math.fsum(mu[s.level] for s in sets) ** 2
+    targets = (np.repeat(theta, counts) if mode == "theta"
+               else _floats(G, overlaps(np.zeros((1, 1), dtype=dtype)))[0])
+    scale, weight = np.repeat(scale, counts), np.repeat(weight, counts)
+
+    width = min(max(1, BLOCK_ENTRIES // N**2), len(times))
+    index = np.concatenate([f + np.arange(2 * n) % n for f, n in zip(first, counts)])
+    doubled, R = np.empty((width, len(index))), np.empty((width, N, N))  # reused per stack
+    copies, at = [], 0  # (block of a level pair in R, its view of the doubled class values)
+    for a, b, n in zip(la.tolist(), lb.tolist(), counts.tolist()):
+        window = sliding_window_view(doubled[:, at:at + 2 * n], n, axis=1)  # [., i, t]: i + t
+        s = n >> min(a, b)  # entry (p, q) of the block is class p - s*q, or s*p - q if a < b
+        copies.append((R[:, (1 << a) - 1:(2 << a) - 1, (1 << b) - 1:(2 << b) - 1],
+                       window[:, n:0:-s].transpose(0, 2, 1) if a >= b else window[:, 1::s, ::-1]))
+        at += 2 * n
+    read, shift, distances = _family_reader(sets, N), rho << depth, {}
+    for i in range(0, len(times), width):
+        ms_stack = times[i:i + width]
+        if len(ms_stack) < width:  # the last stack: the rows of its powers, in every buffer
+            doubled, R = doubled[:len(ms_stack)], R[:len(ms_stack)]
+            copies = [(block[:len(ms_stack)], view[:len(ms_stack)]) for block, view in copies]
+        r = np.array([m * shift % G for m in ms_stack], dtype=dtype)[:, None]
+        np.take(_deviations(_floats(G, overlaps(r)), targets, scale, weight), index, axis=1,
+                out=doubled)
+        for block, view in copies:
+            block[...] = view
+        stack = read(R)
+        distances.update(zip(ms_stack, stack.reshape(len(stack), -1).sum(axis=1).tolist()))
+    return [distances[m] for m in ms]
 
 
 def dist_to_theta(T, m: int, family: TestFamily) -> float:
@@ -522,6 +627,14 @@ class ScanReport:
 
 
 def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list[float]:
+    """The distances to ``mode``'s targets: in closed form for an interval
+    exchange whose lattice translations are all congruent mod Q (a rotation,
+    the identity included), else from the kernel."""
+    if isinstance(T, IntervalExchange):
+        lattice = IetLattice.of(T)
+        shifts = set((lattice.trans % lattice.Q).tolist())
+        if len(shifts) == 1:
+            return _rotation_distances(T, lattice.Q, shifts.pop(), ms, family, mode)
     return _distances(T, ms, family, _targets(family, mode))
 
 
@@ -538,10 +651,13 @@ def _scan(T, ms: range, family: TestFamily, mode: str,
 
 
 def scan_times(T, first: int, m_cap: int) -> range:
-    """The scanned times first..m_cap; ValidationError if there are none.  Both
-    ends pass :func:`check_powers` first, so a range beyond the power budget
-    (or an interval exchange's aliasing guard) is rejected at once, never walked."""
+    """The scanned times first..m_cap; ValidationError if they start below 1
+    or there are none.  Both ends pass :func:`check_powers` first, so a range
+    beyond the power budget (or an interval exchange's aliasing guard) is
+    rejected at once, never walked."""
     first, m_cap = as_integer(first, "first scanned time"), as_integer(m_cap, "m_cap")
+    if first < 1:
+        raise ValidationError(f"scanned times start at m = 1 or later, not at m = {first}")
     if m_cap < first:
         raise ValidationError(f"m_cap {m_cap} leaves no time to scan from m = {first}")
     check_powers(T, [first, m_cap])
@@ -549,8 +665,8 @@ def scan_times(T, first: int, m_cap: int) -> range:
 
 
 def mixing_time_scan(T, j: int, r: float, m_cap: int, family: TestFamily) -> ScanReport:
-    """Scan m in (j, m_cap] for the first m with dist-to-Theta above r, a
-    finite real (:func:`~seqent.core.as_real`, checked before any time)."""
+    """Scan m in (j, m_cap], j >= 0, for the first m with dist-to-Theta above
+    r, a finite real (:func:`~seqent.core.as_real`, checked before any time)."""
     r = as_real(r, "r")
     return _scan(T, scan_times(T, as_integer(j, "j") + 1, m_cap), family, "theta", lambda v: v > r)
 

@@ -8,6 +8,8 @@ shares no code with the integer-lattice kernels of ``seqent.systems``,
 replaced, kept as slower references on the same integer rows:
 :func:`mask_apply` and :func:`reimaging_boundary_growth` (which shares
 ``seqentropy._image`` and ``_merge`` with the first-return ledger).
+:func:`blocked_distances` runs the general weak-limit kernel, the reference
+for the closed-form rotation path.
 """
 import random
 from collections import Counter
@@ -29,6 +31,7 @@ from seqent.seqentropy import (
     check_sample_bits,
 )
 from seqent.systems import RectLattice, interior_discontinuity_segments, lattice_ints
+from seqent.weaklimits import _distances, _targets
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -180,6 +183,12 @@ def oracle_distance(corr, family, mode: str) -> float:
     ss = np.outer(s, s)
     dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
     return float((w * dev).sum())
+
+
+def blocked_distances(T, ms, family, mode: str) -> list:
+    """The weak distances to ``mode``'s targets from the blocked lattice kernel
+    (``weaklimits._numerators``), the path of every exchange but a rotation."""
+    return _distances(T, ms, family, _targets(family, mode))
 
 
 def _overlap(a, b) -> Fraction:

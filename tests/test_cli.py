@@ -383,6 +383,11 @@ MISMATCHED_CONFIGS = {
         "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
         "m_cap": 3, "j": 5, "r": 0.05,
     },
+    # the scanned times m = j + 1 .. m_cap start at 1 or later
+    "mixing-scan-with-negative-j": {
+        "experiment": "mixing-scan", "system": {"kind": "golden-rotation"},
+        "m_cap": 2, "j": -3, "r": 0.05, "test_family": {"depth": 3},
+    },
     "rigidity-scan-with-m_cap-0": {
         "experiment": "rigidity-scan", "system": {"kind": "golden-rotation"},
         "m_cap": 0, "epsilon": 0.02,
@@ -578,6 +583,8 @@ LIBRARY_CALLS = {
     "mc-entropy-with-float-x_depth": lambda: RectanglePartition.dyadic(1.0, 1),
     "mixing-scan-with-boolean-j":
         lambda: mixing_time_scan(GOLDEN, True, 0.05, 3, Family.dyadic_intervals(6)),
+    "mixing-scan-with-negative-j":
+        lambda: mixing_time_scan(GOLDEN, -3, 0.05, 2, Family.dyadic_intervals(3)),
     "entropy-trace-with-boolean-c": lambda: resolve_growth("cj", 2, True),
     "triple-correlation-with-equal-times":
         lambda: triple_correlation(BakerMap(), Dyadic2D(1, 0, 0, 0), 2, 2),

@@ -5,6 +5,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ from seqent.weaklimits import TestSet2D as Dyadic2D
 from seqent.weaklimits import _numerators, _scan_distances, _targets, correlation_matrix
 
 from oracles import (
+    blocked_distances,
     cylinder_measure,
     formula_entropy_from_counts,
     fraction_join,
@@ -181,6 +183,48 @@ def wide_iets(draw):
        interval_families(), st.integers(1, 5))
 def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
     check_blocked_kernel(T, times, family, width)
+
+
+@st.composite
+def cyclic_shifts(draw):
+    """3 or 4 intervals, interval i moved to place i + s mod n: a rotation."""
+    n = draw(st.integers(3, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    s = draw(st.integers(1, n - 1))
+    return IntervalExchange(tuple(Fraction(w, sum(weights)) for w in weights),
+                            tuple((i + s) % n for i in range(n)))
+
+
+def rational_rotations(q):
+    """x -> x + p/q mod 1 over denominators q drawn by ``q``; p = 0 is the identity."""
+    return q.flatmap(lambda q: st.integers(0, q - 1).map(
+        lambda p: IntervalExchange.rotation(Fraction(p, q))))
+
+
+@st.composite
+def interval_families_to_depth_6(draw):
+    """A complete dyadic family of depth 0..6, or the full space plus up to
+    eight dyadic intervals of level <= 6, repeats allowed."""
+    if draw(st.booleans()):
+        return Family.dyadic_intervals(draw(st.integers(0, 6)))
+    return Family((Dyadic1D(0, 0), *draw(st.lists(dyadic_intervals(6), max_size=8))))
+
+
+@SETTINGS
+@given(st.one_of(rational_rotations(st.integers(1, 10**4)), cyclic_shifts(),
+                 rational_rotations(st.integers(2**48, 2**62))),
+       scan_times(), interval_families_to_depth_6(), st.integers(1, 5))
+@example(IntervalExchange.identity(), [0, -3, 2], Family.dyadic_intervals(6), 2)
+@example(IntervalExchange.rotation(Fraction(2**50 + 1, 2**51 + 3)), [-5, 0, 1, 2, 9],
+         Family.dyadic_intervals(4), 3)  # G = Q * 2^4 past 2^53: int64 numerators
+@example(IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), [-1, 0, 1, 7],
+         Family.dyadic_intervals(3), 1)  # G past 2^62: Python integers
+def test_rotation_distances_equal_the_blocked_kernel(T, times, family, width):
+    with windows_of(width, family):
+        want = {mode: blocked_distances(T, times, family, mode) for mode in ("theta", "identity")}
+        with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
+            for mode in ("theta", "identity"):
+                assert _scan_distances(T, times, family, mode) == want[mode]
 
 
 def test_one_gap_sweep_spans_stacks_and_ends_on_a_partial_one(monkeypatch):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,6 +287,63 @@ class TestScans:
             rigidity_scan(ROT, 0, 0.01, FAM4)
 
 
+T4 = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+T3 = IntervalExchange((F(1, 3), F(1, 5), F(7, 15)), (2, 0, 1))
+
+
+class TestRotationPath:
+    def test_rotations_need_no_kernel_and_no_dense_targets(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rotation scan built a kernel stack or dense targets")
+
+        monkeypatch.setattr(weaklimits, "_numerators", refuse)
+        monkeypatch.setattr(weaklimits, "_targets", refuse)
+        fam = Family.dyadic_intervals(6)
+        for T in (golden_rotation().to_iet(), T3, IntervalExchange.identity()):
+            assert len(rigidity_scan(T, 30, 0.02, fam).values) == 30
+            assert len(mixing_time_scan(T, 0, 0.05, 30, fam).values) == 30
+            assert dist_to_theta(T, -4, fam) >= 0 and dist_to_identity(T, 0, fam) == 0
+
+    def test_other_exchanges_use_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = weaklimits._numerators
+        monkeypatch.setattr(weaklimits, "_numerators", lambda *a: calls.append(a) or kernel(*a))
+        dist_to_theta(T4, 3, FAM4)
+        assert calls and calls[0][0] is T4
+
+    @pytest.mark.parametrize("args, error, message", [
+        ((7, FAM2D), ValidationError, "must be TestSet1D"),
+        ((1.5, FAM4), ValidationError, "time must be an integer"),
+        ((MAX_POWER + 1, FAM4), BudgetError, "exceeds MAX_POWER"),
+        ((3, Family((Dyadic1D(0, 0), Dyadic1D(12, 5)))), BudgetError,
+         "8191 test sets of the complete dyadic family of depth 12"),
+    ], ids=["2d-sets", "float-time", "power-budget", "sparse-depth-12"])
+    def test_rotation_checks_as_the_kernel_does(self, args, error, message):
+        m, fam = args
+        raised = []
+        for T in (T3, T4):  # a rotation, then an exchange the kernel evaluates
+            with pytest.raises(error, match=message) as info:
+                dist_to_theta(T, m, fam)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+    def test_depth_11_scans_peak_below_250_mb(self):
+        # the stack of one 4095 x 4095 float64 matrix is 134 MB; a dense target, weight or
+        # scale matrix of the same size would take the scan past 250 MB
+        code = ("import resource\n"
+                "from seqent import golden_rotation, mixing_time_scan, rigidity_scan\n"
+                "from seqent.weaklimits import TestFamily\n"
+                "T, fam = golden_rotation().to_iet(), TestFamily.dyadic_intervals(11)\n"
+                "rigidity_scan(T, 3, 0.02, fam)\n"
+                "mixing_time_scan(T, 0, 0.05, 3, fam)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = os.path.dirname(os.path.dirname(weaklimits.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) / 1024 <= 250
+
+
 class TestFamilyBudget:
     def test_deepest_families_within_budget(self):
         assert len(Family.dyadic_intervals(11)) ** 2 <= 2**24
@@ -376,6 +436,15 @@ class TestSetsFitTheSystem:
         assert triple_times(ROT, 1, 2) == (0, 1, 2)
         with pytest.raises(ValidationError):
             triple_times(BakerMap(), 2, 2)
+
+    def test_scanned_times_start_at_one(self):
+        # j = -3 would scan m = -2..2 and report -2 as the minimal mixing time
+        for j in (-3, -1):
+            with pytest.raises(ValidationError, match="start at m = 1 or later"):
+                mixing_time_scan(golden_rotation().to_iet(), j, 0.05, 2, Family.dyadic_intervals(3))
+        with pytest.raises(ValidationError):
+            scan_times(BakerMap(), 0, 5)
+        assert mixing_time_scan(ROT, 0, 0.05, 2, FAM4).values[0][0] == 1
 
     def test_power_budget_checked_before_scan_times_are_listed(self):
         # 10**12 scanned powers of an exchange are rejected by their ends, never listed

@@ -189,10 +189,11 @@ def _require(cfg: dict, field: str):
 
 
 def estimate_join_cuts(system: IntervalExchange, partition, family: IndexFamily) -> int:
-    """Upper bound on the cut points of an interval exchange's exact join: the
-    discontinuities of the powers T^-p, p <= M, are nested, so all of them lie
-    among the at most M(n-1)+1 cuts of T^-M; each power adds at most one
-    preimage per cut of the partition."""
+    """Upper bound on the cut points of an interval exchange's exact join: every
+    interior cut of T^-p is T^s of one of the n-1 interior cuts of T^-1 with
+    s < p, so the cuts of all powers T^-p, p <= M, lie among 0 and those M(n-1)
+    points (a rotation's T^-M has one interior cut, the union M); each power
+    adds at most one preimage per cut of the partition."""
     return max(family.members) * (len(system) - 1) + 1 + len(family) * len(partition.cuts)
 
 

@@ -14,7 +14,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import mpmath
 import numpy as np
@@ -93,16 +93,17 @@ class ProbabilityVector:
 
 
 def shannon_entropy(p: ProbabilityVector) -> float:
-    """Shannon entropy in bits, with the 0*log(0) = 0 convention.
+    """Shannon entropy in bits (0*log(0) = 0), summed over the distinct masses
+    in sorted order, so it does not depend on the order of the atoms."""
+    return entropy_of_groups(sorted(Counter(p.entries).items()))
 
-    The sum is evaluated over the *distinct* mass values (grouped by
-    multiplicity) in sorted order, so the result is independent of the
-    order in which atoms were produced.
-    """
-    groups = Counter(p.entries)
+
+def entropy_of_groups(groups: Iterable[tuple[Fraction, int]]) -> float:
+    """-sum(count * m * log2(m)) over (mass m, count) pairs in the given order,
+    at ENTROPY_PRECISION bits; :func:`shannon_entropy` passes its masses sorted."""
     with mpmath.workprec(ENTROPY_PRECISION):
         total = mpmath.mpf(0)
-        for mass, count in sorted(groups.items()):
+        for mass, count in groups:
             if mass == 0:
                 continue
             x = mpmath.mpf(mass.numerator) / mass.denominator

@@ -29,7 +29,7 @@ from .core import (
     ProbabilityVector,
     RectanglePartition,
     as_integer,
-    shannon_entropy,
+    entropy_of_groups,
 )
 from .errors import (
     BudgetError,
@@ -128,8 +128,12 @@ def _coded_join(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int]
 
 
 def _exact_result(masses: np.ndarray, Q: int, partition: IntervalPartition | None) -> JoinResult:
+    """Its entropy sums the reduced masses of equal numerators in ascending
+    order, as :func:`~seqent.core.shannon_entropy` of its measures does."""
     measures = ProbabilityVector.from_numerators(masses.tolist(), Q)
-    return JoinResult(shannon_entropy(measures), len(measures), "exact", measures, partition)
+    values, counts = np.unique(masses, return_counts=True)
+    entropy = entropy_of_groups((Fraction(v, Q), c) for v, c in zip(values.tolist(), counts.tolist()))
+    return JoinResult(entropy, len(measures), "exact", measures, partition)
 
 
 def join_partition(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],

@@ -176,11 +176,19 @@ class IetLattice:
         keep[1:] = trans[1:] != trans[:-1]
         return IetLattice(self.Q, cuts[keep], trans[keep])
 
+    @cached_property
+    def shift(self) -> int | None:
+        """rho when every translation is congruent to rho mod Q, so that the map
+        is the rotation x -> x + rho mod Q (the identity when rho = 0), else None."""
+        shifts = set((self.trans % self.Q).tolist())
+        return shifts.pop() if len(shifts) == 1 else None
+
     def powers(self, times: Iterable[int]) -> Iterator[tuple[int, "IetLattice"]]:
         """(t, self^t) for each distinct t: 0 first, then one increasing
-        sweep per sign.  Each step composes the previous power with the
-        repeated squares of the base that make up the gap, so consecutive
-        times cost one composition each and a gap g costs O(log g)."""
+        sweep per sign.  A rotation's power (:attr:`shift`) is one shift,
+        built in O(1) at any t; otherwise each step composes the previous
+        power with the repeated squares of the base that make up the gap, so
+        consecutive times cost one composition each and a gap g costs O(log g)."""
         times = set(times)
         zero = np.zeros(1, dtype=self.cuts.dtype)
         identity = IetLattice(self.Q, zero, zero)
@@ -191,15 +199,27 @@ class IetLattice:
             squares = [self if sign > 0 else self.inverse]  # base^(2^j)
             cur, k = identity, 0
             for target in sorted(abs(t) for t in times if t * sign > 0):
-                gap, j = target - k, 0
-                while gap:
-                    if j == len(squares):
-                        squares.append(squares[-1].compose(squares[-1]))
-                    if gap & 1:
-                        cur = squares[j].compose(cur)
-                    gap, j = gap >> 1, j + 1
+                if self.shift is not None:
+                    cur = self._rotation(r) if (r := sign * target * self.shift % self.Q) else identity
+                else:
+                    gap, j = target - k, 0
+                    while gap:
+                        if j == len(squares):
+                            squares.append(squares[-1].compose(squares[-1]))
+                        if gap & 1:
+                            cur = squares[j].compose(cur)
+                        gap, j = gap >> 1, j + 1
                 k = target
                 yield sign * target, cur
+
+    def _rotation(self, r: int) -> "IetLattice":
+        """The shift by r mod Q, 0 < r < Q, as composition leaves it: [0, Q - r)
+        moved by r and [Q - r, Q) by r - Q; its inverse is the shift by Q - r."""
+        power, inverse = (IetLattice(self.Q, np.array([0, self.Q - a], dtype=self.cuts.dtype),
+                                     np.array([a, a - self.Q], dtype=self.cuts.dtype))
+                          for a in (r, self.Q - r))
+        vars(power)["inverse"] = inverse
+        return power
 
     def to_iet(self, alias_limit: int | None) -> IntervalExchange:
         lengths = np.diff(np.append(self.cuts, self.Q))

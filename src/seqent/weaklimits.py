@@ -527,7 +527,8 @@ def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFami
 
     def overlaps(r: np.ndarray) -> np.ndarray:
         """The numerators of every class for the shifts r, a (b, 1) column."""
-        d = (lefts - r) % G  # A_a - r starts d after A_b
+        d = lefts - r  # A_a - r starts d mod G after A_b; both terms lie in [0, G)
+        d = np.where(d < 0, d + G, d)
         end = d + A_len
         return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
 
@@ -632,9 +633,8 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list
     the identity included), else from the kernel."""
     if isinstance(T, IntervalExchange):
         lattice = IetLattice.of(T)
-        shifts = set((lattice.trans % lattice.Q).tolist())
-        if len(shifts) == 1:
-            return _rotation_distances(T, lattice.Q, shifts.pop(), ms, family, mode)
+        if lattice.shift is not None:
+            return _rotation_distances(T, lattice.Q, lattice.shift, ms, family, mode)
     return _distances(T, ms, family, _targets(family, mode))
 
 

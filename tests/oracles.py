@@ -9,7 +9,9 @@ replaced, kept as slower references on the same integer rows:
 :func:`mask_apply` and :func:`reimaging_boundary_growth` (which shares
 ``seqentropy._image`` and ``_merge`` with the first-return ledger).
 :func:`blocked_distances` runs the general weak-limit kernel, the reference
-for the closed-form rotation path.
+for the closed-form rotation path, and :func:`composed_power` composes
+lattice maps one step at a time, the reference for closed-form rotation
+powers.
 """
 import random
 from collections import Counter
@@ -30,7 +32,7 @@ from seqent.seqentropy import (
     check_partition,
     check_sample_bits,
 )
-from seqent.systems import RectLattice, interior_discontinuity_segments, lattice_ints
+from seqent.systems import IetLattice, RectLattice, interior_discontinuity_segments, lattice_ints
 from seqent.weaklimits import _distances, _targets
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -183,6 +185,16 @@ def oracle_distance(corr, family, mode: str) -> float:
     ss = np.outer(s, s)
     dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
     return float((w * dev).sum())
+
+
+def composed_power(lattice: IetLattice, t: int) -> IetLattice:
+    """lattice^t by |t| compositions (``IetLattice.compose``) of the base
+    map, or of its inverse, with the identity of the lattice's dtype."""
+    zero = np.zeros(1, dtype=lattice.cuts.dtype)
+    power, base = IetLattice(lattice.Q, zero, zero), lattice if t > 0 else lattice.inverse
+    for _ in range(abs(t)):
+        power = base.compose(power)
+    return power
 
 
 def blocked_distances(T, ms, family, mode: str) -> list:

@@ -4,6 +4,7 @@ of joins."""
 import contextlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +29,7 @@ from seqent import (
     join_for,
     make_progression_family,
     partition_measures,
+    seqentropy,
     shannon_entropy,
     triple_correlation,
     weaklimits,
@@ -35,8 +37,10 @@ from seqent import (
 from seqent.cli import estimate_join_cuts
 from seqent.core import check_tiling
 from seqent.errors import MAX_TILING_CELLS
-from seqent.seqentropy import _coded_join, _entropy_from_counts, _merge, join_partition
-from seqent.systems import RectLattice, golden_rotation, interior_discontinuity_segments, powers_of
+from seqent.core import ProbabilityVector
+from seqent.seqentropy import _coded_join, _entropy_from_counts, _exact_result, _merge, join_partition
+from seqent.systems import (IetLattice, RectLattice, golden_rotation, int_dtype,
+                            interior_discontinuity_segments, powers_of)
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
@@ -44,6 +48,7 @@ from seqent.weaklimits import _numerators, _scan_distances, _targets, correlatio
 
 from oracles import (
     blocked_distances,
+    composed_power,
     cylinder_measure,
     formula_entropy_from_counts,
     fraction_join,
@@ -225,6 +230,26 @@ def test_rotation_distances_equal_the_blocked_kernel(T, times, family, width):
         with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
             for mode in ("theta", "identity"):
                 assert _scan_distances(T, times, family, mode) == want[mode]
+
+
+@SETTINGS
+@given(st.one_of(rational_rotations(st.integers(1, 10**4)), cyclic_shifts(),
+                 rational_rotations(st.integers(2**48, 2**64))),
+       st.lists(TIMES, min_size=1, max_size=6))
+@example(IntervalExchange.identity(), [0, -3, 5, 0])
+@example(IntervalExchange.rotation(Fraction(2**62 + 1, 2**63 + 5)), [-2, 0, 3, 3])  # object tier
+def test_closed_form_rotation_powers_equal_composed_ones(T, times):
+    lattice = IetLattice.of(T)
+    assert lattice.shift is not None
+    with mock.patch.object(IetLattice, "compose", side_effect=AssertionError("composed")):
+        powers = list(lattice.powers(times))
+    assert [t for t, _ in powers] == sorted(set(times), key=lambda t: (t != 0, t < 0, abs(t)))
+    for t, U in powers:
+        want = composed_power(lattice, t)
+        for got, ref in ((U, want), (U.inverse, want.inverse)):
+            assert got.cuts.dtype == ref.cuts.dtype == got.trans.dtype == ref.trans.dtype
+            assert got.cuts.tolist() == ref.cuts.tolist()
+            assert got.trans.tolist() == ref.trans.tolist()
 
 
 def test_one_gap_sweep_spans_stacks_and_ends_on_a_partial_one(monkeypatch):
@@ -411,6 +436,48 @@ def test_join_cut_estimate_bounds_the_join(T, xi, times, signs):
     family = explicit_family(sorted(times))
     join = join_partition(T, xi, family.members, signs=signs)
     assert estimate_join_cuts(T, xi, family) >= len(join.cuts)
+
+
+def test_join_cut_estimate_counts_every_power_of_a_rotation():
+    """T^-M of a rotation has one interior cut, but T^-1 .. T^-M have M
+    distinct ones, T^s of T^-1's cut for s < M: the estimate counts all M."""
+    T, M, xi = golden_rotation().to_iet(), 12, IntervalPartition.halves()
+    powers = dict(IetLattice.of(T).powers(range(-M, 0)))
+    union = set().union(*(U.cuts.tolist() for U in powers.values()))
+    assert len(powers[-M].cuts) == 2 < len(union) == M * (len(T) - 1) + 1
+    family = make_progression_family(1, M)
+    assert len(union) < len(join_partition(T, xi, family.members).cuts) <= estimate_join_cuts(
+        T, xi, family)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12)
+       | st.lists(st.integers(1, 2**85), min_size=1, max_size=6).map(lambda v: v + v[:2]),
+       st.integers(1, 2**90))
+@example([3, 3, 6, 1], 2**81)
+def test_join_entropy_from_integer_masses_matches_shannon_entropy(numerators, factor):
+    """Numerators with a shared factor, over Q up to past 2^80: the 80-bit sum
+    reads each distinct mass reduced, with its count, in ascending order, as
+    shannon_entropy reads them (an unreduced mass past 2^80 rounds to other
+    80-bit values), so the floats are identical."""
+    masses = [n * factor for n in numerators]
+    Q = sum(masses)
+    vector = ProbabilityVector.from_numerators(masses, Q)
+    read = []
+    with mock.patch.object(seqentropy, "entropy_of_groups",
+                           side_effect=lambda groups: read.extend(groups) or 0.0):
+        _exact_result(np.array(masses, dtype=int_dtype(Q)), Q, None)
+    assert [(m.numerator, m.denominator, c) for m, c in read] == [
+        (m.numerator, m.denominator, c) for m, c in sorted(Counter(vector.entries).items())]
+    got = _exact_result(np.array(masses, dtype=int_dtype(Q)), Q, None).entropy_bits
+    assert got == shannon_entropy(vector)
+
+
+@SETTINGS
+@given(iets(), interval_partitions(), st.sets(st.integers(1, 12), min_size=1, max_size=5))
+def test_join_entropy_is_the_shannon_entropy_of_its_measures(T, xi, times):
+    result = join_for(T, xi, explicit_family(times))
+    assert result.entropy_bits == shannon_entropy(result.measures)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from seqent.seqentropy import (
     partition_library,
 )
 from seqent.errors import MAX_LEDGER_STEPS
-from seqent.systems import discontinuity_length, interior_discontinuity_segments
+from seqent.systems import IetLattice, discontinuity_length, interior_discontinuity_segments
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import mixing_time_scan
 
@@ -122,6 +123,16 @@ class TestExactJoin:
             tracemalloc.stop()
         assert peak < 30 * 2**20
         assert h == 0.0031429214983889047  # the value the label tuples gave
+
+    def test_rotation_join_composes_no_power(self):
+        family, xi = make_progression_family(1, 64), IntervalPartition.dyadic(2)
+        with mock.patch.object(IetLattice, "shift", None):  # every power by composition
+            composed = exact_join(golden_iet(), xi, family)
+        four = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+        with mock.patch.object(IetLattice, "compose", side_effect=AssertionError("composed")):
+            assert exact_join(golden_iet(), xi, family) == composed
+            with pytest.raises(AssertionError, match="composed"):
+                exact_join(four, xi, family)
 
     def test_atom_count_polynomial_bound(self):
         T = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))

@@ -122,8 +122,10 @@ def _coded_join(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int]
     np.add.at(masses, atom, np.diff(cuts, append=Q))
     if not decode:
         return masses, Q, None
-    table = np.fromiter(xi.labels, dtype=object, count=len(xi.labels))  # row by row: a small peak
-    labels = tuple(tuple(table[row].tolist()) for row in np.stack(gaps, axis=1))
+    table = np.fromiter(xi.labels, dtype=object, count=len(xi.labels))
+    rows, step = np.stack(gaps, axis=1), max(1, 2**14 // len(gaps))  # blocks of rows: a small peak
+    labels = tuple(label for lo in range(0, len(rows), step)
+                   for label in map(tuple, table[rows[lo:lo + step]].tolist()))
     return masses, Q, IntervalPartition.from_lattice(cuts.tolist(), Q, labels)
 
 

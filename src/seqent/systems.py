@@ -178,8 +178,7 @@ class IetLattice:
 
     @cached_property
     def shift(self) -> int | None:
-        """rho when every translation is congruent to rho mod Q, so that the map
-        is the rotation x -> x + rho mod Q (the identity when rho = 0), else None."""
+        """rho if every translation is rho mod Q (x -> x + rho mod Q, a rotation), else None."""
         shifts = set((self.trans % self.Q).tolist())
         return shifts.pop() if len(shifts) == 1 else None
 

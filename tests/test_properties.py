@@ -473,13 +473,6 @@ def test_join_entropy_from_integer_masses_matches_shannon_entropy(numerators, fa
     assert got == shannon_entropy(vector)
 
 
-@SETTINGS
-@given(iets(), interval_partitions(), st.sets(st.integers(1, 12), min_size=1, max_size=5))
-def test_join_entropy_is_the_shannon_entropy_of_its_measures(T, xi, times):
-    result = join_for(T, xi, explicit_family(times))
-    assert result.entropy_bits == shannon_entropy(result.measures)
-
-
 @st.composite
 def product_rotations(draw):
     def angle():

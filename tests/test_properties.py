@@ -35,9 +35,8 @@ from seqent import (
     weaklimits,
 )
 from seqent.cli import estimate_join_cuts
-from seqent.core import check_tiling
+from seqent.core import ProbabilityVector, check_tiling
 from seqent.errors import MAX_TILING_CELLS
-from seqent.core import ProbabilityVector
 from seqent.seqentropy import _coded_join, _entropy_from_counts, _exact_result, _merge, join_partition
 from seqent.systems import (IetLattice, RectLattice, golden_rotation, int_dtype,
                             interior_discontinuity_segments, powers_of)

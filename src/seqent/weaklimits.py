@@ -29,20 +29,18 @@ rows are then summed over the dyadic blocks.  Sums of lengths accumulate in
 float64 while G < 2^53, where every sum up to G is exact, else in int64
 while every intermediate stays below 2^62, else in Python integers.  For the
 baker map a test rectangle is a (mask, bits) pair over shift coordinates.
-Floats are c / G per entry, in numpy while G < 2^53 and by Python's
-correctly rounded integer division above, equal to float(Fraction(c, G));
-the distances then run the same operations in the same order on every
-matrix, so they depend on neither the stack nor the sweep size.  Pair and
-triple correlations are one exact mass, :func:`_mass`.
+Pair and triple correlations are one exact mass, :func:`_mass`.
 
-Scans and distances of a rotation (an interval exchange whose translations
-are all congruent mod 1, the identity included) take a closed form instead,
-:func:`_rotation_distances`: T^m is one shift m * rho mod G, and a matrix
-entry depends only on the two sets' levels and on the difference of their
-left ends, so each distinct entry is evaluated once per power, with no
-lattice power, and laid out over the matrix only to be summed.  Its cost
-does not depend on m, it holds no dense target, weight or scale matrix,
-and its distances are identical to the kernel's.
+Every distance is one formula.  A pair's weight, sigma_a * sigma_b and
+Theta target depend only on the levels of its sets (a set of level l has
+measure 2^-l), so d(m) = sum over level pairs lp of c_lp * S_lp(m): S_lp is
+the exact integer sum of |K_lp * C_ab - t_ab| over the family's pairs of that
+level pair, C = G * mu(T^-m A_a intersect A_b), and c_lp = w_lp / (sigma_a *
+sigma_b * K_lp * G) is one float.  The kernel's and the baker map's stacks
+become S in place (:func:`_distances`); a rotation sums each class of equal
+entries once per power (:func:`_rotation_distances`).  One float step,
+:func:`_combine`, turns S into distances, so the paths agree bit for bit
+because their sums are exact.
 """
 from __future__ import annotations
 
@@ -52,7 +50,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ONE, ZERO, IntervalPartition, as_fraction, as_integer, as_real
 from .errors import MAX_TEST_PAIRS, BudgetError, ValidationError
@@ -166,10 +163,12 @@ class TestFamily:
     sets: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "sets", tuple(self.sets))
         if not self.sets:
             raise ValidationError("test family must be nonempty")
-        levels = [s.level for s in self.sets]
-        if min(levels) != 0:
+        if {type(s) for s in self.sets} not in ({TestSet1D}, {TestSet2D}):
+            raise ValidationError("test family members must be all TestSet1D or all TestSet2D")
+        if min(s.level for s in self.sets) != 0:
             raise ValidationError("test family must include the full space")
 
     @classmethod
@@ -197,18 +196,6 @@ class TestFamily:
     def __len__(self):
         return len(self.sets)
 
-    def pair_weight_matrix(self) -> np.ndarray:
-        w = np.array([2.0 ** -s.level for s in self.sets])
-        mat = np.outer(w, w)
-        return mat / mat.sum()
-
-    def measures(self) -> tuple[Fraction, ...]:
-        return tuple(s.measure for s in self.sets)
-
-    def sigmas(self) -> np.ndarray:
-        mu = np.array([float(m) for m in self.measures()])
-        return np.sqrt(mu * (1.0 - mu))
-
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
@@ -226,9 +213,9 @@ def _sweep_width(gaps: np.ndarray, n: int, B: int, budget: int) -> int:
 
 
 def _family_reader(sets, N: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Reads the sets' rows and columns, in their order and C-contiguous (as
-    the sums need), from a stack of the complete dyadic family's N x N
-    matrices, where interval (l, k) is row and column 2^l - 1 + k."""
+    """Reads the sets' rows and columns, in their order, from a stack of the
+    complete dyadic family's N x N matrices, where interval (l, k) is row and
+    column 2^l - 1 + k."""
     pick = [(1 << s.level) - 1 + s.k for s in sets]
     if pick == list(range(N)):
         return lambda stack: stack
@@ -367,9 +354,8 @@ def _checked_times(T, ms, sets) -> list[int]:
     check_sets(T, sets)
     times = sorted({as_integer(m, "time") for m in ms})
     check_powers(T, times)
-    if isinstance(T, BakerMap):
-        check_test_pairs(len(sets), "test sets")
-    else:
+    check_test_pairs(len(sets), "test sets")  # a family may repeat sets
+    if isinstance(T, IntervalExchange):
         depth = max(s.level for s in sets)
         check_test_pairs(2 ** (min(depth, 62) + 1) - 1,  # (any depth past 62 is over)
                          f"test sets of the complete dyadic family of depth {depth}, which an "
@@ -407,14 +393,6 @@ def _numerators(T, ms, sets):
         else:
             runs.append([m, 1])
     return _iet_blocks(T, dict(runs), B, sets)
-
-
-def _floats(G: int, C: np.ndarray) -> np.ndarray:
-    """C / G rounded per entry exactly as float(Fraction(c, G)); a float64 C
-    is divided in place."""
-    if G < 2**53:  # both operands exact in float64: one correctly rounded division
-        return np.divide(C, G, out=C if C.dtype == np.float64 else None)
-    return (C.astype(object) / G).astype(float)
 
 
 def _mass(T, pairs) -> Fraction:
@@ -459,112 +437,133 @@ def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
 # -- weak distances ---------------------------------------------------------------
 
 
-def _targets(family: TestFamily, mode: str) -> np.ndarray:
-    if mode == "theta":
-        mu = np.array([float(m) for m in family.measures()])
-        return np.outer(mu, mu)
-    identity = (IntervalExchange.identity() if isinstance(family.sets[0], TestSet1D)
-                else BakerMap())
-    G, blocks = _numerators(identity, [0], family.sets)
-    return _floats(G, next(blocks)[1])[0]
+def _sum_dtype(bound: int):
+    """float64 while every integer up to ``bound`` is exact in it, else :func:`int_dtype`."""
+    return np.float64 if bound < 2**53 else int_dtype(bound)
 
 
-def _deviations(c: np.ndarray, targets, scale, weight) -> np.ndarray:
-    """weight * |c - targets| / scale in place, the same operations in the same
-    order on every entry, whichever path gives the correlations c."""
-    np.subtract(c, targets, out=c)
-    np.abs(c, out=c)
-    np.divide(c, scale, out=c)
-    return np.multiply(weight, c, out=c)
+def _coefficients(sets, G: int, D: int | None) -> np.ndarray:
+    """c_lp over the pairs of the sets' levels, ascending, l_a major: w_lp = mu_a
+    mu_b / (sum of the sets' measures)^2, K_lp = 2^(l_a + l_b) if D is None
+    (Theta), else D, and 0 for a level-0 set (sigma 0)."""
+    levels = np.unique([s.level for s in sets])
+    mu = np.ldexp(1.0, -levels)
+    sigma = np.sqrt(mu * (1.0 - mu))
+    KG = np.ldexp(float(G), levels[:, None] + levels) if D is None else float(D * G)
+    scale = np.outer(sigma, sigma) * KG
+    weight = np.outer(mu, mu) / math.fsum(2.0 ** -s.level for s in sets) ** 2
+    return np.divide(weight, scale, out=np.zeros_like(weight), where=scale > 0).ravel()
 
 
-def _distances(T, ms: Sequence[int], family: TestFamily, targets: np.ndarray) -> list[float]:
-    """The weighted sigma-normalized deviation of T^m's float correlation matrix
-    from ``targets`` for each m in ``ms``, one stack of matrices at a time."""
-    w = family.pair_weight_matrix()
-    s = family.sigmas()
-    scale = np.outer(s, s)
-    scale[scale == 0] = np.inf  # x / inf = 0: a set of zero variance contributes no deviation
-    G, blocks = _numerators(T, ms, family.sets)
+def _combine(S: np.ndarray, c: np.ndarray) -> list[float]:
+    """sum_lp c_lp * S_lp for each row of exact sums ``S``: each S_lp rounded once,
+    then one pairwise sum per row, whatever path, stack or dtype gave S."""
+    return (S.reshape(len(S), -1).astype(float) * c).sum(axis=1).tolist()
+
+
+def _target(T, sets, mode, G: int) -> tuple[int, np.ndarray]:
+    """(D, t) for ``mode``'s target Z over the sets, "identity" (T^0's matrix)
+    or an :class:`AdmissibleSpec` Q (Q(T)'s): D is the lcm of the denominators
+    of G * Z and t = D * G * Z, from the kernel, whose G is T's at every power."""
+    if mode == "identity":
+        return 1, next(_numerators(T, [0], sets)[1])[1][0]
+    depth, a = max(s.level for s in sets), mode.theta_weight
+    D = math.lcm(a.denominator, *(c.denominator for _, c in mode.terms)) << 2 * depth
+    e = np.array([1 << depth - s.level for s in sets], dtype=object)  # 4^d mu_a mu_b = e_a e_b
+    t = np.outer(e, e) * (G * int(D * a) >> 2 * depth)
+    for power, coeff in mode.terms:
+        C = next(_numerators(T, [power], sets)[1])[1][0]
+        t += int(D * coeff) * C.astype(int_dtype(G)).astype(object)
+    g = math.gcd(D, *t.ravel().tolist())
+    return D // g, t // g
+
+
+def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
+    """The weak distances of T^m, m in ``ms``, to ``mode``'s target ("theta",
+    "identity" or an :class:`AdmissibleSpec`) from the kernel's stacks C of the
+    sets sorted by level: S = |K * C - t|, K = 2^(l_a + l_b) and t = G for
+    Theta (else D and t of :func:`_target`), is summed over each level's rows,
+    then columns."""
+    sets = sorted(family.sets, key=lambda s: s.level)  # each level's rows and columns together
+    level = np.array([s.level for s in sets])
+    levels, starts = np.unique(level, return_index=True)
+    G, blocks = _numerators(T, ms, sets)
+    D, t = (None, G) if mode == "theta" else _target(T, sets, mode, G)
+    # n^2 times the largest |K * C - t|: K * C <= G * 2^min(l_a, l_b) for Theta
+    dtype = _sum_dtype(len(sets) ** 2 * G * (D or 1 << int(levels[-1])))
+    k = np.array([1 << int(l) for l in level])  # Theta's K = k_a * k_b
+    rows, columns, t = (k[:, None], k, G) if D is None else (D, 1, t.astype(dtype))
+    c = _coefficients(sets, G, D)
     values = {}
     for m0, C in blocks:
-        c = _deviations(_floats(G, C), targets, scale, w)
-        # one pairwise sum per matrix, each over its own contiguous row of the stack
-        values.update(zip(range(m0, m0 + len(c)), c.reshape(len(c), -1).sum(axis=1).tolist()))
-        del C, c  # free this stack before the next one is built
+        S = C.astype(dtype, copy=False)  # a reused stack is overwritten by the next
+        S *= rows
+        S *= columns
+        S -= t
+        np.abs(S, out=S)
+        S = np.add.reduceat(np.add.reduceat(S, starts, axis=1), starts, axis=2)
+        values.update(zip(range(m0, m0 + len(S)), _combine(S, c)))
     return [values[m] for m in ms]  # integers: _numerators checked them
 
 
 def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFamily,
                         mode: str) -> list[float]:
-    """:func:`_distances` to ``mode``'s targets for T: x -> x + rho/Q mod 1, in
+    """:func:`_distances` to ``mode``'s target for T: x -> x + rho/Q mod 1, in
     closed form, with the same checks as :func:`_numerators` first.
 
-    With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and
-    G * mu(T^-m A_a intersect A_b) is the overlap of the arcs A_b and A_a - r
-    of the circle of length G.  It depends only on the levels of the two sets
-    and on the class (u_a - u_b) / (G / 2^l) mod 2^l of their left ends u,
-    l = max(l_a, l_b); so do the target, sigma_a * sigma_b and the pair weight.
-    A stack of B powers evaluates the overlap, c / G and the distance chain
-    of _distances once per class, then lays the values out over each power's
-    N x N matrix: the block of a level pair is a strided view of its class
-    values doubled (value i mod 2^l at i < 2^(l+1)).  Each matrix is summed
-    as _distances sums it, so every distance is identical to the kernel's.
+    With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and C_ab is the
+    overlap of the arcs A_b and A_a - r of the circle of length G.  It depends
+    only on the two levels and on the class (u_a - u_b) / (G / 2^l) mod 2^l of
+    the left ends u, l = max(l_a, l_b), so S_lp sums |K * C - t| once per
+    class the family holds, times its pairs in the class: 2^min(l_a, l_b) in a
+    complete family, else one bincount over the family's pairs.
     """
-    sets = family.sets
+    sets = sorted(family.sets, key=lambda s: s.level)
     times = _checked_times(T, ms, sets)
-    depth = max(s.level for s in sets)
-    N, G, dtype = (2 << depth) - 1, Q << depth, int_dtype(Q << depth)
-    mu = np.ldexp(1.0, -np.arange(depth + 1))  # measure and weight of a set of each level
-    sigma = np.sqrt(mu * (1.0 - mu))
-    la, lb = np.divmod(np.arange((depth + 1) ** 2), depth + 1)  # the level pairs, la major
-    counts = 1 << np.maximum(la, lb)  # classes of each level pair
+    level = np.array([s.level for s in sets])
+    levels, index = np.unique(level, return_inverse=True)
+    depth, n, L = int(levels[-1]), len(sets), len(levels)
+    n_all = (2 << depth) - 1  # the sets of the complete family of depth d
+    G, itype = Q << depth, int_dtype(Q << depth)
+    la, lb = (levels[i] for i in np.divmod(np.arange(L * L), L))  # the level pairs, l_a major
+    top = np.maximum(la, lb)
+    counts = 1 << top  # classes of each level pair
     first = np.cumsum(counts) - counts
-    lengths = np.array([G >> l for l in range(depth + 1)], dtype=dtype)
-    A_len, B_len = np.repeat(lengths[la], counts), np.repeat(lengths[lb], counts)
-    j = np.arange(counts.sum()) - np.repeat(first, counts)  # class, within its level pair
-    lefts = j.astype(dtype) * np.minimum(A_len, B_len)  # u_a - u_b mod G
+    if [(1 << s.level) - 1 + s.k for s in sets] == list(range(n_all)):
+        mult = np.repeat(1 << np.minimum(la, lb), counts)
+    else:
+        u = np.array([s.k << depth - s.level for s in sets])  # left ends, in units of G >> d
+        a, b = np.divmod(np.arange(n * n), n)
+        pair = index[a] * L + index[b]
+        j = (u[a] - u[b]) % (1 << depth) >> depth - top[pair]
+        mult = np.bincount(first[pair] + j, minlength=counts.sum())
+    held = np.flatnonzero(mult)  # the classes the family holds, grouped by level pair
+    pair, mult = np.repeat(np.arange(L * L), counts)[held], mult[held]
+    lengths = np.array([G >> l for l in range(depth + 1)], dtype=itype)
+    A_len, B_len = lengths[la[pair]], lengths[lb[pair]]
+    lefts = (held - first[pair]).astype(itype) * np.minimum(A_len, B_len)  # u_a - u_b mod G
 
     def overlaps(r: np.ndarray) -> np.ndarray:
-        """The numerators of every class for the shifts r, a (b, 1) column."""
+        """The numerators of every held class for the shifts r, a (b, 1) column."""
         d = lefts - r  # A_a - r starts d mod G after A_b; both terms lie in [0, G)
         d = np.where(d < 0, d + G, d)
         end = d + A_len
         return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
 
-    theta = mu[la] * mu[lb]  # per level pair, as the scale and the weight
-    scale = sigma[la] * sigma[lb]
-    scale[scale == 0] = np.inf
-    # a family's pair weights sum exactly in float64, so this is the sum _distances divides by
-    weight = theta / math.fsum(mu[s.level] for s in sets) ** 2
-    targets = (np.repeat(theta, counts) if mode == "theta"
-               else _floats(G, overlaps(np.zeros((1, 1), dtype=dtype)))[0])
-    scale, weight = np.repeat(scale, counts), np.repeat(weight, counts)
-
-    width = min(max(1, BLOCK_ENTRIES // N**2), len(times))
-    index = np.concatenate([f + np.arange(2 * n) % n for f, n in zip(first, counts)])
-    doubled, R = np.empty((width, len(index))), np.empty((width, N, N))  # reused per stack
-    copies, at = [], 0  # (block of a level pair in R, its view of the doubled class values)
-    for a, b, n in zip(la.tolist(), lb.tolist(), counts.tolist()):
-        window = sliding_window_view(doubled[:, at:at + 2 * n], n, axis=1)  # [., i, t]: i + t
-        s = n >> min(a, b)  # entry (p, q) of the block is class p - s*q, or s*p - q if a < b
-        copies.append((R[:, (1 << a) - 1:(2 << a) - 1, (1 << b) - 1:(2 << b) - 1],
-                       window[:, n:0:-s].transpose(0, 2, 1) if a >= b else window[:, 1::s, ::-1]))
-        at += 2 * n
-    read, shift, distances = _family_reader(sets, N), rho << depth, {}
+    theta = mode == "theta"
+    dtype = _sum_dtype(n * n * (G << depth if theta else G))
+    K, t = ((1 << la + lb)[pair], G) if theta else (1, overlaps(np.zeros((1, 1), dtype=itype)))
+    c, starts = _coefficients(sets, G, None if theta else 1), np.flatnonzero(np.diff(pair, prepend=-1))
+    width, shift, values = max(1, BLOCK_ENTRIES // n_all**2), rho << depth, {}  # as the kernel
     for i in range(0, len(times), width):
-        ms_stack = times[i:i + width]
-        if len(ms_stack) < width:  # the last stack: the rows of its powers, in every buffer
-            doubled, R = doubled[:len(ms_stack)], R[:len(ms_stack)]
-            copies = [(block[:len(ms_stack)], view[:len(ms_stack)]) for block, view in copies]
-        r = np.array([m * shift % G for m in ms_stack], dtype=dtype)[:, None]
-        np.take(_deviations(_floats(G, overlaps(r)), targets, scale, weight), index, axis=1,
-                out=doubled)
-        for block, view in copies:
-            block[...] = view
-        stack = read(R)
-        distances.update(zip(ms_stack, stack.reshape(len(stack), -1).sum(axis=1).tolist()))
-    return [distances[m] for m in ms]
+        stack = times[i:i + width]
+        S = overlaps(np.array([m * shift % G for m in stack], dtype=itype)[:, None]).astype(dtype)
+        S *= K
+        S -= t
+        np.abs(S, out=S)
+        S *= mult
+        values.update(zip(stack, _combine(np.add.reduceat(S, starts, axis=1), c)))
+    return [values[m] for m in ms]
 
 
 def dist_to_theta(T, m: int, family: TestFamily) -> float:
@@ -598,11 +597,7 @@ class AdmissibleSpec:
 def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
     check_powers(T, [as_integer(m, "m"), *(p for p, _ in Q.terms)])  # before any matrix
-    mu = np.array(family.measures(), dtype=object)
-    targets = Q.theta_weight * np.outer(mu, mu)  # exact Fractions, rounded once below
-    for power, coeff in Q.terms:
-        targets += coeff * np.array(correlation_matrix(T, power, family), dtype=object)
-    return _distances(T, [m], family, targets.astype(float))[0]
+    return _distances(T, [m], family, Q)[0]
 
 
 # -- scans --------------------------------------------------------------------------
@@ -635,7 +630,7 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list
         lattice = IetLattice.of(T)
         if lattice.shift is not None:
             return _rotation_distances(T, lattice.Q, lattice.shift, ms, family, mode)
-    return _distances(T, ms, family, _targets(family, mode))
+    return _distances(T, ms, family, mode)
 
 
 def _scan(T, ms: range, family: TestFamily, mode: str,

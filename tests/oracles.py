@@ -8,11 +8,15 @@ shares no code with the integer-lattice kernels of ``seqent.systems``,
 replaced, kept as slower references on the same integer rows:
 :func:`mask_apply` and :func:`reimaging_boundary_growth` (which shares
 ``seqentropy._image`` and ``_merge`` with the first-return ledger).
+:func:`oracle_distance` sums its deviations exactly per pair of levels and
+shares only the final float step of the weak distances
+(``weaklimits._coefficients`` and ``_combine``) with the library.
 :func:`blocked_distances` runs the general weak-limit kernel, the reference
 for the closed-form rotation path, and :func:`composed_power` composes
 lattice maps one step at a time, the reference for closed-form rotation
 powers.
 """
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +37,7 @@ from seqent.seqentropy import (
     check_sample_bits,
 )
 from seqent.systems import IetLattice, RectLattice, interior_discontinuity_segments, lattice_ints
-from seqent.weaklimits import _distances, _targets
+from seqent.weaklimits import _coefficients, _combine, _distances
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -169,22 +173,40 @@ def oracle_correlation_matrix(T, m: int, family) -> list:
              for b in family.sets] for a in family.sets]
 
 
-def oracle_distance(corr, family, mode: str) -> float:
-    """The sigma-normalized weak distance of a dyadic-interval or dyadic-rectangle
-    family's Fraction correlations, float-converted entry by entry."""
-    mu = family.measures()
-    if mode == "theta":
-        targets = [[a * b for b in mu] for a in mu]
+def oracle_distance(T, corr, family, target) -> float:
+    """The sigma-normalized weak distance of T's Fraction correlations ``corr``
+    over a dyadic-interval or dyadic-rectangle family to ``target``: "theta",
+    "identity" or an ``AdmissibleSpec``, whose matrix Z is built here from
+    measures, overlaps and this module's correlations.  Each level pair's sum
+    S_lp of K_lp * G * |corr - Z| over its pairs is an exact ``Fraction``,
+    with G the unit of the weak-limit kernels (Q * 2^d for an exchange whose
+    lengths have lcm denominator Q, 4^d for the baker map, d the deepest
+    level) and K_lp = 2^(l_a + l_b) for Theta, else the lcm of the
+    denominators of G * Z; the float step the paths share,
+    ``weaklimits._combine``, then weighs them."""
+    sets = family.sets
+    depth = max(s.level for s in sets)
+    if isinstance(T, IntervalExchange):
+        G = math.lcm(*(v.denominator for v in T.lengths)) << depth
     else:
-        targets = [[_overlap(a, b) for b in family.sets] for a in family.sets]
-    w = family.pair_weight_matrix()
-    c = np.array([[float(v) for v in row] for row in corr])
-    t = np.array([[float(v) for v in row] for row in targets])
-    dev = np.abs(c - t)
-    s = family.sigmas()
-    ss = np.outer(s, s)
-    dev = np.divide(dev, ss, out=np.zeros_like(dev), where=ss > 0)
-    return float((w * dev).sum())
+        G = 1 << 2 * depth
+    if target == "identity":
+        Z = [[_overlap(a, b) for b in sets] for a in sets]
+    else:
+        weight = 1 if target == "theta" else target.theta_weight
+        Z = [[weight * a.measure * b.measure for b in sets] for a in sets]
+        for power, coeff in () if target == "theta" else target.terms:
+            terms = oracle_correlation_matrix(T, power, family)
+            Z = [[z + coeff * c for z, c in zip(row, term)] for row, term in zip(Z, terms)]
+    D = None if target == "theta" else math.lcm(*((G * z).denominator for row in Z for z in row))
+    levels = sorted({s.level for s in sets})
+    S = np.zeros((1, len(levels), len(levels)), dtype=object)
+    for a, row, targets in zip(sets, corr, Z):
+        for b, c, z in zip(sets, row, targets):
+            s = (2 ** (a.level + b.level) if D is None else D) * G * abs(c - z)
+            assert s.denominator == 1
+            S[0, levels.index(a.level), levels.index(b.level)] += s.numerator
+    return _combine(S, _coefficients(sets, G, D))[0]
 
 
 def composed_power(lattice: IetLattice, t: int) -> IetLattice:
@@ -200,7 +222,7 @@ def composed_power(lattice: IetLattice, t: int) -> IetLattice:
 def blocked_distances(T, ms, family, mode: str) -> list:
     """The weak distances to ``mode``'s targets from the blocked lattice kernel
     (``weaklimits._numerators``), the path of every exchange but a rotation."""
-    return _distances(T, ms, family, _targets(family, mode))
+    return _distances(T, ms, family, mode)
 
 
 def _overlap(a, b) -> Fraction:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqent import (
+    AdmissibleSpec,
     BakerMap,
     BudgetError,
     IntervalExchange,
@@ -23,6 +24,7 @@ from seqent import (
     SeqentError,
     boundary_growth,
     correlation,
+    dist_to_admissible,
     entropy_trace,
     exact_join,
     explicit_family,
@@ -43,7 +45,7 @@ from seqent.systems import (IetLattice, RectLattice, golden_rotation, int_dtype,
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
-from seqent.weaklimits import _numerators, _scan_distances, _targets, correlation_matrix
+from seqent.weaklimits import _numerators, _scan_distances, _target, correlation_matrix
 
 from oracles import (
     blocked_distances,
@@ -66,6 +68,10 @@ from oracles import (
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 TIMES = st.integers(-12, 12)
+THREE_IET = IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(18, 35)), (2, 0, 1))
+# a sparse family that repeats sets and skips a level
+REPEATS = Family((Dyadic1D(0, 0), Dyadic1D(2, 1), Dyadic1D(1, 0), Dyadic1D(2, 1), Dyadic1D(4, 9),
+                  Dyadic1D(1, 0)))
 
 
 @st.composite
@@ -155,8 +161,9 @@ def check_blocked_kernel(T, times, family, width):
                 seen[m0 + k] = [[Fraction(int(v), G) for v in row] for row in matrix]
         assert all(seen[m] == oracle[m] for m in times)
         for mode in ("theta", "identity"):
-            assert _scan_distances(T, times, family, mode) == [
-                oracle_distance(oracle[m], family, mode) for m in times]
+            want = [oracle_distance(T, oracle[m], family, mode) for m in times]
+            assert _scan_distances(T, times, family, mode) == want
+            assert blocked_distances(T, times, family, mode) == want
     return stacks
 
 
@@ -182,13 +189,6 @@ def wide_iets(draw):
     return IntervalExchange(tuple(Fraction(w, sum(weights)) for w in weights), tuple(perm))
 
 
-@SETTINGS
-@given(st.one_of(iets(), wide_iets(), st.just(golden_rotation().to_iet())), scan_times(),
-       interval_families(), st.integers(1, 5))
-def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
-    check_blocked_kernel(T, times, family, width)
-
-
 @st.composite
 def cyclic_shifts(draw):
     """3 or 4 intervals, interval i moved to place i + s mod n: a rotation."""
@@ -203,6 +203,19 @@ def rational_rotations(q):
     """x -> x + p/q mod 1 over denominators q drawn by ``q``; p = 0 is the identity."""
     return q.flatmap(lambda q: st.integers(0, q - 1).map(
         lambda p: IntervalExchange.rotation(Fraction(p, q))))
+
+
+@SETTINGS
+@given(st.one_of(iets(), wide_iets(), st.just(golden_rotation().to_iet()), cyclic_shifts(),
+                 rational_rotations(st.integers(1, 10**4)),
+                 rational_rotations(st.integers(2**48, 2**64))),
+       scan_times(), interval_families(), st.integers(1, 5))
+@example(IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(18, 35)), (2, 1, 0)),
+         [3, -1, 4], REPEATS, 2)
+@example(IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), [-1, 0, 1, 7], REPEATS, 1)
+def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
+    # rotations take the closed form in _scan_distances, and the kernel in blocked_distances
+    check_blocked_kernel(T, times, family, width)
 
 
 @st.composite
@@ -281,9 +294,10 @@ def test_powers_of_many_pieces_fall_back_to_sweeps_of_one_stack(monkeypatch):
 
 
 def test_identity_target_holds_one_matrix():
-    family = Family.dyadic_intervals(6)
-    target = _targets(family, "identity")
-    assert target.base.size == len(family) ** 2
+    family, T = Family.dyadic_intervals(6), IntervalExchange.identity()
+    G, _ = _numerators(T, [1], family.sets)
+    D, target = _target(T, family.sets, "identity", G)
+    assert D == 1 and target.base.size == len(family) ** 2
 
 
 @SETTINGS
@@ -327,8 +341,30 @@ def rectangle_families(draw):
 
 @SETTINGS
 @given(scan_times(far=20), rectangle_families())
+@example([0, 1, 2, -3], Family((Dyadic2D(0, 0, 0, 0), Dyadic2D(1, 1, 2, 3), Dyadic2D(0, 0, 1, 0),
+                                Dyadic2D(1, 1, 2, 3), Dyadic2D(0, 0, 1, 0))))
 def test_blocked_baker_kernel_matches_cylinder_oracle(times, family):
     check_blocked_kernel(BakerMap(), times, family, 1)
+
+
+@st.composite
+def admissible_specs(draw):
+    """A Theta weight and up to two powers, with coefficients of denominators
+    up to 18 that sum to 1."""
+    parts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3).filter(any))
+    powers = draw(st.lists(TIMES, min_size=len(parts) - 1, max_size=len(parts) - 1))
+    total = sum(parts)
+    return AdmissibleSpec(Fraction(parts[0], total),
+                          tuple((p, Fraction(c, total)) for p, c in zip(powers, parts[1:])))
+
+
+@SETTINGS
+@given(st.tuples(st.one_of(iets(), wide_iets()), interval_families())
+       | st.tuples(st.just(BakerMap()), rectangle_families()), TIMES, admissible_specs())
+def test_admissible_distance_matches_fraction_oracle(system, m, spec):
+    T, family = system
+    assert dist_to_admissible(T, m, spec, family) == oracle_distance(
+        T, oracle_correlation_matrix(T, m, family), family, spec)
 
 
 @SETTINGS
@@ -352,7 +388,6 @@ def test_rotation_join_has_at_most_three_gap_lengths(angle, n):
 # others do not imply), a lattice past int64 (Q >= 2^62, object arrays) and one
 # label on non-adjacent gaps
 ROTATION = IntervalExchange.rotation(Fraction(34, 89))
-THREE_IET = IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(18, 35)), (2, 0, 1))
 WIDE_IET = IntervalExchange((Fraction(1, 3**42), Fraction(1, 3), Fraction(2 * 3**41 - 1, 3**42)),
                             (2, 1, 0))
 ABA = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(2, 3)), ("a", "b", "a"))

@@ -570,7 +570,7 @@ class TestLibraryGuards:
         with pytest.raises(ValidationError):
             mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
                             explicit_family([1, 2]), 1000, seed=None)
-        monkeypatch.setattr("seqent.weaklimits._distances", work)
+        monkeypatch.setattr("seqent.weaklimits._scan_distances", work)
         with pytest.raises(ValidationError):
             mixing_time_scan(golden_iet(), 0, float("nan"), 3000, Family.dyadic_intervals(6))
 

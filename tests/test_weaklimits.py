@@ -44,7 +44,14 @@ F = Fraction
 
 ROT = IntervalExchange.rotation(F(5, 13), alias_limit=10**6)
 FAM4 = Family.dyadic_intervals(4)
+T4 = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+T3 = IntervalExchange((F(1, 3), F(1, 5), F(7, 15)), (2, 0, 1))  # a cyclic shift: a rotation
 FAM2D = Family.dyadic_rectangles(4)
+# sparse families that repeat sets, and skip levels
+SPARSE_1D = Family((Dyadic1D(0, 0), Dyadic1D(3, 5), Dyadic1D(1, 0), Dyadic1D(3, 5),
+                    Dyadic1D(4, 2), Dyadic1D(1, 0), Dyadic1D(1, 0)))
+SPARSE_2D = Family((Dyadic2D(0, 0, 0, 0), Dyadic2D(1, 1, 2, 3), Dyadic2D(0, 0, 1, 0),
+                    Dyadic2D(1, 1, 2, 3), Dyadic2D(2, 1, 0, 0)))
 
 
 def brute_force_preimage(T, intervals, steps):
@@ -205,11 +212,24 @@ class TestAdmissible:
         Q = AdmissibleSpec(F(0), ((5, F(1)),))
         assert dist_to_admissible(ROT, 5, Q, FAM4) == 0.0
 
+    @pytest.mark.parametrize("T, spec, fam", [
+        (golden_rotation().to_iet(), AdmissibleSpec(F(1, 2), ((3, F(1, 2)),)),
+         Family.dyadic_intervals(4)),
+        (BakerMap(), AdmissibleSpec(F(1, 3), ((1, F(2, 3)),)), FAM2D),
+        (T4, AdmissibleSpec(F(1, 4), ((2, F(1, 2)), (-1, F(1, 4)))), SPARSE_1D),
+        (BakerMap(), AdmissibleSpec(F(2, 5), ((2, F(3, 5)),)), SPARSE_2D),
+    ], ids=["golden-half-theta-half-T3", "baker-third-theta-two-thirds-T", "4iet-sparse-repeats",
+            "baker-sparse-repeats"])
+    def test_mixed_spec_equals_the_exact_oracle(self, T, spec, fam):
+        for m in (1, 2, 3, 5, 8):
+            assert dist_to_admissible(T, m, spec, fam) == oracle_distance(
+                T, oracle_correlation_matrix(T, m, fam), fam, spec)
+
     def test_powers_budgeted_before_the_first_matrix(self, monkeypatch):
         def built(*args):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr(weaklimits, "correlation_matrix", built)
+        monkeypatch.setattr(weaklimits, "_numerators", built)
         Q = AdmissibleSpec(F(0), ((1, F(1, 2)), (MAX_POWER + 1, F(1, 2))))
         with pytest.raises(BudgetError):
             dist_to_admissible(ROT, 1, Q, FAM4)
@@ -234,8 +254,8 @@ class TestScans:
             assert st == dist_to_theta(T, m, fam)
             assert si == dist_to_identity(T, m, fam)
             corr = oracle_correlation_matrix(T, m, fam)
-            assert st == oracle_distance(corr, fam, "theta")
-            assert si == oracle_distance(corr, fam, "identity")
+            assert st == oracle_distance(T, corr, fam, "theta")
+            assert si == oracle_distance(T, corr, fam, "identity")
 
     @pytest.mark.parametrize("order", [80, 83, 90])
     def test_large_denominator_scans_match_fraction_oracle(self, order):
@@ -247,8 +267,8 @@ class TestScans:
         rigidity = dict(rigidity_scan(T, 13, 0.02, fam).values)
         for m in (1, 5, 13):
             corr = oracle_correlation_matrix(T, m, fam)
-            assert mixing[m] == oracle_distance(corr, fam, "theta")
-            assert rigidity[m] == oracle_distance(corr, fam, "identity")
+            assert mixing[m] == oracle_distance(T, corr, fam, "theta")
+            assert rigidity[m] == oracle_distance(T, corr, fam, "identity")
 
     def test_mixing_scan_baker(self):
         report = mixing_time_scan(BakerMap(), 0, 0.05, 20, FAM2D)
@@ -287,17 +307,13 @@ class TestScans:
             rigidity_scan(ROT, 0, 0.01, FAM4)
 
 
-T4 = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
-T3 = IntervalExchange((F(1, 3), F(1, 5), F(7, 15)), (2, 0, 1))
-
-
 class TestRotationPath:
     def test_rotations_need_no_kernel_and_no_dense_targets(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a rotation scan built a kernel stack or dense targets")
 
         monkeypatch.setattr(weaklimits, "_numerators", refuse)
-        monkeypatch.setattr(weaklimits, "_targets", refuse)
+        monkeypatch.setattr(weaklimits, "_target", refuse)
         fam = Family.dyadic_intervals(6)
         for T in (golden_rotation().to_iet(), T3, IntervalExchange.identity()):
             assert len(rigidity_scan(T, 30, 0.02, fam).values) == 30
@@ -317,7 +333,10 @@ class TestRotationPath:
         ((MAX_POWER + 1, FAM4), BudgetError, "exceeds MAX_POWER"),
         ((3, Family((Dyadic1D(0, 0), Dyadic1D(12, 5)))), BudgetError,
          "8191 test sets of the complete dyadic family of depth 12"),
-    ], ids=["2d-sets", "float-time", "power-budget", "sparse-depth-12"])
+        # 5001 sets of depth 3: the complete family is small, the family's own pairs are not
+        ((3, Family((Dyadic1D(0, 0),) + (Dyadic1D(3, 1),) * 5000)), BudgetError,
+         "5001 test sets make 25010001 pairs per power"),
+    ], ids=["2d-sets", "float-time", "power-budget", "sparse-depth-12", "repeated-sets"])
     def test_rotation_checks_as_the_kernel_does(self, args, error, message):
         m, fam = args
         raised = []
@@ -327,21 +346,45 @@ class TestRotationPath:
             raised.append(str(info.value))
         assert raised[0] == raised[1]
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
-    def test_depth_11_scans_peak_below_250_mb(self):
-        # the stack of one 4095 x 4095 float64 matrix is 134 MB; a dense target, weight or
-        # scale matrix of the same size would take the scan past 250 MB
-        code = ("import resource\n"
-                "from seqent import golden_rotation, mixing_time_scan, rigidity_scan\n"
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_depth_11_scans_peak_below_120_mb(self):
+        # the rotation path builds no N x N matrix: one 4095 x 4095 float64 matrix is 134 MB.
+        # VmHWM is the peak of this process's own image; ru_maxrss can carry the peak of
+        # the test runner that spawned it
+        code = ("from seqent import golden_rotation, mixing_time_scan, rigidity_scan\n"
                 "from seqent.weaklimits import TestFamily\n"
                 "T, fam = golden_rotation().to_iet(), TestFamily.dyadic_intervals(11)\n"
                 "rigidity_scan(T, 3, 0.02, fam)\n"
                 "mixing_time_scan(T, 0, 0.05, 3, fam)\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
         src = os.path.dirname(os.path.dirname(weaklimits.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert int(out.stdout) / 1024 <= 250
+        assert int(out.stdout) / 1024 <= 120
+
+
+REJECTED_FAMILIES = {
+    "empty": lambda: Family(()),
+    "no-full-space": lambda: Family((Dyadic1D(1, 0), Dyadic1D(1, 1))),
+    "not-test-sets": lambda: Family((1, 2)),
+    "a-pair-not-a-set": lambda: Family((Dyadic1D(0, 0), (1, 0))),
+    "mixed-dimensions": lambda: Family((Dyadic1D(0, 0), Dyadic2D(0, 0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("build", list(REJECTED_FAMILIES.values()), ids=list(REJECTED_FAMILIES))
+def test_rejected_family_raises_validation_error(build):
+    # a member that is not a test set used to raise a bare AttributeError, and a
+    # mixed family was accepted and failed only when it was used
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_family_from_a_list_is_a_hashable_tuple():
+    fam = Family([Dyadic1D(0, 0), Dyadic1D(2, 1)])
+    assert fam.sets == (Dyadic1D(0, 0), Dyadic1D(2, 1))
+    assert hash(fam) == hash(Family((Dyadic1D(0, 0), Dyadic1D(2, 1))))
 
 
 class TestFamilyBudget:

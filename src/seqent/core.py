@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Sequence
 import mpmath
 import numpy as np
 
-from .errors import MAX_TILING_CELLS, BudgetError, ValidationError
+from .errors import MAX_JOIN_CUTS, MAX_TILING_CELLS, BudgetError, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -164,9 +164,12 @@ class IntervalPartition:
 
     @classmethod
     def dyadic(cls, level: int) -> "IntervalPartition":
-        """The 2**level equal dyadic intervals, distinctly labeled."""
-        if as_integer(level, "dyadic level") < 0:
+        """The 2**level equal dyadic intervals, distinctly labeled; BudgetError,
+        before any is built, past MAX_JOIN_CUTS, which any join of them exceeds."""
+        if (level := as_integer(level, "dyadic level")) < 0:
             raise ValidationError("dyadic level must be >= 0")
+        if level >= MAX_JOIN_CUTS.bit_length():  # 2^level > MAX_JOIN_CUTS
+            raise BudgetError(f"dyadic level {level} makes 2^{level} cuts, budget {MAX_JOIN_CUTS}")
         n = 2**level
         return cls(tuple(Fraction(k, n) for k in range(n)), tuple(range(n)))
 
@@ -283,6 +286,9 @@ class RectanglePartition:
         x_level, y_level = as_integer(x_level, "x level"), as_integer(y_level, "y level")
         if min(x_level, y_level) < 0:
             raise ValidationError("dyadic levels must be >= 0")
+        if x_level + y_level >= MAX_TILING_CELLS.bit_length():  # 2^(x+y) > MAX_TILING_CELLS
+            raise BudgetError(f"dyadic levels ({x_level}, {y_level}) make 2^{x_level + y_level} "
+                              f"grid cells, budget {MAX_TILING_CELLS}")
         nx, ny = 2**x_level, 2**y_level
         atoms = []
         for i in range(nx):

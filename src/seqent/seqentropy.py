@@ -463,12 +463,13 @@ def partition_library(T, depth: int):
         raise ValidationError(f"the partition library needs depth >= 1, got {depth}")
     if isinstance(T, BernoulliSystem):
         return {f"window-{w}": w for w in range(1, depth + 1)}
+    # the finest partition first, so its budget check comes before any partition is built
     if isinstance(T, IntervalExchange):
-        return {f"dyadic-{l}": IntervalPartition.dyadic(l) for l in range(1, depth + 1)}
-    return {
-        f"dyadic-{l}x{l}": RectanglePartition.dyadic(l, l)
-        for l in range(1, max(1, depth // 2) + 1)
-    }
+        library = [(f"dyadic-{l}", IntervalPartition.dyadic(l)) for l in range(depth, 0, -1)]
+    else:
+        library = [(f"dyadic-{l}x{l}", RectanglePartition.dyadic(l, l))
+                   for l in range(max(1, depth // 2), 0, -1)]
+    return dict(library[::-1])
 
 
 def sup_over_partitions(T, depth: int, family_for_j: Callable[[int], IndexFamily],

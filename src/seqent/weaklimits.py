@@ -10,26 +10,22 @@ thresholds of the rigidity/mixing diagnostics would be dominated by a handful
 of coarse sets.
 
 All correlation matrices come from one exact integer kernel,
-:func:`_numerators`, which evaluates the requested times in windows
-[m0, m0 + B) of consecutive powers and returns each window as one stack, a
-(b, N, N) array with b <= B, for a family of N sets.  For an interval
+:func:`_numerators`, which returns the requested times in stacks, each a
+(b, N, N) array for up to B times, for a family of N sets.  For an interval
 exchange the sets are read from the complete dyadic family of their depth d,
 so B comes from the element budget BLOCK_ENTRIES (B * (2^(d+1) - 1)^2
-entries, at least one power per stack); a single time, and every power of
-the baker map, is a stack of one.  For an interval exchange whose lengths
-have lcm denominator Q, every cut, translation and dyadic endpoint of every
-power is a multiple of 1/G, G = Q * 2^d, so the powers are integer arrays
-(:class:`~seqent.systems.IetLattice`).  Windows that follow each other end
-to end make a run, taken in gap sweeps of several stacks: time m0 + k is the
-step power T^k, built once per call, composed with T^m0, which comes from
-one lattice sweep over the run starts; one sort of all the gap points of a
-sweep (offset by k * G) and searches for their pieces and cells place every
-gap, and one scatter-add of its slice of gap lengths fills each stack, whose
-rows are then summed over the dyadic blocks.  Sums of lengths accumulate in
-float64 while G < 2^53, where every sum up to G is exact, else in int64
-while every intermediate stays below 2^62, else in Python integers.  For the
-baker map a test rectangle is a (mask, bits) pair over shift coordinates.
-Pair and triple correlations are one exact mass, :func:`_mass`.
+entries, at least one power per stack); every power of the baker map is a
+stack of one.  For an interval exchange whose lengths have lcm denominator
+Q, every cut, translation and dyadic endpoint of every power is a multiple
+of 1/G, G = Q * 2^d, so the powers are integer arrays
+(:class:`~seqent.systems.IetLattice`), built by one lattice sweep over the
+times.  Each power's own gaps, between its cuts, the cell edges and their
+preimages, are scatter-added into its matrix, whose rows and columns are
+then summed over the dyadic blocks.  Sums of lengths accumulate in float64
+while G < 2^53, where every sum up to G is exact, else in the lattice's
+integers.  For the baker map a test rectangle is a (mask, bits) pair over
+shift coordinates.  Pair and triple correlations are one exact mass,
+:func:`_mass`.
 
 Every distance is one formula.  A pair's weight, sigma_a * sigma_b and
 Theta target depend only on the levels of its sets (a set of level l has
@@ -85,7 +81,9 @@ class TestSet1D:
     def __post_init__(self):
         level, k = as_integer(self.level, "level"), as_integer(self.k, "index")
         if level < 0 or not 0 <= k < 2**level:
-            raise ValidationError(f"bad dyadic interval ({self.level},{self.k})")
+            raise ValidationError(f"bad dyadic interval ({level},{k})")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "k", k)
 
     @property
     def lo(self) -> Fraction:
@@ -121,6 +119,8 @@ class TestSet2D:
             raise ValidationError("bad dyadic x-interval")
         if ylevel < 0 or not 0 <= yk < 2**ylevel:
             raise ValidationError("bad dyadic y-interval")
+        for name, value in zip(("xlevel", "xk", "ylevel", "yk"), (xlevel, xk, ylevel, yk)):
+            object.__setattr__(self, name, value)
 
     @property
     def level(self) -> int:
@@ -199,17 +199,9 @@ class TestFamily:
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
-# Entries of one stack of correlation matrices: sets of depth d evaluate about
-# BLOCK_ENTRIES // (2^(d+1) - 1)^2 consecutive powers per stack.
+# Entries of one stack of correlation matrices: sets of depth d evaluate
+# BLOCK_ENTRIES // (2^(d+1) - 1)^2 requested powers per stack.
 BLOCK_ENTRIES = 3 * 2**15
-
-
-def _sweep_width(gaps: np.ndarray, n: int, B: int, budget: int) -> int:
-    """The powers one gap sweep takes from a run with n powers left: all the
-    powers whose cumulative gap counts ``gaps`` stay within ``budget``, in
-    whole stacks of B unless they end the run, and at least min(B, n)."""
-    W = int(np.count_nonzero(gaps[:n] <= budget))
-    return n if W == n else min(n, max(B, W - W % B))
 
 
 def _family_reader(sets, N: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -222,93 +214,53 @@ def _family_reader(sets, N: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda stack: np.take(np.take(stack, pick, axis=1), pick, axis=2)
 
 
-def _iet_blocks(T: IntervalExchange, runs: dict[int, int], B: int, sets):
-    """(G, iterator of (m0, C)) for an interval exchange: see :func:`_numerators`.
+def _iet_blocks(T: IntervalExchange, times: list[int], B: int, sets):
+    """(G, iterator of (times, C)) for an interval exchange: see :func:`_numerators`.
 
-    The run of powers m0 .. m0 + n - 1 (``runs[m0] = n``) is taken in gap
-    sweeps of up to W powers (:func:`_sweep_width`): the gaps of a sweep, with
-    their (depth + 1) columns each, would fill at most the image rows of one
-    stack (B * D * N entries, and no more than BLOCK_ENTRIES), so powers with
-    thousands of pieces fall back to sweeps of B powers.  Time m0 + k of a
-    sweep is P_k o V: V = T^m0 comes from one lattice sweep over the run
-    starts, or is P_W o V of the sweep before, and the step powers P_k = T^k
-    are built once, for k up to sqrt(BLOCK_ENTRIES / pieces) at most, since
-    they have up to k * pieces cuts each.  Every gap between V's cuts, the
-    cell edges and the V-preimages of P_k's cuts and of P_k^-1(edges) lies in
-    one piece of P_k o V and one cell, and maps into one cell; the offsets
-    k * G put all k of a sweep in one sorted array, where the gaps of power k
-    are one slice.  A stack of B powers takes the slices of its powers: one
-    scatter-add puts each gap's length in the stack's matrix k, in the row of
-    its image cell and the column of every set holding its own cell, of the
-    complete dyadic family of depth d: interval (l, k) is row and column
-    2^l - 1 + k, and cell c lies in the sets (l, c >> (d - l)).  The rows are
-    then summed over each set by halving them level by level.  Any other
+    The requested powers U = T^m come from one lattice sweep over the times
+    (:meth:`~seqent.systems.IetLattice.powers`).  The sorted union of U's
+    cuts, the cell edges and U^-1(edges) cuts [0, G) into gaps, each of which
+    lies in one piece of U and one cell and maps into one cell; a repeated
+    point makes a gap of length 0, which adds nothing.  One scatter-add per
+    power, as it comes, puts each gap's length in the power's matrix of the
+    stack, in the row of its image cell and the column of its own cell of
+    the complete dyadic family of depth d, where interval (l, k) is row and
+    column 2^l - 1 + k, so cell c is 2^d - 1 + c; only one power's gaps are
+    held at a time.  The image cells' columns, then all rows, of a full stack
+    are summed over each set from its two halves, level by level.  Any other
     family is read from the complete one (:func:`_family_reader`).
     """
     depth = max(s.level for s in sets)
     D, N = 1 << depth, (2 << depth) - 1
     read = _family_reader(sets, N)
-    levels = np.arange(depth + 1)
-    members = (1 << levels) - 1 + (np.arange(D)[:, None] >> (depth - levels))  # [cell, level]
-    budget = min(B * D * N, BLOCK_ENTRIES) // (depth + 1)  # gaps of one sweep
-    most = min(max(runs.values()),  # powers of one sweep, each with 2D + 2 gaps or more
-               max(B, min(budget // (2 * D + 2), math.isqrt(BLOCK_ENTRIES // len(T)))))
     lattice = IetLattice.of(T).scaled(D)
-    G, dtype = lattice.Q, int_dtype(lattice.Q * most)
-    lattice = IetLattice(G, lattice.cuts.astype(dtype), lattice.trans.astype(dtype))
+    G, unit, dtype = lattice.Q, lattice.Q >> depth, lattice.cuts.dtype  # unit: a cell's length
     acc = np.float64 if G < 2**53 else dtype  # float64 sums of lengths up to G are exact
-    width, unit = min(B, most), G >> depth  # matrices of the largest stack; cell length
-    # over k * D + cell, k < B: the flat offsets of its image's row and of its sets' columns
-    row_offset = ((np.arange(width)[:, None] * N + np.arange(D - 1, N)) * N).ravel()
-    columns = np.tile(members, (width, 1))
-    R = np.zeros((width, N, N), dtype=acc)  # [k, image cell or set, set], reused
+    width = min(B, len(times))
+    R = np.zeros((N, width, N), dtype=acc)  # [image cell or set, k, set], reused
+    corner = (D - 1) * (width * N + 1)  # R[D - 1, 0, D - 1]: cell 0 to cell 0 at k = 0
     edges = np.arange(D, dtype=dtype) * unit  # cells' left ends
-    shifts = np.arange(most, dtype=dtype) * G
-    steps = [P for _, P in lattice.powers(range(most + 1))]  # P_W o V starts a further sweep
-    sizes = np.cumsum([len(P.cuts) for P in steps[:most]])  # cuts of P_0 .. P_k
-    step_cuts = np.concatenate([P.cuts + s for P, s in zip(steps[:most], shifts)])
-    step_trans = np.concatenate([P.trans for P in steps[:most]])
-    marks = [np.concatenate((P.cuts, P.inverse.apply(edges))) for P in steps[:most]]
-    mark_shifts = np.repeat(shifts, [len(y) for y in marks])
-    marks = np.concatenate(marks)
-
-    def cell(x: np.ndarray) -> np.ndarray:
-        """k % B * D + c for the points x in cell c of power k: their place in a stack."""
-        return (x // unit % (B * D)).astype(np.intp, copy=False)
-
-    def sweep(V: IetLattice, m0: int, W: int):
-        cut = int(sizes[W - 1])  # the cuts of P_k, k < W; their marks add D each
-        x = np.sort(np.concatenate(((np.concatenate((V.cuts, edges)) + shifts[:W, None]).ravel(),
-                                    V.inverse.apply(marks[:cut + W * D])
-                                    + mark_shifts[:cut + W * D], [W * G])), kind="stable")
-        pieces = np.searchsorted((V.cuts + shifts[:W, None]).ravel(), x[:-1], side="right") - 1
-        z = x[:-1] + V.trans[pieces % len(V.cuts)]
-        z += step_trans[np.searchsorted(step_cuts[:cut], z, side="right") - 1]
-        rows, src = row_offset[cell(z)], cell(x[:-1])
-        lengths = np.diff(x).astype(acc)
-        bounds = [*np.searchsorted(x, shifts[:W:B]).tolist(), len(lengths)]  # stacks' gaps
-        del x, pieces, z  # the stacks keep what they read
-        for k0, a, b in zip(range(0, W, B), bounds, bounds[1:]):
-            stack = R[:min(B, W - k0)]
-            stack[:, D - 1:] = 0  # the rows of image cells; the others are overwritten
-            index = (rows[a:b, None] + columns[src[a:b]]).ravel()
-            np.add.at(R.reshape(-1), index, np.repeat(lengths[a:b], depth + 1))
-            for level in range(depth - 1, -1, -1):
-                first, mid = (1 << level) - 1, (2 << level) - 1
-                np.add(stack[:, mid:2 * mid + 1:2], stack[:, mid + 1:2 * mid + 2:2],
-                       out=stack[:, first:mid])
-            yield m0 + k0, read(stack)
+    end = np.array([G], dtype=dtype)  # the last gap's right end
 
     def blocks():
-        for m0, V in lattice.powers(runs):
-            n = runs[m0]
-            while n:  # gaps of the powers up to k: V's cuts, the edges and P_k's marks
-                gaps = np.arange(1, most + 1) * (len(V.cuts) + 2 * D) + sizes
-                W = _sweep_width(gaps, n, B, budget)
-                yield from sweep(V, m0, W)
-                m0, n = m0 + W, n - W
-                if n:
-                    V = steps[W].compose(V)
+        stack, left = [], len(times)  # the times of this stack; the times not yet yielded
+        for m, U in lattice.powers(times):
+            if not stack:
+                R[D - 1:, :, D - 1:] = 0  # the pyramids overwrite the other entries
+            x = np.sort(np.concatenate((U.cuts, edges, U.inverse.apply(edges), end)))
+            place = U.apply(x[:-1]) // unit * (width * N) + x[:-1] // unit  # (image cell, cell)
+            place = place.astype(np.intp, copy=False) + (corner + len(stack) * N)
+            np.add.at(R.reshape(-1), place, np.diff(x).astype(acc))
+            stack.append(m)
+            if len(stack) == min(B, left):
+                C = R[:, :len(stack)]
+                for view in (C[D - 1:].T, C):  # image cells' columns, then all rows
+                    for level in range(depth - 1, -1, -1):
+                        first, mid = (1 << level) - 1, (2 << level) - 1
+                        np.add(view[mid:2 * mid + 1:2], view[mid + 1:2 * mid + 2:2],
+                               out=view[first:mid])
+                yield stack, read(C.swapaxes(0, 1))
+                stack, left = [], left - len(stack)
 
     return G, blocks()
 
@@ -320,7 +272,7 @@ def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
 
 
 def _baker_blocks(times: list[int], sets):
-    """(G, iterator of (m, C)) for the baker map, one power per stack, with
+    """(G, iterator of ([m], C)) for the baker map, one power per stack, with
     C[0] = 4^level * mu(S^-m A intersect B) for shift cylinders: A shifted by
     m and B are consistent iff their bits agree where both masks are set, and
     then the measure is 2^-(number of bits fixed by either)."""
@@ -344,7 +296,7 @@ def _baker_blocks(times: list[int], sets):
         C[clash] = 0
         return C[None]
 
-    return 2**top, ((m, block(m)) for m in times)
+    return 2**top, (([m], block(m)) for m in times)
 
 
 def _checked_times(T, ms, sets) -> list[int]:
@@ -364,18 +316,13 @@ def _checked_times(T, ms, sets) -> list[int]:
 
 
 def _numerators(T, ms, sets):
-    """(G, iterator of (m0, C)) with C[k, a, b] = G * mu(T^-(m0+k) A_a intersect A_b)
-    for k < len(C), covering every requested m.
+    """(G, iterator of (times, C)) with C[k, a, b] = G * mu(T^-t A_a intersect A_b)
+    for the k-th t of ``times``, covering every requested time once.
 
-    For an interval exchange the times are taken in windows of B =
-    BLOCK_ENTRIES // N^2 consecutive powers from a requested time, for the
-    N = 2^(d+1) - 1 sets the kernel evaluates, at least one and at most
-    sqrt(BLOCK_ENTRIES / pieces), since the step powers T^k, k < B, have up
-    to B^2 * pieces cuts; each window is one stack C, up to its last
-    requested time, so a list of times at least B apart evaluates only those
-    powers.  Windows that follow each other end to end form a run, whose
-    gaps are sorted in sweeps of several stacks (:func:`_iet_blocks`); with
-    unit Q and sets of depth d, G = Q * 2^d.
+    For an interval exchange a stack C holds up to B = BLOCK_ENTRIES // N^2
+    requested times, at least one, whatever their spacing, for the N =
+    2^(d+1) - 1 sets the kernel evaluates (:func:`_iet_blocks`); with unit Q
+    and sets of depth d, G = Q * 2^d.
     For the baker map the sets are shift cylinders and each stack is one
     power.  Entries are exact integers, in float64 for an interval exchange
     while G < 2^53, else of :func:`int_dtype`.  A stack may be a reused
@@ -384,15 +331,8 @@ def _numerators(T, ms, sets):
     times = _checked_times(T, ms, sets)
     if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
         return _baker_blocks(times, sets)
-    N = (2 << max(s.level for s in sets)) - 1
-    B = max(1, min(BLOCK_ENTRIES // N**2, math.isqrt(BLOCK_ENTRIES // len(T))))
-    runs = []  # [m0, n]: the powers m0 .. m0 + n - 1, windows of B from m0 end to end
-    for m in times:
-        if runs and (m == sum(runs[-1]) or m < runs[-1][0] + -(-runs[-1][1] // B) * B):
-            runs[-1][1] = m - runs[-1][0] + 1  # the next power, or one in the last window
-        else:
-            runs.append([m, 1])
-    return _iet_blocks(T, dict(runs), B, sets)
+    B = max(1, BLOCK_ENTRIES // ((2 << max(s.level for s in sets)) - 1) ** 2)
+    return _iet_blocks(T, times, B, sets)
 
 
 def _mass(T, pairs) -> Fraction:
@@ -495,14 +435,14 @@ def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
     rows, columns, t = (k[:, None], k, G) if D is None else (D, 1, t.astype(dtype))
     c = _coefficients(sets, G, D)
     values = {}
-    for m0, C in blocks:
+    for stack, C in blocks:
         S = C.astype(dtype, copy=False)  # a reused stack is overwritten by the next
         S *= rows
         S *= columns
         S -= t
         np.abs(S, out=S)
         S = np.add.reduceat(np.add.reduceat(S, starts, axis=1), starts, axis=2)
-        values.update(zip(range(m0, m0 + len(S)), _combine(S, c)))
+        values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]  # integers: _numerators checked them
 
 

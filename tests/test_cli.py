@@ -30,7 +30,7 @@ from seqent import (
 )
 from seqent.cli import PRESETS, main, validate_config
 from seqent.errors import MAX_MC_SAMPLES
-from seqent.seqentropy import join_partition
+from seqent.seqentropy import join_partition, partition_library
 from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet2D as Dyadic2D
 
@@ -624,6 +624,24 @@ BUDGET_CASES = {
          "n_samples": MAX_MC_SAMPLES + 1, "seed": 1},
         lambda: mc_join_entropy(BakerMap(), RectanglePartition.vertical_halves(),
                                 explicit_family([1, 2]), MAX_MC_SAMPLES + 1, 1)),
+    # the 2^40 intervals or rectangles were built before any budget was checked
+    "dyadic-partition-of-depth-40": (
+        {"experiment": "entropy-trace", "system": {"kind": "golden-rotation"},
+         "partition": {"kind": "dyadic", "depth": 40}, "family": EXPLICIT_FAMILY, "j_values": [1]},
+        lambda: IntervalPartition.dyadic(40)),
+    "dyadic-rect-partition-of-depths-20-20": (
+        {"experiment": "mc-entropy", "system": {"kind": "baker"},
+         "partition": {"kind": "dyadic-rect", "x_depth": 20, "y_depth": 20},
+         "family": EXPLICIT_FAMILY, "seed": 1},
+        lambda: RectanglePartition.dyadic(20, 20)),
+    "sup-envelope-library-of-depth-40": (
+        {"experiment": "sup-envelope", "system": {"kind": "golden-rotation"},
+         "family": EXPLICIT_FAMILY, "j_values": [1], "depth": 40},
+        lambda: partition_library(golden_rotation().to_iet(), 40)),
+    "baker-sup-envelope-library-of-depth-40": (
+        {"experiment": "sup-envelope", "system": {"kind": "baker"},
+         "family": EXPLICIT_FAMILY, "j_values": [1], "depth": 40, "seed": 1},
+        lambda: partition_library(BakerMap(), 40)),
 }
 
 

@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from seqent import (
+    BudgetError,
     IntervalPartition,
     ProbabilityVector,
     Rect,
@@ -15,6 +17,7 @@ from seqent import (
     shannon_entropy,
 )
 from seqent.core import as_real
+from seqent.errors import MAX_JOIN_CUTS, MAX_TILING_CELLS
 
 from oracles import common_refinement
 
@@ -115,6 +118,13 @@ class TestIntervalPartition:
         xi = IntervalPartition.dyadic(2)
         assert sorted(partition_measures(xi)) == [F(1, 4)] * 4
 
+    @pytest.mark.parametrize("level", [MAX_JOIN_CUTS.bit_length(), 40, 10**9])
+    def test_dyadic_past_the_cut_budget_raises_before_any_interval(self, level):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            IntervalPartition.dyadic(level)
+        assert time.perf_counter() - start < 1
+
     def test_measures_sum_to_one(self):
         xi = IntervalPartition.from_cut_list([F(0), F(1, 7), F(2, 5), F(9, 11)])
         assert sum(partition_measures(xi)) == 1
@@ -177,6 +187,13 @@ class TestRectanglePartition:
     def test_quadrants(self):
         xi = RectanglePartition.quadrants()
         assert sorted(partition_measures(xi)) == [F(1, 4)] * 4
+
+    @pytest.mark.parametrize("levels", [(12, 11), (0, MAX_TILING_CELLS.bit_length()), (20, 20)])
+    def test_dyadic_past_the_tiling_budget_raises_before_any_atom(self, levels):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            RectanglePartition.dyadic(*levels)
+        assert time.perf_counter() - start < 1
 
     def test_vertical_halves(self):
         xi = RectanglePartition.vertical_halves()

@@ -126,8 +126,7 @@ def test_correlation_matrix_matches_fraction_oracle(T, m, family):
 @st.composite
 def scan_times(draw, far=40):
     """Unsorted times with repeats and negative values, a run of up to 12
-    consecutive ones (which spans several stacks of a gap sweep), and a few
-    far ones that leave gaps wider than any stack."""
+    consecutive ones (which spans several stacks), and a few far ones."""
     near = draw(st.lists(TIMES, min_size=1, max_size=10))
     first = draw(TIMES)
     near += list(range(first, first + draw(st.integers(0, 12))))
@@ -150,33 +149,22 @@ def windows_of(width: int, family):
 
 def check_blocked_kernel(T, times, family, width):
     """Every stack's numerators and every scan distance equal the oracle's;
-    returns the kernel's stacks as (m0, number of powers)."""
+    returns the times of each of the kernel's stacks."""
     oracle = {m: oracle_correlation_matrix(T, m, family) for m in times}
     with windows_of(width, family):
         G, blocks = _numerators(T, times, family.sets)
         seen, stacks = {}, []
-        for m0, C in blocks:  # a stack is valid until the next one
-            stacks.append((m0, len(C)))
-            for k, matrix in enumerate(C):
-                seen[m0 + k] = [[Fraction(int(v), G) for v in row] for row in matrix]
-        assert all(seen[m] == oracle[m] for m in times)
+        for stack, C in blocks:  # a stack is valid until the next one
+            stacks.append(stack)
+            assert len(C) == len(stack)
+            for m, matrix in zip(stack, C):
+                seen[m] = [[Fraction(int(v), G) for v in row] for row in matrix]
+        assert sorted(seen) == sorted(set(times)) and all(seen[m] == oracle[m] for m in times)
         for mode in ("theta", "identity"):
             want = [oracle_distance(T, oracle[m], family, mode) for m in times]
             assert _scan_distances(T, times, family, mode) == want
             assert blocked_distances(T, times, family, mode) == want
     return stacks
-
-
-def sweep_widths(monkeypatch) -> list[int]:
-    """The powers of each gap sweep the interval-exchange kernel takes from now on."""
-    widths, sweep_width = [], weaklimits._sweep_width
-
-    def spy(*args):
-        widths.append(sweep_width(*args))
-        return widths[-1]
-
-    monkeypatch.setattr(weaklimits, "_sweep_width", spy)
-    return widths
 
 
 @st.composite
@@ -264,33 +252,25 @@ def test_closed_form_rotation_powers_equal_composed_ones(T, times):
             assert got.trans.tolist() == ref.trans.tolist()
 
 
-def test_one_gap_sweep_spans_stacks_and_ends_on_a_partial_one(monkeypatch):
-    # depth 4 in stacks of B = 2: the five powers' gaps fit one sweep
-    widths = sweep_widths(monkeypatch)
+def test_consecutive_powers_fill_stacks_and_end_on_a_partial_one():
     stacks = check_blocked_kernel(golden_rotation().to_iet(), list(range(5)),
                                   Family.dyadic_intervals(4), 2)
-    assert stacks == [(0, 2), (2, 2), (4, 1)]
-    assert widths[0] == 5
+    assert stacks == [[0, 1], [2, 3], [4]]
 
 
-def test_strided_times_take_one_power_per_stack(monkeypatch):
-    # a stride of at least B: no power between two requested times is evaluated
-    widths = sweep_widths(monkeypatch)
+def test_strided_times_fill_stacks_of_requested_times():
+    # a stride of 3 in stacks of B = 3: each stack holds three requested times and no other
     times = list(range(-9, 40, 3))
     stacks = check_blocked_kernel(THREE_IET, times, Family.dyadic_intervals(2), 3)
-    assert sorted(stacks) == [(m, 1) for m in times]
-    assert set(widths) == {1}
+    assert stacks == [[0, 3, 6], [9, 12, 15], [18, 21, 24], [27, 30, 33], [36, 39, -3], [-6, -9]]
 
 
-def test_powers_of_many_pieces_fall_back_to_sweeps_of_one_stack(monkeypatch):
-    # T^60 of a 4-IET has over a hundred pieces: no sweep holds more than B = 2 powers
+def test_powers_of_many_pieces_match_the_oracle():
     T = IntervalExchange((Fraction(1, 5), Fraction(2, 7), Fraction(3, 11), Fraction(93, 385)),
                          (3, 2, 1, 0))
     assert len(powers_of(T, [60])[60]) > 100
-    widths = sweep_widths(monkeypatch)
     stacks = check_blocked_kernel(T, list(range(60, 65)), Family.dyadic_intervals(2), 2)
-    assert stacks == [(60, 2), (62, 2), (64, 1)]
-    assert widths[:3] == [2, 2, 1]
+    assert stacks == [[60, 61], [62, 63], [64]]
 
 
 def test_identity_target_holds_one_matrix():

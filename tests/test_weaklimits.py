@@ -1,9 +1,12 @@
+import dataclasses
+import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqent import (
@@ -146,6 +149,22 @@ class TestCorrelation:
             B = Dyadic1D(lb, rng.randrange(2**lb))
             m = rng.randint(0, 10)
             assert correlation(T, A, B, m) == brute_force_correlation(T, A, B, m)
+
+    @pytest.mark.parametrize("T, cls, fields", [
+        (BakerMap(), Dyadic2D, [(1, 1, 1, 0), (3, 5, 2, 1), (0, 0, 0, 0)]),
+        (T4, Dyadic1D, [(62, 3), (63, 1), (2, 1)]),
+    ], ids=["baker", "4iet"])
+    def test_numpy_integer_fields_are_stored_as_ints(self, T, cls, fields):
+        # numpy fields stayed numpy: the baker map's cylinder words were shifted in int64
+        ints = [cls(*f) for f in fields]
+        sets = [cls(*map(np.int64, f)) for f in fields]
+        assert all(type(v) is int for s in sets for v in dataclasses.astuple(s))
+        for m in (-80, -63, -1, 0, 1, 62, 63, 70, 80):
+            for a, b in itertools.product(range(len(fields)), repeat=2):
+                assert correlation(T, sets[a], sets[b], m) == correlation(T, ints[a], ints[b], m)
+        for a in range(len(fields)):
+            for m, n in ((70, 80), (-63, 1), (0, 63), (-80, 80)):
+                assert triple_correlation(T, sets[a], m, n) == triple_correlation(T, ints[a], m, n)
 
     def test_baker_pairs_equal_the_matrix_entries(self):
         fam = Family.dyadic_rectangles(4)

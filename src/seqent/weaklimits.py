@@ -33,8 +33,12 @@ measure 2^-l), so d(m) = sum over level pairs lp of c_lp * S_lp(m): S_lp is
 the exact integer sum of |K_lp * C_ab - t_ab| over the family's pairs of that
 level pair, C = G * mu(T^-m A_a intersect A_b), and c_lp = w_lp / (sigma_a *
 sigma_b * K_lp * G) is one float.  The kernel's and the baker map's stacks
-become S in place (:func:`_distances`); a rotation sums each class of equal
-entries once per power (:func:`_rotation_distances`).  One float step,
+become S in place (:func:`_distances`).  Under a rotation C_ab depends only
+on the level pair and the class of u_a - u_b in steps of the smaller set,
+and a power's classes are a window of 2^|l_a - l_b| + 1 consecutive ones:
+the smaller arc clipped at both ends, then whole, then 0.  So S_lp is read
+from prefix sums over the classes in a few gathers, O(levels^2) per power
+(:func:`_rotation_distances`).  One float step,
 :func:`_combine`, turns S into distances, so the paths agree bit for bit
 because their sums are exact.
 """
@@ -423,14 +427,17 @@ def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
     "identity" or an :class:`AdmissibleSpec`) from the kernel's stacks C of the
     sets sorted by level: S = |K * C - t|, K = 2^(l_a + l_b) and t = G for
     Theta (else D and t of :func:`_target`), is summed over each level's rows,
-    then columns."""
+    then columns.  S is formed in the stack's own array while n times the
+    largest entry is exact in its dtype, and only the row sums are widened."""
     sets = sorted(family.sets, key=lambda s: s.level)  # each level's rows and columns together
     level = np.array([s.level for s in sets])
     levels, starts = np.unique(level, return_index=True)
     G, blocks = _numerators(T, ms, sets)
     D, t = (None, G) if mode == "theta" else _target(T, sets, mode, G)
-    # n^2 times the largest |K * C - t|: K * C <= G * 2^min(l_a, l_b) for Theta
-    dtype = _sum_dtype(len(sets) ** 2 * G * (D or 1 << int(levels[-1])))
+    # the largest |K * C - t|: K * C <= G * 2^min(l_a, l_b) for Theta
+    most = G * (D or 1 << int(levels[-1]))
+    # a level's rows sum n entries, its columns n^2
+    dtype, wide = _sum_dtype(len(sets) * most), _sum_dtype(len(sets) ** 2 * most)
     k = np.array([1 << int(l) for l in level])  # Theta's K = k_a * k_b
     rows, columns, t = (k[:, None], k, G) if D is None else (D, 1, t.astype(dtype))
     c = _coefficients(sets, G, D)
@@ -441,7 +448,8 @@ def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
         S *= columns
         S -= t
         np.abs(S, out=S)
-        S = np.add.reduceat(np.add.reduceat(S, starts, axis=1), starts, axis=2)
+        S = np.add.reduceat(np.add.reduceat(S, starts, axis=1).astype(wide, copy=False),
+                            starts, axis=2)
         values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]  # integers: _numerators checked them
 
@@ -453,23 +461,35 @@ def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFami
 
     With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and C_ab is the
     overlap of the arcs A_b and A_a - r of the circle of length G.  It depends
-    only on the two levels and on the class (u_a - u_b) / (G / 2^l) mod 2^l of
-    the left ends u, l = max(l_a, l_b), so S_lp sums |K * C - t| once per
-    class the family holds, times its pairs in the class: 2^min(l_a, l_b) in a
-    complete family, else one bincount over the family's pairs.
+    only on the two levels and on the class j = (u_a - u_b) / s mod 2^l of the
+    left ends u, l = max(l_a, l_b) and s = G >> l, and the family holds
+    mult_j pairs of class j: 2^min(l_a, l_b) in a complete family, else one
+    bincount over the family's pairs.  With M = 2^|l_a - l_b|, q = r // s
+    and u = r mod s, the classes of T^m are a window of M + 1 from p = q
+    (l_a >= l_b) or p = q - M + 1 (l_a < l_b), mod 2^l: s - u at p, s at
+    p+1 .. p+M-1, u at p+M, 0 elsewhere; the identity's are the window at
+    r = 0.  So with h_j = mult_j |t_j| and g_j = mult_j |K s - t_j|,
+
+        S_lp = H - h[p..p+M] + g[p+1..p+M-1]
+               + mult_p |K (s - u) - t_p| + mult_{p+M} |K u - t_{p+M}|,
+
+    H the sum of h, read from prefix sums over the classes twice over (so no
+    window wraps): a few gathers per level pair and power.  A level-0 set's
+    window covers the circle (every class holds s), and the rule gives S_lp =
+    the sum of g.  Stacks hold BLOCK_ENTRIES // (the level pairs' classes)
+    powers, at least one.
     """
     sets = sorted(family.sets, key=lambda s: s.level)
     times = _checked_times(T, ms, sets)
     level = np.array([s.level for s in sets])
     levels, index = np.unique(level, return_inverse=True)
     depth, n, L = int(levels[-1]), len(sets), len(levels)
-    n_all = (2 << depth) - 1  # the sets of the complete family of depth d
     G, itype = Q << depth, int_dtype(Q << depth)
     la, lb = (levels[i] for i in np.divmod(np.arange(L * L), L))  # the level pairs, l_a major
     top = np.maximum(la, lb)
     counts = 1 << top  # classes of each level pair
     first = np.cumsum(counts) - counts
-    if [(1 << s.level) - 1 + s.k for s in sets] == list(range(n_all)):
+    if [(1 << s.level) - 1 + s.k for s in sets] == list(range((2 << depth) - 1)):
         mult = np.repeat(1 << np.minimum(la, lb), counts)
     else:
         u = np.array([s.k << depth - s.level for s in sets])  # left ends, in units of G >> d
@@ -477,32 +497,37 @@ def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFami
         pair = index[a] * L + index[b]
         j = (u[a] - u[b]) % (1 << depth) >> depth - top[pair]
         mult = np.bincount(first[pair] + j, minlength=counts.sum())
-    held = np.flatnonzero(mult)  # the classes the family holds, grouped by level pair
-    pair, mult = np.repeat(np.arange(L * L), counts)[held], mult[held]
-    lengths = np.array([G >> l for l in range(depth + 1)], dtype=itype)
-    A_len, B_len = lengths[la[pair]], lengths[lb[pair]]
-    lefts = (held - first[pair]).astype(itype) * np.minimum(A_len, B_len)  # u_a - u_b mod G
-
-    def overlaps(r: np.ndarray) -> np.ndarray:
-        """The numerators of every held class for the shifts r, a (b, 1) column."""
-        d = lefts - r  # A_a - r starts d mod G after A_b; both terms lie in [0, G)
-        d = np.where(d < 0, d + G, d)
-        end = d + A_len
-        return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
-
     theta = mode == "theta"
-    dtype = _sum_dtype(n * n * (G << depth if theta else G))
-    K, t = ((1 << la + lb)[pair], G) if theta else (1, overlaps(np.zeros((1, 1), dtype=itype)))
-    c, starts = _coefficients(sets, G, None if theta else 1), np.flatnonzero(np.diff(pair, prepend=-1))
-    width, shift, values = max(1, BLOCK_ENTRIES // n_all**2), rho << depth, {}  # as the kernel
+    # the prefix sums and their differences stay below 4 * n^2 times the largest |K * C - t|
+    dtype = _sum_dtype(4 * n * n * (G << depth if theta else G))
+    M = 1 << abs(la - lb)  # the smaller set's arcs in the larger one
+    start = np.where(la < lb, M - 1, 0)  # the window starts at class q - start
+    base = 2 * first  # each level pair's classes, twice over
+    pair = np.repeat(np.arange(L * L), 2 * counts)
+    j = (np.arange(2 * counts.sum()) - base[pair]) & (counts[pair] - 1)
+    s = [G >> int(l) for l in top]
+    K = np.array([1 << int(a + b) if theta else 1 for a, b in zip(la, lb)], dtype=dtype)
+    Ks = K * np.array(s, dtype=dtype)
+    t = np.full(len(j), G, dtype=dtype) if theta else np.where(  # the identity: Ks = s
+        ((j + start[pair]) & (counts[pair] - 1)) < M[pair], Ks[pair], 0).astype(dtype)
+    mult = mult[first[pair] + j].astype(dtype)
+    X, Y = (np.zeros(len(j) + 1, dtype=dtype) for _ in range(2))  # exclusive prefix sums
+    np.cumsum(mult * t, out=X[1:])  # of h
+    np.cumsum(mult * np.abs(Ks[pair] - t), out=Y[1:])  # of g
+    H, after, before = X[base + counts] - X[base], Y[:-1] - X[1:], Y[1:] - X[:-1]
+    c, values = _coefficients(sets, G, None if theta else 1), {}
+    s, shift, width = np.array(s, dtype=itype), rho << depth, max(1, BLOCK_ENTRIES // counts.sum())
     for i in range(0, len(times), width):
         stack = times[i:i + width]
-        S = overlaps(np.array([m * shift % G for m in stack], dtype=itype)[:, None]).astype(dtype)
-        S *= K
-        S -= t
-        np.abs(S, out=S)
-        S *= mult
-        values.update(zip(stack, _combine(np.add.reduceat(S, starts, axis=1), c)))
+        r = np.array([m * shift % G for m in stack], dtype=itype)[:, None]
+        q = r // s
+        p = base + ((q.astype(np.intp) - start) & (counts - 1))
+        e = p + M
+        Ku = K * (r - q * s).astype(dtype)
+        S = H + after[e] - before[p]  # H - h[p..e] + g[p+1..e-1]
+        S += mult[p] * np.abs(Ks - Ku - t[p])
+        S += mult[e] * np.abs(Ku - t[e])
+        values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]
 
 

@@ -11,10 +11,11 @@ replaced, kept as slower references on the same integer rows:
 :func:`oracle_distance` sums its deviations exactly per pair of levels and
 shares only the final float step of the weak distances
 (``weaklimits._coefficients`` and ``_combine``) with the library.
-:func:`blocked_distances` runs the general weak-limit kernel, the reference
-for the closed-form rotation path, and :func:`composed_power` composes
-lattice maps one step at a time, the reference for closed-form rotation
-powers.
+:func:`blocked_distances` runs the general weak-limit kernel and
+:func:`rotation_class_sums` sums a rotation's distances class by class, the
+references for the closed-form rotation path, and :func:`composed_power`
+composes lattice maps one step at a time, the reference for closed-form
+rotation powers.
 """
 import math
 import random
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from seqent import (BudgetError, IntervalExchange, IntervalPartition, ProbabilityVector, Rect,
-                    RectangleExchange, ValidationError)
+                    RectangleExchange, ValidationError, weaklimits)
 from seqent.segments import SegmentSet
 from seqent.seqentropy import (
     LN2,
@@ -36,8 +37,9 @@ from seqent.seqentropy import (
     check_partition,
     check_sample_bits,
 )
-from seqent.systems import IetLattice, RectLattice, interior_discontinuity_segments, lattice_ints
-from seqent.weaklimits import _coefficients, _combine, _distances
+from seqent.systems import (IetLattice, RectLattice, int_dtype, interior_discontinuity_segments,
+                            lattice_ints)
+from seqent.weaklimits import _checked_times, _coefficients, _combine, _distances, _sum_dtype
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -223,6 +225,70 @@ def blocked_distances(T, ms, family, mode: str) -> list:
     """The weak distances to ``mode``'s targets from the blocked lattice kernel
     (``weaklimits._numerators``), the path of every exchange but a rotation."""
     return _distances(T, ms, family, mode)
+
+
+def rotation_class_sums(T, ms, family, mode: str) -> list:
+    """The weak distances of a rotation T's powers to ``mode``'s targets
+    ("theta" or "identity"), evaluating every class of every level pair for
+    every power: the per-class sums that the closed form of
+    ``weaklimits._rotation_distances`` replaced.
+
+    With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and C_ab is
+    the overlap of the arcs A_b and A_a - r of the circle of length G.  It
+    depends only on the two levels and on the class (u_a - u_b) / (G / 2^l)
+    mod 2^l of the left ends u, l = max(l_a, l_b), so S_lp sums |K * C - t|
+    once per class the family holds, times its pairs in the class
+    (2^min(l_a, l_b) in a complete family, else one bincount over the
+    family's pairs), in stacks of the kernel's width.
+    """
+    lattice = IetLattice.of(T)
+    Q, rho = lattice.Q, lattice.shift
+    sets = sorted(family.sets, key=lambda s: s.level)
+    times = _checked_times(T, ms, sets)
+    level = np.array([s.level for s in sets])
+    levels, index = np.unique(level, return_inverse=True)
+    depth, n, L = int(levels[-1]), len(sets), len(levels)
+    n_all = (2 << depth) - 1  # the sets of the complete family of depth d
+    G, itype = Q << depth, int_dtype(Q << depth)
+    la, lb = (levels[i] for i in np.divmod(np.arange(L * L), L))  # the level pairs, l_a major
+    top = np.maximum(la, lb)
+    counts = 1 << top  # classes of each level pair
+    first = np.cumsum(counts) - counts
+    if [(1 << s.level) - 1 + s.k for s in sets] == list(range(n_all)):
+        mult = np.repeat(1 << np.minimum(la, lb), counts)
+    else:
+        u = np.array([s.k << depth - s.level for s in sets])  # left ends, in units of G >> d
+        a, b = np.divmod(np.arange(n * n), n)
+        pair = index[a] * L + index[b]
+        j = (u[a] - u[b]) % (1 << depth) >> depth - top[pair]
+        mult = np.bincount(first[pair] + j, minlength=counts.sum())
+    held = np.flatnonzero(mult)  # the classes the family holds, grouped by level pair
+    pair, mult = np.repeat(np.arange(L * L), counts)[held], mult[held]
+    lengths = np.array([G >> l for l in range(depth + 1)], dtype=itype)
+    A_len, B_len = lengths[la[pair]], lengths[lb[pair]]
+    lefts = (held - first[pair]).astype(itype) * np.minimum(A_len, B_len)  # u_a - u_b mod G
+
+    def overlaps(r: np.ndarray) -> np.ndarray:
+        """The numerators of every held class for the shifts r, a (b, 1) column."""
+        d = lefts - r  # A_a - r starts d mod G after A_b; both terms lie in [0, G)
+        d = np.where(d < 0, d + G, d)
+        end = d + A_len
+        return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
+
+    theta = mode == "theta"
+    dtype = _sum_dtype(n * n * (G << depth if theta else G))
+    K, t = ((1 << la + lb)[pair], G) if theta else (1, overlaps(np.zeros((1, 1), dtype=itype)))
+    c, starts = _coefficients(sets, G, None if theta else 1), np.flatnonzero(np.diff(pair, prepend=-1))
+    width, shift, values = max(1, weaklimits.BLOCK_ENTRIES // n_all**2), rho << depth, {}
+    for i in range(0, len(times), width):
+        stack = times[i:i + width]
+        S = overlaps(np.array([m * shift % G for m in stack], dtype=itype)[:, None]).astype(dtype)
+        S *= K
+        S -= t
+        np.abs(S, out=S)
+        S *= mult
+        values.update(zip(stack, _combine(np.add.reduceat(S, starts, axis=1), c)))
+    return [values[m] for m in ms]
 
 
 def _overlap(a, b) -> Fraction:

@@ -60,6 +60,7 @@ from oracles import (
     oracle_distance,
     pairwise_check_tiling,
     reimaging_boundary_growth,
+    rotation_class_sums,
     scan_apply,
     scan_label_at,
     segmentset_boundary_growth,
@@ -227,6 +228,52 @@ def interval_families_to_depth_6(draw):
 def test_rotation_distances_equal_the_blocked_kernel(T, times, family, width):
     with windows_of(width, family):
         want = {mode: blocked_distances(T, times, family, mode) for mode in ("theta", "identity")}
+        with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
+            for mode in ("theta", "identity"):
+                assert _scan_distances(T, times, family, mode) == want[mode]
+
+
+@st.composite
+def rotation_scans(draw):
+    """A rotation and its scanned times: zero, negative and repeated ones, and
+    multiples of its period, where T^m is the identity.  Under a rotation by
+    p/2^k every time puts the shift on a class boundary (u = 0) at levels k
+    and deeper; q in 2^20..2^40 puts the sums near the edge of float64."""
+    T = draw(st.one_of(rational_rotations(st.integers(1, 10**4)),
+                       rational_rotations(st.integers(2**20, 2**40)),
+                       rational_rotations(st.integers(2**48, 2**64)),
+                       rational_rotations(st.sampled_from([2**k for k in range(11)])),
+                       cyclic_shifts(), st.just(IntervalExchange.identity())))
+    times, Q = draw(scan_times()), IetLattice.of(T).Q
+    if Q <= 10**4:
+        times += [k * Q for k in draw(st.lists(st.integers(-3, 3), max_size=3))]
+    return T, draw(st.permutations(times))
+
+
+@st.composite
+def interval_families_to_depth_8(draw):
+    """A complete dyadic family of depth 0..8, or the full space plus up to
+    eight dyadic intervals of level <= 8, some of them repeated."""
+    if draw(st.booleans()):
+        return Family.dyadic_intervals(draw(st.integers(0, 8)))
+    sets = draw(st.lists(dyadic_intervals(8), max_size=8))
+    return Family((Dyadic1D(0, 0), *sets, *sets[:draw(st.integers(0, 3))]))
+
+
+@SETTINGS
+@given(rotation_scans(), interval_families_to_depth_8(), st.integers(1, 5))
+@example((IntervalExchange.rotation(Fraction(1, 3)), [2, 0, -1]), Family((Dyadic1D(0, 0),)), 1)
+@example((IntervalExchange.rotation(Fraction(6, 7)), [1, -1, 2, 7]),  # windows past class 2^l - 1
+         Family.dyadic_intervals(3), 2)
+@example((IntervalExchange.rotation(Fraction(2**35 + 1, 2**36 + 5)), [-4, 1, 2, 3, 1000]),
+         Family.dyadic_intervals(5), 2)  # G below 2^53, sums past it: int64
+@example((IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), [-1, 0, 1, 7, 7]),
+         REPEATS, 1)  # G past 2^62: Python integers
+@example((golden_rotation().to_iet(), [-7, 0, *range(1, 18), 89]), Family.dyadic_intervals(11), 1)
+def test_rotation_closed_form_equals_the_class_sums(scan, family, width):
+    T, times = scan
+    with windows_of(width, family):
+        want = {mode: rotation_class_sums(T, times, family, mode) for mode in ("theta", "identity")}
         with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
             for mode in ("theta", "identity"):
                 assert _scan_distances(T, times, family, mode) == want[mode]

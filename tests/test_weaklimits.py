@@ -325,6 +325,22 @@ class TestScans:
         with pytest.raises(ValidationError):
             rigidity_scan(ROT, 0, 0.01, FAM4)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_depth_11_kernel_scan_peaks_at_most_200_mb(self):
+        # the kernel's stack of one 4095 x 4095 float64 matrix is 134 MB; its sums of
+        # |K * C - G| are formed in it, and only the row sums are widened to int64
+        code = ("from fractions import Fraction as F\n"
+                "from seqent import IntervalExchange, mixing_time_scan\n"
+                "from seqent.weaklimits import TestFamily\n"
+                "T = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))\n"
+                "mixing_time_scan(T, 0, 0.05, 3, TestFamily.dyadic_intervals(11))\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        src = os.path.dirname(os.path.dirname(weaklimits.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) / 1024 <= 200
+
 
 class TestRotationPath:
     def test_rotations_need_no_kernel_and_no_dense_targets(self, monkeypatch):

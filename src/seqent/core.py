@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import MAX_JOIN_CUTS, MAX_TILING_CELLS, BudgetError, ValidationError
@@ -100,7 +99,10 @@ def shannon_entropy(p: ProbabilityVector) -> float:
 
 def entropy_of_groups(groups: Iterable[tuple[Fraction, int]]) -> float:
     """-sum(count * m * log2(m)) over (mass m, count) pairs in the given order,
-    at ENTROPY_PRECISION bits; :func:`shannon_entropy` passes its masses sorted."""
+    at ENTROPY_PRECISION bits; :func:`shannon_entropy` passes its masses sorted.
+    mpmath is imported here, on the first exact entropy, not with seqent."""
+    import mpmath
+
     with mpmath.workprec(ENTROPY_PRECISION):
         total = mpmath.mpf(0)
         for mass, count in groups:

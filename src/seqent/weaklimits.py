@@ -401,8 +401,9 @@ def _coefficients(sets, G: int, D: int | None) -> np.ndarray:
 
 def _combine(S: np.ndarray, c: np.ndarray) -> list[float]:
     """sum_lp c_lp * S_lp for each row of exact sums ``S``: each S_lp rounded once,
-    then one pairwise sum per row, whatever path, stack or dtype gave S."""
-    return (S.reshape(len(S), -1).astype(float) * c).sum(axis=1).tolist()
+    then one pairwise sum per row of a C-ordered array, whatever path, stack,
+    dtype or memory order gave S."""
+    return (S.reshape(len(S), -1).astype(float, order="C") * c).sum(axis=1).tolist()
 
 
 def _target(T, sets, mode, G: int) -> tuple[int, np.ndarray]:

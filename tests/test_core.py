@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import seqent
 from seqent import (
     BudgetError,
     IntervalPartition,
@@ -61,6 +65,18 @@ class TestAsReal:
 
 
 class TestShannonEntropy:
+    def test_mpmath_is_loaded_by_the_first_entropy_not_by_import(self):
+        code = ("import sys, seqent\n"
+                "assert 'mpmath' not in sys.modules\n"
+                "import seqent.cli\n"
+                "assert 'mpmath' not in sys.modules\n"
+                "from seqent import ProbabilityVector, shannon_entropy\n"
+                "shannon_entropy(ProbabilityVector.from_numerators([1, 3], 4))\n"
+                "assert 'mpmath' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(seqent.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
     def test_uniform_two_atoms(self):
         assert shannon_entropy(ProbabilityVector((F(1, 2), F(1, 2)))) == 1.0
 

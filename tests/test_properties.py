@@ -59,6 +59,7 @@ from oracles import (
     oracle_correlation_matrix,
     oracle_distance,
     pairwise_check_tiling,
+    per_power_join_gaps,
     reimaging_boundary_growth,
     rotation_class_sums,
     scan_apply,
@@ -297,6 +298,26 @@ def test_closed_form_rotation_powers_equal_composed_ones(T, times):
             assert got.cuts.dtype == ref.cuts.dtype == got.trans.dtype == ref.trans.dtype
             assert got.cuts.tolist() == ref.cuts.tolist()
             assert got.trans.tolist() == ref.trans.tolist()
+
+
+@SETTINGS
+@given(st.one_of(rational_rotations(st.integers(1, 10**4)),
+                 rational_rotations(st.integers(2**48, 2**64)),
+                 cyclic_shifts(), st.just(IntervalExchange.identity())),
+       interval_partitions(), scan_times(), st.sampled_from(["forward", "backward"]),
+       st.sampled_from([1, 7, 2**15]))
+@example(golden_rotation().to_iet(), IntervalPartition.dyadic(2), [0, -3, 5, 5, 89], "forward", 7)
+@example(IntervalExchange.rotation(Fraction(2**62 + 1, 2**63 + 5)), IntervalPartition.halves(),
+         [-2, 0, 3, 3], "backward", 1)  # object tier
+def test_closed_form_rotation_join_gaps_equal_the_per_power_ones(T, xi, times, signs, chunk):
+    want_cuts, want_Q, want_gaps = per_power_join_gaps(T, xi, times, signs)
+    with mock.patch.object(seqentropy, "ROTATION_CHUNK", chunk):
+        cuts, Q, gaps = seqentropy._join_gaps(T, xi, times, signs)
+        gaps = list(gaps)
+    assert Q == want_Q and cuts.dtype == want_cuts.dtype and cuts.tolist() == want_cuts.tolist()
+    want_gaps = list(want_gaps)
+    assert [g.dtype for g in gaps] == [g.dtype for g in want_gaps]
+    assert [g.tolist() for g in gaps] == [g.tolist() for g in want_gaps]
 
 
 def test_consecutive_powers_fill_stacks_and_end_on_a_partial_one():

@@ -34,7 +34,9 @@ from seqent import (
     shannon_entropy,
     sup_over_partitions,
 )
+from seqent import seqentropy, weaklimits
 from seqent.seqentropy import (
+    _join_gaps,
     _sample_cells,
     asymmetry_times,
     check_join,
@@ -45,9 +47,11 @@ from seqent.seqentropy import (
 from seqent.errors import MAX_LEDGER_STEPS
 from seqent.systems import IetLattice, discontinuity_length, interior_discontinuity_segments
 from seqent.weaklimits import TestFamily as Family
-from seqent.weaklimits import mixing_time_scan
+from seqent.weaklimits import TestSet1D as Dyadic1D
+from seqent.weaklimits import correlation, mixing_time_scan, triple_correlation
 
-from oracles import baker_inverse, baker_join_measures_grid, fraction_mc_join_entropy
+from oracles import (baker_inverse, baker_join_measures_grid, fraction_mc_join_entropy,
+                     per_power_join_gaps)
 
 F = Fraction
 
@@ -133,6 +137,57 @@ class TestExactJoin:
             assert exact_join(golden_iet(), xi, family) == composed
             with pytest.raises(AssertionError, match="composed"):
                 exact_join(four, xi, family)
+
+    def test_rotation_join_builds_no_power(self):
+        family, xi = make_progression_family(1, 64), IntervalPartition.dyadic(2)
+        refuse = AssertionError("a rotation join built a power")
+        with mock.patch.object(IetLattice, "powers", side_effect=refuse), \
+                mock.patch.object(IetLattice, "_rotation", side_effect=refuse):
+            exact_join(golden_iet(), xi, family)
+            join_for(IntervalExchange.rotation(F(2**62 + 1, 2**63 + 5)), xi, family)  # object tier
+        four = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+        with mock.patch.object(IetLattice, "compose", autospec=True,
+                               side_effect=IetLattice.compose) as compose:
+            exact_join(four, xi, family)
+        assert compose.call_count > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_rotation_joins_do_not_depend_on_the_chunk(self, chunk):
+        family, xi = make_progression_family(1, 64), IntervalPartition.dyadic(2)
+        big = IntervalExchange.rotation(F(2**62 + 1, 2**63 + 5))
+        want = [exact_join(T, xi, family, signs=signs)
+                for T in (golden_iet(), big) for signs in ("forward", "backward")]
+        with mock.patch.object(seqentropy, "ROTATION_CHUNK", chunk):
+            got = [exact_join(T, xi, family, signs=signs)
+                   for T in (golden_iet(), big) for signs in ("forward", "backward")]
+        assert got == want
+        assert [r.partition.labels for r in got] == [r.partition.labels for r in want]
+
+    def test_golden_joins_equal_the_per_power_path(self):
+        T, xi, family = golden_iet(), IntervalPartition.dyadic(2), explicit_family(range(1, 57))
+        A = Dyadic1D(2, 1)
+
+        def results():
+            fwd = exact_join(T, xi, family)
+            return (fwd.entropy_bits, fwd.measures, fwd.partition.cuts, fwd.partition.labels,
+                    exact_join(T, xi, family, signs="backward"), join_for(T, HALVES, family),
+                    correlation(T, A, Dyadic1D(3, 5), 13), triple_correlation(T, A, 5, 21),
+                    asymmetry_ratio(T, HALVES, 8, 3, 5, direction="forward"),
+                    asymmetry_ratio(T, HALVES, 8, 3, 5, direction="backward"))
+
+        closed = results()
+        with mock.patch.object(seqentropy, "_join_gaps", per_power_join_gaps), \
+                mock.patch.object(weaklimits, "_join_gaps", per_power_join_gaps):
+            assert results() == closed
+
+    @pytest.mark.parametrize("rotation", [True, False], ids=["rotation", "4-iet"])
+    def test_empty_time_list_raises(self, rotation):
+        T = golden_iet() if rotation else IntervalExchange(
+            (F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))
+        with pytest.raises(ValidationError, match="at least one time"):
+            join_partition(T, HALVES, [])
+        with pytest.raises(ValidationError, match="at least one time"):
+            _join_gaps(T, HALVES, (), "backward")
 
     def test_atom_count_polynomial_bound(self):
         T = IntervalExchange((F(1, 2), F(1, 3), F(1, 6)), (2, 1, 0))

@@ -216,6 +216,18 @@ class TestDistances:
         assert len(vals) == 1
 
 
+    def test_combined_floats_do_not_depend_on_memory_order(self):
+        # a Fortran-ordered S, as an S[:, idx] gather gives, once summed its
+        # rows sequentially and changed most of these 69 floats
+        rng = np.random.default_rng(3)
+        S = rng.integers(0, 2**40, size=(69, 49))
+        c = rng.random(49) * 2.0 ** rng.integers(-30, 0, 49)
+        fortran = np.asfortranarray(S)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        assert weaklimits._combine(fortran, c) == weaklimits._combine(S, c)
+        assert weaklimits._combine(S.T.copy().T, c) == weaklimits._combine(S, c)
+
+
 class TestAdmissible:
     def test_pure_theta_reduction(self):
         Q = AdmissibleSpec(1, ())

@@ -91,9 +91,9 @@ def _join_gaps(T: IntervalExchange, xi: IntervalPartition, times: Sequence[int],
     each power's cuts and preimages of xi's cuts; every gap then lies in one
     piece of each power, so it is labelled at its left endpoint.  A rotation
     (:attr:`~seqent.systems.IetLattice.shift` rho) builds no power: T^t is the
-    shift by r = t * rho mod Q, whose cuts 0 and Q - r and preimages e - r
-    mod Q of xi's edges e are 0 and the e - r mod Q (0 is an edge), and the
-    gaps of all times are searched in blocks of ROTATION_CHUNK entries.
+    shift by r = t * rho mod Q, whose cuts are 0 and Q - r, the preimage of
+    the edge 0 among the preimages e - r mod Q of xi's edges e, and the gaps
+    of all times are searched in blocks of ROTATION_CHUNK entries.
     ValidationError unless T is an interval exchange and ``times`` is not empty."""
     if not isinstance(T, IntervalExchange):
         raise ValidationError(f"exact interval joins run on interval exchanges, not {type(T).__name__}")

@@ -38,10 +38,8 @@ from seqent.seqentropy import (
     check_partition,
     check_sample_bits,
 )
-from seqent.core import as_integer
-from seqent.errors import MAX_JOIN_CUTS
-from seqent.systems import (IetLattice, RectLattice, check_powers, int_dtype,
-                            interior_discontinuity_segments, lattice_ints)
+from seqent.systems import (IetLattice, RectLattice, int_dtype, interior_discontinuity_segments,
+                            lattice_ints)
 from seqent.weaklimits import _checked_times, _coefficients, _combine, _distances, _sum_dtype
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -225,25 +223,16 @@ def composed_power(lattice: IetLattice, t: int) -> IetLattice:
 
 
 def per_power_join_gaps(T, xi, times, signs: str):
-    """``seqentropy._join_gaps`` from one lattice power per time, rotations
-    included: the cuts are every power's cuts and inverse images of xi's
-    edges, and each time's gaps are found by applying its power."""
-    if not isinstance(T, IntervalExchange):
-        raise ValidationError(f"exact interval joins run on interval exchanges, not {type(T).__name__}")
-    if signs not in ("forward", "backward"):
-        raise ValidationError(f"signs must be 'forward' or 'backward', got {signs!r}")
-    check_partition(T, xi)
-    sign = -1 if signs == "forward" else 1
-    signed = [sign * as_integer(t, "time") for t in times]
-    check_powers(T, signed)
+    """``seqentropy._join_gaps`` of valid input from one lattice power per
+    time, rotations included: the cuts are every power's cuts and inverse
+    images of xi's edges, and each time's gaps are found by applying its power."""
+    signed = [(-t if signs == "forward" else t) for t in times]
     lattice = IetLattice.of(T).scaled(math.lcm(*(c.denominator for c in xi.cuts)))
     edges = lattice_ints(xi.cuts, lattice.Q)
     maps = list(map(dict(lattice.powers(signed)).__getitem__, signed))
     cuts = np.sort(np.concatenate([np.append(U.cuts, U.inverse.apply(edges)) for U in maps]),
                    kind="stable")
     cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
-    if len(cuts) > MAX_JOIN_CUTS:
-        raise BudgetError(f"join needs {len(cuts)} cut points, budget {MAX_JOIN_CUTS}")
     return cuts, lattice.Q, (np.searchsorted(edges, U.apply(cuts), side="right") - 1 for U in maps)
 
 

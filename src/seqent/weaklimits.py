@@ -10,43 +10,39 @@ thresholds of the rigidity/mixing diagnostics would be dominated by a handful
 of coarse sets.
 
 All correlation matrices come from one exact integer kernel,
-:func:`_numerators`, which returns the requested times in stacks, each a
-(b, N, N) array for up to B times, for a family of N sets.  For an interval
-exchange the sets are read from the complete dyadic family of their depth d,
-so B comes from the element budget BLOCK_ENTRIES (B * (2^(d+1) - 1)^2
-entries, at least one power per stack); every power of the baker map is a
-stack of one.  For an interval exchange whose lengths have lcm denominator
-Q, every cut, translation and dyadic endpoint of every power is a multiple
-of 1/G, G = Q * 2^d, so the powers are integer arrays
-(:class:`~seqent.systems.IetLattice`), built by one lattice sweep over the
-times.  Each power's own gaps, between its cuts, the cell edges and their
-preimages, are scatter-added into its matrix, whose rows and columns are
-then summed over the dyadic blocks.  Sums of lengths accumulate in float64
-while G < 2^53, where every sum up to G is exact, else in the lattice's
-integers.  For the baker map a test rectangle is a (mask, bits) pair over
-shift coordinates.  Pair and triple correlations are one exact mass,
-:func:`_mass`.
+:func:`_numerators`, which returns the requested times in stacks.  For an
+interval exchange whose lengths have lcm denominator Q, with sets of depth d,
+every cut, translation and dyadic endpoint of every power is a multiple of
+1/G, G = Q * 2^d, so the powers are integer arrays
+(:class:`~seqent.systems.IetLattice`) from one lattice sweep, and each
+power's gaps fill its 2^d x 2^d matrix of cells, exact in float64 while G <
+2^53.  A set pair's numerator sums its cells: the complete dyadic family
+reads its level pairs by halving the rows, then the columns
+(:func:`_pooled`), any other family its pairs from prefix sums
+(:func:`_read`), so no path holds a matrix of the complete family.  For the
+baker map a test rectangle is a (mask, bits) pair over shift coordinates.
+Pair and triple correlations are one exact mass, :func:`_mass`.
 
 Every distance is one formula.  A pair's weight, sigma_a * sigma_b and
 Theta target depend only on the levels of its sets (a set of level l has
 measure 2^-l), so d(m) = sum over level pairs lp of c_lp * S_lp(m): S_lp is
 the exact integer sum of |K_lp * C_ab - t_ab| over the family's pairs of that
 level pair, C = G * mu(T^-m A_a intersect A_b), and c_lp = w_lp / (sigma_a *
-sigma_b * K_lp * G) is one float.  The kernel's and the baker map's stacks
-become S in place (:func:`_distances`).  Under a rotation C_ab depends only
-on the level pair and the class of u_a - u_b in steps of the smaller set,
-and a power's classes are a window of 2^|l_a - l_b| + 1 consecutive ones:
-the smaller arc clipped at both ends, then whole, then 0.  So S_lp is read
-from prefix sums over the classes in a few gathers, O(levels^2) per power
-(:func:`_rotation_distances`).  One float step,
-:func:`_combine`, turns S into distances, so the paths agree bit for bit
-because their sums are exact.
+sigma_b * K_lp * G) is one float.  The identity is an admissible target, whose
+t is read from its powers as C is (:func:`_distances`).  Under a rotation
+C_ab depends only on the level pair and the class of u_a - u_b in steps of
+the smaller set, and a power's classes are a window of 2^|l_a - l_b| + 1
+consecutive ones, so S_lp is read from prefix sums over the classes in a few
+gathers, O(levels^2) per power (:func:`_rotation_distances`).  One float
+step, :func:`_combine`, turns S into distances, so the paths agree bit for
+bit because their sums are exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,15 +130,6 @@ class TestSet2D:
     def measure(self) -> Fraction:
         return Fraction(1, 2**self.level)
 
-    def cylinder(self) -> dict[int, int]:
-        """Fixed shift coordinates -> bits (x MSB first, y MSB first)."""
-        out = {}
-        for b in range(self.xlevel):
-            out[b] = (self.xk >> (self.xlevel - 1 - b)) & 1
-        for b in range(self.ylevel):
-            out[-(b + 1)] = (self.yk >> (self.ylevel - 1 - b)) & 1
-        return out
-
 
 def check_sets(T, sets) -> None:
     """Raise ValidationError unless T has an exact correlation path for the test
@@ -203,76 +190,68 @@ class TestFamily:
 
 # -- the integer-lattice correlation kernel ---------------------------------------
 
-# Entries of one stack of correlation matrices: sets of depth d evaluate
-# BLOCK_ENTRIES // (2^(d+1) - 1)^2 requested powers per stack.
+# Entries of one stack: BLOCK_ENTRIES // 4^d powers of cell matrices at depth d.
 BLOCK_ENTRIES = 3 * 2**15
 
 
-def _family_reader(sets, N: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Reads the sets' rows and columns, in their order, from a stack of the
-    complete dyadic family's N x N matrices, where interval (l, k) is row and
-    column 2^l - 1 + k."""
-    pick = [(1 << s.level) - 1 + s.k for s in sets]
-    if pick == list(range(N)):
-        return lambda stack: stack
-    return lambda stack: np.take(np.take(stack, pick, axis=1), pick, axis=2)
-
-
-def _iet_blocks(T: IntervalExchange, times: list[int], B: int, sets):
-    """(G, iterator of (times, C)) for an interval exchange: see :func:`_numerators`.
-
-    The requested powers U = T^m come from one lattice sweep over the times
-    (:meth:`~seqent.systems.IetLattice.powers`).  The sorted union of U's
-    cuts, the cell edges and U^-1(edges) cuts [0, G) into gaps, each of which
-    lies in one piece of U and one cell and maps into one cell; a repeated
-    point makes a gap of length 0, which adds nothing.  One scatter-add per
-    power, as it comes, puts each gap's length in the power's matrix of the
-    stack, in the row of its image cell and the column of its own cell of
-    the complete dyadic family of depth d, where interval (l, k) is row and
-    column 2^l - 1 + k, so cell c is 2^d - 1 + c; only one power's gaps are
-    held at a time.  The image cells' columns, then all rows, of a full stack
-    are summed over each set from its two halves, level by level.  Any other
-    family is read from the complete one (:func:`_family_reader`).
-    """
-    depth = max(s.level for s in sets)
-    D, N = 1 << depth, (2 << depth) - 1
-    read = _family_reader(sets, N)
+def _cells(T: IntervalExchange, times: list[int], depth: int):
+    """(G, iterator of (times, C)) for an interval exchange (:func:`_numerators`).
+    The sorted union of a power U's cuts, the cell edges and U^-1(edges) cuts
+    [0, G) into gaps, each of which lies in one piece of U and one cell and maps
+    into one cell (a repeated point makes a gap of length 0); one scatter-add
+    per power, as it comes, puts their lengths at (image cell, cell)."""
+    D = 1 << depth
     lattice = IetLattice.of(T).scaled(D)
     G, unit, dtype = lattice.Q, lattice.Q >> depth, lattice.cuts.dtype  # unit: a cell's length
-    acc = np.float64 if G < 2**53 else dtype  # float64 sums of lengths up to G are exact
-    width = min(B, len(times))
-    R = np.zeros((N, width, N), dtype=acc)  # [image cell or set, k, set], reused
-    corner = (D - 1) * (width * N + 1)  # R[D - 1, 0, D - 1]: cell 0 to cell 0 at k = 0
-    edges = np.arange(D, dtype=dtype) * unit  # cells' left ends
-    end = np.array([G], dtype=dtype)  # the last gap's right end
+    width = min(max(1, BLOCK_ENTRIES >> 2 * depth), len(times))
+    R = np.zeros((width, D, D), dtype=_sum_dtype(G))  # [k, image cell, cell], reused
+    edges, end = np.arange(D, dtype=dtype) * unit, np.array([G], dtype=dtype)  # cells' left ends
 
     def blocks():
         stack, left = [], len(times)  # the times of this stack; the times not yet yielded
         for m, U in lattice.powers(times):
-            if not stack:
-                R[D - 1:, :, D - 1:] = 0  # the pyramids overwrite the other entries
-            x = np.sort(np.concatenate((U.cuts, edges, U.inverse.apply(edges), end)))
-            place = U.apply(x[:-1]) // unit * (width * N) + x[:-1] // unit  # (image cell, cell)
-            place = place.astype(np.intp, copy=False) + (corner + len(stack) * N)
-            np.add.at(R.reshape(-1), place, np.diff(x).astype(acc))
+            x = np.sort(np.concatenate((U.cuts, edges, U.inverse.apply(edges), end)))  # gaps' ends
+            place = (U.apply(x[:-1]) // unit + len(stack) * D) * D + x[:-1] // unit
+            np.add.at(R.reshape(-1), place.astype(np.intp, copy=False), np.diff(x).astype(R.dtype))
             stack.append(m)
-            if len(stack) == min(B, left):
-                C = R[:, :len(stack)]
-                for view in (C[D - 1:].T, C):  # image cells' columns, then all rows
-                    for level in range(depth - 1, -1, -1):
-                        first, mid = (1 << level) - 1, (2 << level) - 1
-                        np.add(view[mid:2 * mid + 1:2], view[mid + 1:2 * mid + 2:2],
-                               out=view[first:mid])
-                yield stack, read(C.swapaxes(0, 1))
+            if len(stack) == min(width, left):
+                yield stack, R[:len(stack)]
+                R[:len(stack)] = 0
                 stack, left = [], left - len(stack)
 
     return G, blocks()
 
 
+def _pooled(C: np.ndarray, depth: int):
+    """(l_a, l_b, P) for every pair of levels, each from ``depth`` down to 0: P[k, a, b]
+    sums the cell matrix C[k] over the image cells of interval (l_a, a) and the cells
+    of (l_b, b), read by halving C's rows, then its columns, one level at a time."""
+    for la in range(depth, -1, -1):
+        P = C
+        for lb in range(depth, -1, -1):
+            yield la, lb, P
+            P = P[..., ::2] + P[..., 1::2] if lb else P
+        C = C[:, ::2] + C[:, 1::2] if la else C
+
+
+def _read(T, C: np.ndarray, sets) -> np.ndarray:
+    """The sets' matrices of a stack C of :func:`_numerators`: the baker map's
+    as they are, an interval exchange's summed over each pair's cells from the
+    2-D prefix sums of its cell matrices (exact: every partial sum is at most G)."""
+    if isinstance(T, BakerMap):
+        return C
+    k, level = np.array([(s.k, s.level) for s in sets]).T
+    lo, hi = (k << level.max() - level)[:, None], ((k + 1) << level.max() - level)[:, None]
+    P = np.zeros((len(C), C.shape[1] + 1, C.shape[2] + 1), dtype=C.dtype)
+    P[:, 1:, 1:] = C.cumsum(axis=1).cumsum(axis=2)
+    return P[:, hi, hi.T] - P[:, lo, hi.T] - P[:, hi, lo.T] + P[:, lo, lo.T]
+
+
 def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
-    """(mask, bits) of a test rectangle's cylinder: shift coordinate c is bit c + offset."""
-    return (((1 << s.level) - 1) << (offset - s.ylevel),
-            sum(b << (c + offset) for c, b in s.cylinder().items()))
+    """(mask, bits) of a test rectangle's cylinder: shift coordinate c is bit c + offset,
+    so the x index lies reversed from bit offset up and the y index just below it."""
+    x = int(f"{s.xk:0{s.xlevel}b}"[::-1] or "0", 2)
+    return ((1 << s.level) - 1) << (offset - s.ylevel), x << offset | s.yk << (offset - s.ylevel)
 
 
 def _baker_blocks(times: list[int], sets):
@@ -320,23 +299,16 @@ def _checked_times(T, ms, sets) -> list[int]:
 
 
 def _numerators(T, ms, sets):
-    """(G, iterator of (times, C)) with C[k, a, b] = G * mu(T^-t A_a intersect A_b)
-    for the k-th t of ``times``, covering every requested time once.
-
-    For an interval exchange a stack C holds up to B = BLOCK_ENTRIES // N^2
-    requested times, at least one, whatever their spacing, for the N =
-    2^(d+1) - 1 sets the kernel evaluates (:func:`_iet_blocks`); with unit Q
-    and sets of depth d, G = Q * 2^d.
-    For the baker map the sets are shift cylinders and each stack is one
-    power.  Entries are exact integers, in float64 for an interval exchange
-    while G < 2^53, else of :func:`int_dtype`.  A stack may be a reused
-    buffer, valid until the next.
-    """
+    """(G, iterator of (times, C)) covering every requested time once, in stacks,
+    each valid until the next.  For an interval exchange C[k, i, j] = G * mu(T^-t
+    cell_i intersect cell_j) for the k-th t of ``times`` over the 2^d cells of the
+    sets' depth d (:func:`_cells`), BLOCK_ENTRIES // 4^d times per stack or one; for
+    the baker map C[k, a, b] = G * mu(T^-t A_a intersect A_b) over the sets, one
+    power per stack."""
     times = _checked_times(T, ms, sets)
     if isinstance(T, BakerMap):  # closed forms, whose temporaries are several stacks
         return _baker_blocks(times, sets)
-    B = max(1, BLOCK_ENTRIES // ((2 << max(s.level for s in sets)) - 1) ** 2)
-    return _iet_blocks(T, times, B, sets)
+    return _cells(T, times, max(s.level for s in sets))
 
 
 def _mass(T, pairs) -> Fraction:
@@ -372,10 +344,17 @@ def correlation(T, A, B, m: int) -> Fraction:
     return _mass(T, ((A, as_integer(m, "m")), (B, 0)))
 
 
+def _sets(family) -> tuple:
+    """``family``'s test sets: ValidationError unless it is a :class:`TestFamily`."""
+    if not isinstance(family, TestFamily):
+        raise ValidationError(f"a test family must be a TestFamily, not {type(family).__name__}")
+    return family.sets
+
+
 def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
     """Exact mu(T^-m A_i intersect A_j) for every ordered pair."""
-    G, blocks = _numerators(T, [m], family.sets)
-    return [[Fraction(int(v), G) for v in row] for row in next(blocks)[1][0]]
+    G, blocks = _numerators(T, [m], _sets(family))
+    return [[Fraction(int(v), G) for v in row] for row in _read(T, next(blocks)[1], family.sets)[0]]
 
 
 # -- weak distances ---------------------------------------------------------------
@@ -406,51 +385,67 @@ def _combine(S: np.ndarray, c: np.ndarray) -> list[float]:
     return (S.reshape(len(S), -1).astype(float, order="C") * c).sum(axis=1).tolist()
 
 
-def _target(T, sets, mode, G: int) -> tuple[int, np.ndarray]:
-    """(D, t) for ``mode``'s target Z over the sets, "identity" (T^0's matrix)
-    or an :class:`AdmissibleSpec` Q (Q(T)'s): D is the lcm of the denominators
-    of G * Z and t = D * G * Z, from the kernel, whose G is T's at every power."""
-    if mode == "identity":
-        return 1, next(_numerators(T, [0], sets)[1])[1][0]
-    depth, a = max(s.level for s in sets), mode.theta_weight
-    D = math.lcm(a.denominator, *(c.denominator for _, c in mode.terms)) << 2 * depth
-    e = np.array([1 << depth - s.level for s in sets], dtype=object)  # 4^d mu_a mu_b = e_a e_b
-    t = np.outer(e, e) * (G * int(D * a) >> 2 * depth)
-    for power, coeff in mode.terms:
-        C = next(_numerators(T, [power], sets)[1])[1][0]
-        t += int(D * coeff) * C.astype(int_dtype(G)).astype(object)
-    g = math.gcd(D, *t.ravel().tolist())
-    return D // g, t // g
+def _exact(C: np.ndarray, dtype) -> np.ndarray:
+    """The integers C in ``dtype``, C itself if it has it, through int64 from
+    float64 (which would give Python floats in an object array)."""
+    return C.astype(np.int64 if dtype is object and C.dtype == np.float64 else dtype,
+                    copy=False).astype(dtype, copy=False)
 
 
 def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
     """The weak distances of T^m, m in ``ms``, to ``mode``'s target ("theta",
-    "identity" or an :class:`AdmissibleSpec`) from the kernel's stacks C of the
-    sets sorted by level: S = |K * C - t|, K = 2^(l_a + l_b) and t = G for
-    Theta (else D and t of :func:`_target`), is summed over each level's rows,
-    then columns.  S is formed in the stack's own array while n times the
-    largest entry is exact in its dtype, and only the row sums are widened."""
+    "identity" or an :class:`AdmissibleSpec`): S_lp sums |K * C - t| over the
+    level pair's pairs of the sets sorted by level.  Theta has K = 2^(l_a + l_b)
+    and t = G; a spec a Theta + sum c_i T^(p_i), the identity 0 Theta + 1 T^0
+    among them, has K = D = 4^d lcm(denominators) and t = D G a mu_a mu_b + sum
+    D c_i C_i, C_i read as C is, both divided by their gcd (the identity's D is
+    1).  The complete dyadic family sums the pooled blocks of C and t of each
+    level pair, any other its own matrices over each level's rows, then columns,
+    with |K * C - t| in place while n times the largest entry is exact in its
+    dtype, and only the row sums widened."""
     sets = sorted(family.sets, key=lambda s: s.level)  # each level's rows and columns together
     level = np.array([s.level for s in sets])
-    levels, starts = np.unique(level, return_index=True)
-    G, blocks = _numerators(T, ms, sets)
-    D, t = (None, G) if mode == "theta" else _target(T, sets, mode, G)
-    # the largest |K * C - t|: K * C <= G * 2^min(l_a, l_b) for Theta
-    most = G * (D or 1 << int(levels[-1]))
-    # a level's rows sum n entries, its columns n^2
+    depth, starts = int(level[-1]), np.unique(level, return_index=True)[1]
+    G, blocks = _numerators(T, ms, sets)  # which checks T, the sets and the times first
+    pooled = isinstance(T, IntervalExchange) and [(1 << s.level) - 1 + s.k for s in sets] == list(
+        range((2 << depth) - 1))  # the complete family: level pair (l_a, l_b) is S[:, l_a, l_b]
+    D, t = None, G
+    if mode != "theta":
+        a, terms = (ZERO, ((0, ONE),)) if mode == "identity" else (mode.theta_weight, mode.terms)
+        D = math.lcm(a.denominator, *(c.denominator for _, c in terms)) << 2 * depth
+        itype = int_dtype(D * G)
+        # a pair's cells, e_a e_b = 4^d mu_a mu_b, each D G a 4^-d of the Theta part
+        e = np.ones(1 << depth, itype) if pooled else (1 << depth - level).astype(itype)
+        t = np.outer(e, e)[None] * (G * int(D * a) >> 2 * depth)
+        for p, c in terms:
+            C = next(_numerators(T, [p], sets)[1])[1]
+            t = t + int(D * c) * _exact(C if pooled else _read(T, C, sets), itype)
+        g = math.gcd(D, int(np.gcd.reduce(t, axis=None)))  # pooled: over the cells
+        D, t = D // g, t // g
+    # the largest |K * C - t| (K * C <= G * 2^min(l_a, l_b) for Theta); n of them make a row
+    most = G * (D or 1 << depth)
     dtype, wide = _sum_dtype(len(sets) * most), _sum_dtype(len(sets) ** 2 * most)
-    k = np.array([1 << int(l) for l in level])  # Theta's K = k_a * k_b
-    rows, columns, t = (k[:, None], k, G) if D is None else (D, 1, t.astype(dtype))
-    c = _coefficients(sets, G, D)
-    values = {}
+    t = t if D is None else _exact(t, dtype)
+    k = (1 << level).astype(dtype)  # any other family's Theta K = k_a k_b
+    c, values = _coefficients(sets, G, D), {}
     for stack, C in blocks:
-        S = C.astype(dtype, copy=False)  # a reused stack is overwritten by the next
-        S *= rows
-        S *= columns
-        S -= t
-        np.abs(S, out=S)
-        S = np.add.reduceat(np.add.reduceat(S, starts, axis=1).astype(wide, copy=False),
-                            starts, axis=2)
+        if pooled:
+            S = np.zeros((len(stack), depth + 1, depth + 1), dtype=wide)
+            targets = repeat((0, 0, t)) if D is None else _pooled(t, depth)
+            for (la, lb, V), (_, _, Z) in zip(_pooled(C, depth), targets):
+                X, K = _exact(V, dtype), D or 1 << la + lb
+                X = np.multiply(X, K, out=None if X is V else X) if K != 1 else X
+                X = np.subtract(X, Z, out=None if X is V else X)  # V is pooled further
+                np.abs(X, out=X)
+                S[:, la, lb] = X.sum(axis=(1, 2)) if dtype == wide else _exact(
+                    X.sum(axis=2), wide).sum(axis=1)
+        else:
+            S = _exact(_read(T, C, sets), dtype)  # fresh arrays, which S may be
+            for K in (k[:, None], k) if D is None else (D,) if D != 1 else ():
+                S *= K
+            S -= t
+            np.abs(S, out=S)
+            S = np.add.reduceat(_exact(np.add.reduceat(S, starts, axis=1), wide), starts, axis=2)
         values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]  # integers: _numerators checked them
 
@@ -562,6 +557,9 @@ class AdmissibleSpec:
 
 def dist_to_admissible(T, m: int, Q: AdmissibleSpec, family: TestFamily) -> float:
     """Weighted deviation of T^m from the admissible operator Q(T)."""
+    if not isinstance(Q, AdmissibleSpec):
+        raise ValidationError(f"an admissible target must be an AdmissibleSpec, not {Q!r}")
+    _sets(family)
     check_powers(T, [as_integer(m, "m"), *(p for p, _ in Q.terms)])  # before any matrix
     return _distances(T, [m], family, Q)[0]
 
@@ -592,6 +590,7 @@ def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list
     """The distances to ``mode``'s targets: in closed form for an interval
     exchange whose lattice translations are all congruent mod Q (a rotation,
     the identity included), else from the kernel."""
+    _sets(family)
     if isinstance(T, IntervalExchange):
         lattice = IetLattice.of(T)
         if lattice.shift is not None:

@@ -11,7 +11,8 @@ replaced, kept as slower references on the same integer rows:
 :func:`oracle_distance` sums its deviations exactly per pair of levels and
 shares only the final float step of the weak distances
 (``weaklimits._coefficients`` and ``_combine``) with the library.
-:func:`blocked_distances` runs the general weak-limit kernel and
+:func:`blocked_distances` runs the general weak-limit kernel (cell matrices
+pooled to level pairs) and
 :func:`rotation_class_sums` sums a rotation's distances class by class, the
 references for the closed-form rotation path, :func:`composed_power`
 composes lattice maps one step at a time, the reference for closed-form
@@ -153,6 +154,17 @@ def baker_inverse(pt) -> tuple:
     return ((x + b) / 2, (2 * y) % 1)
 
 
+def cylinder(s) -> dict:
+    """A dyadic rectangle's fixed shift coordinates -> bits (x MSB first at
+    coordinates 0, 1, ..., y MSB first at -1, -2, ...)."""
+    out = {}
+    for b in range(s.xlevel):
+        out[b] = (s.xk >> (s.xlevel - 1 - b)) & 1
+    for b in range(s.ylevel):
+        out[-(b + 1)] = (s.yk >> (s.ylevel - 1 - b)) & 1
+    return out
+
+
 def shift_cylinder(cyl: dict, m: int) -> dict:
     return {coord + m: bit for coord, bit in cyl.items()}
 
@@ -172,7 +184,7 @@ def oracle_correlation_matrix(T, m: int, family) -> list:
     if isinstance(T, IntervalExchange):
         U = fraction_power(T, m)
         return [[iet_correlation(U, a, b) for b in family.sets] for a in family.sets]
-    return [[cylinder_measure([shift_cylinder(a.cylinder(), m), b.cylinder()])
+    return [[cylinder_measure([shift_cylinder(cylinder(a), m), cylinder(b)])
              for b in family.sets] for a in family.sets]
 
 
@@ -237,8 +249,10 @@ def per_power_join_gaps(T, xi, times, signs: str):
 
 
 def blocked_distances(T, ms, family, mode: str) -> list:
-    """The weak distances to ``mode``'s targets from the blocked lattice kernel
-    (``weaklimits._numerators``), the path of every exchange but a rotation."""
+    """The weak distances to ``mode``'s targets from the lattice kernel's
+    stacks of cell matrices (``weaklimits._numerators``), pooled to each level
+    pair for the complete dyadic family and read from prefix sums for any
+    other: the path of every exchange but a rotation."""
     return _distances(T, ms, family, mode)
 
 
@@ -294,7 +308,7 @@ def rotation_class_sums(T, ms, family, mode: str) -> list:
     dtype = _sum_dtype(n * n * (G << depth if theta else G))
     K, t = ((1 << la + lb)[pair], G) if theta else (1, overlaps(np.zeros((1, 1), dtype=itype)))
     c, starts = _coefficients(sets, G, None if theta else 1), np.flatnonzero(np.diff(pair, prepend=-1))
-    width, shift, values = max(1, weaklimits.BLOCK_ENTRIES // n_all**2), rho << depth, {}
+    width, shift, values = max(1, weaklimits.BLOCK_ENTRIES >> 2 * depth), rho << depth, {}
     for i in range(0, len(times), width):
         stack = times[i:i + width]
         S = overlaps(np.array([m * shift % G for m in stack], dtype=itype)[:, None]).astype(dtype)
@@ -307,8 +321,8 @@ def rotation_class_sums(T, ms, family, mode: str) -> list:
 
 
 def _overlap(a, b) -> Fraction:
-    if hasattr(a, "cylinder"):
-        return cylinder_measure([a.cylinder(), b.cylinder()])
+    if hasattr(a, "xlevel"):
+        return cylinder_measure([cylinder(a), cylinder(b)])
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     return hi - lo if hi > lo else ZERO
 

@@ -34,7 +34,7 @@ from seqent.weaklimits import TestFamily as Family
 from seqent.weaklimits import TestSet1D as Dyadic1D
 from seqent.weaklimits import TestSet2D as Dyadic2D
 from seqent.weaklimits import (
-    _numerators,
+    _checked_times,
     _scan_distances,
     correlation_matrix,
     scan_times,
@@ -339,8 +339,8 @@ class TestScans:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
     def test_depth_11_kernel_scan_peaks_at_most_200_mb(self):
-        # the kernel's stack of one 4095 x 4095 float64 matrix is 134 MB; its sums of
-        # |K * C - G| are formed in it, and only the row sums are widened to int64
+        # the kernel's stack is one 2048 x 2048 float64 cell matrix (32 MB), read level pair
+        # by level pair, not a 4095 x 4095 matrix of the complete family (134 MB)
         code = ("from fractions import Fraction as F\n"
                 "from seqent import IntervalExchange, mixing_time_scan\n"
                 "from seqent.weaklimits import TestFamily\n"
@@ -353,6 +353,40 @@ class TestScans:
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert int(out.stdout) / 1024 <= 200
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_depth_11_identity_scan_peaks_at_most_240_mb(self):
+        # the identity is a target read from T^0's cell matrix pooled beside each power's,
+        # not a second 4095 x 4095 matrix of the complete family (288 MB before)
+        code = ("from fractions import Fraction as F\n"
+                "from seqent import IntervalExchange, rigidity_scan\n"
+                "from seqent.weaklimits import TestFamily\n"
+                "T = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))\n"
+                "rigidity_scan(T, 3, 0.02, TestFamily.dyadic_intervals(11))\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        src = os.path.dirname(os.path.dirname(weaklimits.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) / 1024 <= 240
+
+    def test_wide_sums_of_float_rows_stay_exact(self):
+        # 601 sets, repeats included, on a lattice near 2^42: each row sum is exact in
+        # float64, but a level pair's sum needs Python ints, which float rows once
+        # became as Python floats, off in the last bits
+        q = 1_150_000_000_001
+        T = IntervalExchange((F(1, 3), F(1, q), 1 - F(1, 3) - F(1, q)), (1, 2, 0))
+        distinct, repeats = (Dyadic1D(0, 0), Dyadic1D(1, 0), Dyadic1D(1, 1)), (1, 300, 300)
+        fam = Family(tuple(s for s, k in zip(distinct, repeats) for _ in range(k)))
+        G = 6 * q  # Q * 2^d
+        for m in (1, 2):
+            S = np.zeros((1, 2, 2), dtype=object)  # the exact sums, over the distinct sets
+            corr = oracle_correlation_matrix(T, m, Family(distinct))
+            for a, ka, row in zip(distinct, repeats, corr):
+                for b, kb, c in zip(distinct, repeats, row):
+                    S[0, a.level, b.level] += ka * kb * abs(2 ** (a.level + b.level) * G * c - G)
+            want = weaklimits._combine(S, weaklimits._coefficients(fam.sets, G, None))
+            assert weaklimits._distances(T, [m], fam, "theta") == want
+
 
 class TestRotationPath:
     def test_rotations_need_no_kernel_and_no_dense_targets(self, monkeypatch):
@@ -360,7 +394,6 @@ class TestRotationPath:
             raise AssertionError("a rotation scan built a kernel stack or dense targets")
 
         monkeypatch.setattr(weaklimits, "_numerators", refuse)
-        monkeypatch.setattr(weaklimits, "_target", refuse)
         fam = Family.dyadic_intervals(6)
         for T in (golden_rotation().to_iet(), T3, IntervalExchange.identity()):
             assert len(rigidity_scan(T, 30, 0.02, fam).values) == 30
@@ -434,6 +467,42 @@ def test_family_from_a_list_is_a_hashable_tuple():
     assert hash(fam) == hash(Family((Dyadic1D(0, 0), Dyadic1D(2, 1))))
 
 
+NOT_FAMILIES = {"a-list-of-sets": [Dyadic1D(0, 0), Dyadic1D(1, 0)], "none": None}
+ENTRY_POINTS = {
+    "correlation_matrix": lambda T, fam: correlation_matrix(T, 1, fam),
+    "dist_to_theta": lambda T, fam: dist_to_theta(T, 1, fam),
+    "dist_to_identity": lambda T, fam: dist_to_identity(T, 1, fam),
+    "dist_to_admissible": lambda T, fam: dist_to_admissible(T, 1, AdmissibleSpec(1, ()), fam),
+    "mixing_time_scan": lambda T, fam: mixing_time_scan(T, 0, 0.05, 3, fam),
+    "rigidity_scan": lambda T, fam: rigidity_scan(T, 3, 0.02, fam),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work began")
+
+    for kernel in ("_numerators", "_rotation_distances"):
+        monkeypatch.setattr(weaklimits, kernel, refuse)
+
+
+@pytest.mark.parametrize("T", [T4, ROT], ids=["4-iet", "rotation"])
+@pytest.mark.parametrize("family", list(NOT_FAMILIES.values()), ids=list(NOT_FAMILIES))
+@pytest.mark.parametrize("call", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
+def test_a_family_that_is_not_a_test_family_is_rejected_before_work(no_work, T, family, call):
+    # an AttributeError on .sets before
+    with pytest.raises(ValidationError, match="must be a TestFamily"):
+        call(T, family)
+
+
+@pytest.mark.parametrize("target", ["identity", "theta", None, 3])
+def test_an_admissible_target_must_be_a_spec(no_work, target):
+    # "identity" is a spec inside the library, but a string target must not compute
+    with pytest.raises(ValidationError, match="must be an AdmissibleSpec"):
+        dist_to_admissible(T4, 1, target, FAM4)
+
+
 class TestFamilyBudget:
     def test_deepest_families_within_budget(self):
         assert len(Family.dyadic_intervals(11)) ** 2 <= 2**24
@@ -463,7 +532,7 @@ class TestFamilyBudget:
     def test_kernel_checks_any_family_before_work(self):
         sets = (Dyadic1D(0, 0), *(Dyadic1D(13, k) for k in range(4096)))
         with pytest.raises(BudgetError):
-            _numerators(ROT, [1], sets)
+            _checked_times(ROT, [1], sets)
 
 
 class TestTripleCorrelation:

@@ -250,7 +250,7 @@ def _read(T, C: np.ndarray, sets) -> np.ndarray:
 def _cylinder_word(s: TestSet2D, offset: int) -> tuple[int, int]:
     """(mask, bits) of a test rectangle's cylinder: shift coordinate c is bit c + offset,
     so the x index lies reversed from bit offset up and the y index just below it."""
-    x = int(f"{s.xk:0{s.xlevel}b}"[::-1] or "0", 2)
+    x = int(f"{s.xk:0{s.xlevel}b}"[::-1], 2)
     return ((1 << s.level) - 1) << (offset - s.ylevel), x << offset | s.yk << (offset - s.ylevel)
 
 

@@ -31,11 +31,12 @@ level pair, C = G * mu(T^-m A_a intersect A_b), and c_lp = w_lp / (sigma_a *
 sigma_b * K_lp * G) is one float.  The identity is an admissible target, whose
 t is read from its powers as C is (:func:`_distances`).  Under a rotation
 C_ab depends only on the level pair and the class of u_a - u_b in steps of
-the smaller set, and a power's classes are a window of 2^|l_a - l_b| + 1
-consecutive ones, so S_lp is read from prefix sums over the classes in a few
-gathers, O(levels^2) per power (:func:`_rotation_distances`).  One float
-step, :func:`_combine`, turns S into distances, so the paths agree bit for
-bit because their sums are exact.
+the smaller set, and a power's overlaps are a window of 2^|l_a - l_b| + 1
+consecutive classes; in the complete dyadic family every class holds the same
+pairs, so S_lp has a closed form in the shift, O(1) per level pair and power
+(:func:`_rotation_distances`), and any other family takes the kernel.  One
+float step, :func:`_combine`, turns S into distances, so the paths agree bit
+for bit because their sums are exact.
 """
 from __future__ import annotations
 
@@ -392,6 +393,13 @@ def _exact(C: np.ndarray, dtype) -> np.ndarray:
                     copy=False).astype(dtype, copy=False)
 
 
+def _complete(sets) -> bool:
+    """Whether the dyadic intervals are the complete family of their depth, in any order."""
+    depth = max(s.level for s in sets)
+    return len(sets) == (2 << depth) - 1 and sorted(
+        (1 << s.level) - 1 + s.k for s in sets) == list(range(len(sets)))
+
+
 def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
     """The weak distances of T^m, m in ``ms``, to ``mode``'s target ("theta",
     "identity" or an :class:`AdmissibleSpec`): S_lp sums |K * C - t| over the
@@ -407,8 +415,7 @@ def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
     level = np.array([s.level for s in sets])
     depth, starts = int(level[-1]), np.unique(level, return_index=True)[1]
     G, blocks = _numerators(T, ms, sets)  # which checks T, the sets and the times first
-    pooled = isinstance(T, IntervalExchange) and [(1 << s.level) - 1 + s.k for s in sets] == list(
-        range((2 << depth) - 1))  # the complete family: level pair (l_a, l_b) is S[:, l_a, l_b]
+    pooled = isinstance(T, IntervalExchange) and _complete(sets)  # (l_a, l_b) is S[:, l_a, l_b]
     D, t = None, G
     if mode != "theta":
         a, terms = (ZERO, ((0, ONE),)) if mode == "identity" else (mode.theta_weight, mode.terms)
@@ -452,77 +459,44 @@ def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
 
 def _rotation_distances(T, Q: int, rho: int, ms: Sequence[int], family: TestFamily,
                         mode: str) -> list[float]:
-    """:func:`_distances` to ``mode``'s target for T: x -> x + rho/Q mod 1, in
-    closed form, with the same checks as :func:`_numerators` first.
+    """:func:`_distances` to ``mode``'s target for T: x -> x + rho/Q mod 1 and
+    the complete dyadic family, in closed form, with the same checks as
+    :func:`_numerators` first.
 
     With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and C_ab is the
-    overlap of the arcs A_b and A_a - r of the circle of length G.  It depends
-    only on the two levels and on the class j = (u_a - u_b) / s mod 2^l of the
-    left ends u, l = max(l_a, l_b) and s = G >> l, and the family holds
-    mult_j pairs of class j: 2^min(l_a, l_b) in a complete family, else one
-    bincount over the family's pairs.  With M = 2^|l_a - l_b|, q = r // s
-    and u = r mod s, the classes of T^m are a window of M + 1 from p = q
-    (l_a >= l_b) or p = q - M + 1 (l_a < l_b), mod 2^l: s - u at p, s at
-    p+1 .. p+M-1, u at p+M, 0 elsewhere; the identity's are the window at
-    r = 0.  So with h_j = mult_j |t_j| and g_j = mult_j |K s - t_j|,
+    overlap of the arcs A_b and A_a - r of the circle of length G.  For levels
+    (l_a, l_b), with s = G >> max(l_a, l_b), M = 2^|l_a - l_b| and u = r mod s,
+    each of the 2^max(l_a, l_b) classes of u_a - u_b in steps of s holds mult =
+    2^min(l_a, l_b) pairs, and T^m's overlaps are s - u, s (M - 1 times) and u
+    on a window of M + 1 consecutive classes, 0 elsewhere.  Every Theta target
+    is G, and K s = mult G for K = 2^(l_a + l_b), so
 
-        S_lp = H - h[p..p+M] + g[p+1..p+M-1]
-               + mult_p |K (s - u) - t_p| + mult_{p+M} |K u - t_{p+M}|,
+        S_lp = mult [(2^max - M - 1) G + (M - 1) |K s - G| + |K (s - u) - G| + |K u - G|]
 
-    H the sum of h, read from prefix sums over the classes twice over (so no
-    window wraps): a few gathers per level pair and power.  A level-0 set's
-    window covers the circle (every class holds s), and the rule gives S_lp =
-    the sum of g.  Stacks hold BLOCK_ENTRIES // (the level pairs' classes)
-    powers, at least one.
+    (0 if a level is 0: the window covers the circle).  The identity's target is
+    the window at r = 0, an arc of L = M s, so S_lp = 2 mult (L - max(0, L - r) -
+    max(0, L - (G - r))), L less the two arcs' overlap: 2 mult min(r, G - r, L,
+    G - L).  Stacks hold BLOCK_ENTRIES >> 2d powers, at least one, as in :func:`_cells`.
     """
-    sets = sorted(family.sets, key=lambda s: s.level)
-    times = _checked_times(T, ms, sets)
-    level = np.array([s.level for s in sets])
-    levels, index = np.unique(level, return_inverse=True)
-    depth, n, L = int(levels[-1]), len(sets), len(levels)
-    G, itype = Q << depth, int_dtype(Q << depth)
-    la, lb = (levels[i] for i in np.divmod(np.arange(L * L), L))  # the level pairs, l_a major
-    top = np.maximum(la, lb)
-    counts = 1 << top  # classes of each level pair
-    first = np.cumsum(counts) - counts
-    if [(1 << s.level) - 1 + s.k for s in sets] == list(range((2 << depth) - 1)):
-        mult = np.repeat(1 << np.minimum(la, lb), counts)
-    else:
-        u = np.array([s.k << depth - s.level for s in sets])  # left ends, in units of G >> d
-        a, b = np.divmod(np.arange(n * n), n)
-        pair = index[a] * L + index[b]
-        j = (u[a] - u[b]) % (1 << depth) >> depth - top[pair]
-        mult = np.bincount(first[pair] + j, minlength=counts.sum())
-    theta = mode == "theta"
-    # the prefix sums and their differences stay below 4 * n^2 times the largest |K * C - t|
-    dtype = _sum_dtype(4 * n * n * (G << depth if theta else G))
-    M = 1 << abs(la - lb)  # the smaller set's arcs in the larger one
-    start = np.where(la < lb, M - 1, 0)  # the window starts at class q - start
-    base = 2 * first  # each level pair's classes, twice over
-    pair = np.repeat(np.arange(L * L), 2 * counts)
-    j = (np.arange(2 * counts.sum()) - base[pair]) & (counts[pair] - 1)
-    s = [G >> int(l) for l in top]
-    K = np.array([1 << int(a + b) if theta else 1 for a, b in zip(la, lb)], dtype=dtype)
-    Ks = K * np.array(s, dtype=dtype)
-    t = np.full(len(j), G, dtype=dtype) if theta else np.where(  # the identity: Ks = s
-        ((j + start[pair]) & (counts[pair] - 1)) < M[pair], Ks[pair], 0).astype(dtype)
-    mult = mult[first[pair] + j].astype(dtype)
-    X, Y = (np.zeros(len(j) + 1, dtype=dtype) for _ in range(2))  # exclusive prefix sums
-    np.cumsum(mult * t, out=X[1:])  # of h
-    np.cumsum(mult * np.abs(Ks[pair] - t), out=Y[1:])  # of g
-    H, after, before = X[base + counts] - X[base], Y[:-1] - X[1:], Y[1:] - X[:-1]
-    c, values = _coefficients(sets, G, None if theta else 1), {}
-    s, shift, width = np.array(s, dtype=itype), rho << depth, max(1, BLOCK_ENTRIES // counts.sum())
+    times = _checked_times(T, ms, family.sets)
+    depth = max(s.level for s in family.sets)
+    G, theta = Q << depth, mode == "theta"
+    la, lb = np.divmod(np.arange((depth + 1) ** 2), depth + 1)  # the level pairs, l_a major
+    top, low = np.maximum(la, lb), np.minimum(la, lb)
+    dtype = int_dtype(2 * G << 2 * depth)  # above every term and S_lp, of either target
+    s, L = (np.array([G >> int(l) for l in v], dtype=dtype) for v in (top, low))
+    mult, K, M = ((1 << v).astype(dtype) for v in (low, la + lb, top - low))
+    base, near = (2 * M * mult - 2 * M - mult) * G, np.minimum(L, G - L)  # 2^max = M mult
+    c, values = _coefficients(family.sets, G, None if theta else 1), {}
+    shift, width = rho << depth, max(1, BLOCK_ENTRIES >> 2 * depth)
     for i in range(0, len(times), width):
         stack = times[i:i + width]
-        r = np.array([m * shift % G for m in stack], dtype=itype)[:, None]
-        q = r // s
-        p = base + ((q.astype(np.intp) - start) & (counts - 1))
-        e = p + M
-        Ku = K * (r - q * s).astype(dtype)
-        S = H + after[e] - before[p]  # H - h[p..e] + g[p+1..e-1]
-        S += mult[p] * np.abs(Ks - Ku - t[p])
-        S += mult[e] * np.abs(Ku - t[e])
+        r = np.array([m * shift % G for m in stack], dtype=dtype)[:, None]
+        if theta:
+            Ku = K * (r % s)
+            S = mult * (base + np.abs((mult - 1) * G - Ku) + np.abs(Ku - G))
+        else:
+            S = 2 * mult * np.minimum(np.minimum(r, G - r), near)
         values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]
 
@@ -587,13 +561,14 @@ class ScanReport:
 
 
 def _scan_distances(T, ms: Sequence[int], family: TestFamily, mode: str) -> list[float]:
-    """The distances to ``mode``'s targets: in closed form for an interval
-    exchange whose lattice translations are all congruent mod Q (a rotation,
-    the identity included), else from the kernel."""
-    _sets(family)
+    """The distances to ``mode``'s targets: in closed form for the complete dyadic
+    family under an interval exchange whose lattice translations are all
+    congruent mod Q (a rotation, the identity included), else from the kernel."""
+    sets = _sets(family)
     if isinstance(T, IntervalExchange):
+        check_sets(T, sets)  # before a set's index is read
         lattice = IetLattice.of(T)
-        if lattice.shift is not None:
+        if lattice.shift is not None and _complete(sets):
             return _rotation_distances(T, lattice.Q, lattice.shift, ms, family, mode)
     return _distances(T, ms, family, mode)
 

@@ -12,12 +12,13 @@ replaced, kept as slower references on the same integer rows:
 shares only the final float step of the weak distances
 (``weaklimits._coefficients`` and ``_combine``) with the library.
 :func:`blocked_distances` runs the general weak-limit kernel (cell matrices
-pooled to level pairs) and
-:func:`rotation_class_sums` sums a rotation's distances class by class, the
-references for the closed-form rotation path, :func:`composed_power`
-composes lattice maps one step at a time, the reference for closed-form
-rotation powers, and :func:`per_power_join_gaps` builds a join's gaps from
-one lattice power per time, the reference for closed-form rotation joins.
+pooled to level pairs) and :func:`rotation_class_sums` sums a rotation's
+distances class by class, the references for the closed form of a rotation
+and the complete dyadic family (and the second for the kernel on a
+rotation's other families), :func:`composed_power` composes lattice maps one
+step at a time, the reference for closed-form rotation powers, and
+:func:`per_power_join_gaps` builds a join's gaps from one lattice power per
+time, the reference for closed-form rotation joins.
 """
 import math
 import random
@@ -252,15 +253,16 @@ def blocked_distances(T, ms, family, mode: str) -> list:
     """The weak distances to ``mode``'s targets from the lattice kernel's
     stacks of cell matrices (``weaklimits._numerators``), pooled to each level
     pair for the complete dyadic family and read from prefix sums for any
-    other: the path of every exchange but a rotation."""
+    other: the path of every exchange but a rotation with the complete family."""
     return _distances(T, ms, family, mode)
 
 
 def rotation_class_sums(T, ms, family, mode: str) -> list:
     """The weak distances of a rotation T's powers to ``mode``'s targets
     ("theta" or "identity"), evaluating every class of every level pair for
-    every power: the per-class sums that the closed form of
-    ``weaklimits._rotation_distances`` replaced.
+    every power: the reference for the closed form of
+    ``weaklimits._rotation_distances`` on the complete dyadic family, and for
+    the cell kernel on any other family, which a rotation scan takes.
 
     With G = Q * 2^d, T^m is the shift r = m * rho * 2^d mod G, and C_ab is
     the overlap of the arcs A_b and A_a - r of the circle of length G.  It

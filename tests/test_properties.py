@@ -9,6 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,9 @@ from seqent import (
     explicit_family,
     join_for,
     make_progression_family,
+    mixing_time_scan,
     partition_measures,
+    rigidity_scan,
     seqentropy,
     shannon_entropy,
     triple_correlation,
@@ -141,7 +144,8 @@ def scan_times(draw, far=40):
 @contextlib.contextmanager
 def windows_of(width: int, family):
     """Scan an interval exchange in windows of at most ``width`` powers: the
-    kernel evaluates one 2^d x 2^d cell matrix per power, d ``family``'s depth."""
+    kernel evaluates one 2^d x 2^d cell matrix per power, d ``family``'s depth,
+    and the rotation closed form stacks as many powers."""
     saved = weaklimits.BLOCK_ENTRIES
     weaklimits.BLOCK_ENTRIES = width * 4 ** max(s.level for s in family.sets)
     try:
@@ -221,6 +225,25 @@ def test_blocked_kernel_matches_fraction_oracle(T, times, family, width):
     check_blocked_kernel(T, times, family, width)
 
 
+def check_rotation_path(T, times, family, want):
+    """The scans of T equal ``want``: a complete dyadic family, in any order,
+    in closed form with no kernel stack, any other family through the kernel."""
+    depth = max(s.level for s in family.sets)
+    complete = sorted(family.sets, key=lambda s: (s.level, s.k)) == list(
+        Family.dyadic_intervals(depth).sets)
+    with mock.patch.object(weaklimits, "_numerators", wraps=_numerators) as kernel:
+        for mode in ("theta", "identity"):
+            assert _scan_distances(T, times, family, mode) == want[mode]
+    assert kernel.called != complete
+
+
+# the complete family of depth 6 in reversed order (closed form), and a sparse family of
+# depth 9 with a repeated set (the kernel)
+REVERSED_6 = Family(Family.dyadic_intervals(6).sets[::-1])
+SPARSE_9 = Family((Dyadic1D(0, 0), Dyadic1D(9, 300), Dyadic1D(3, 5), Dyadic1D(9, 300),
+                   Dyadic1D(6, 17)))
+
+
 @st.composite
 def interval_families_to_depth_6(draw):
     """A complete dyadic family of depth 0..6, or the full space plus up to
@@ -239,12 +262,12 @@ def interval_families_to_depth_6(draw):
          Family.dyadic_intervals(4), 3)  # G = Q * 2^4 past 2^53: int64 numerators
 @example(IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), [-1, 0, 1, 7],
          Family.dyadic_intervals(3), 1)  # G past 2^62: Python integers
+@example(IntervalExchange.rotation(Fraction(3, 7)), [5, -2, 0, 1, 3], REVERSED_6, 2)
+@example(golden_rotation().to_iet(), [-5, 0, 1, 2, 3, 89], SPARSE_9, 2)
 def test_rotation_distances_equal_the_blocked_kernel(T, times, family, width):
     with windows_of(width, family):
         want = {mode: blocked_distances(T, times, family, mode) for mode in ("theta", "identity")}
-        with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
-            for mode in ("theta", "identity"):
-                assert _scan_distances(T, times, family, mode) == want[mode]
+        check_rotation_path(T, times, family, want)
 
 
 @st.composite
@@ -284,13 +307,27 @@ def interval_families_to_depth_8(draw):
 @example((IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), [-1, 0, 1, 7, 7]),
          REPEATS, 1)  # G past 2^62: Python integers
 @example((golden_rotation().to_iet(), [-7, 0, *range(1, 18), 89]), Family.dyadic_intervals(11), 1)
+@example((IntervalExchange.rotation(Fraction(3, 7)), [5, -2, 0, 1, 3, 7]), REVERSED_6, 2)
+@example((golden_rotation().to_iet(), [-5, 0, 1, 2, 3, 89]), SPARSE_9, 2)
 def test_rotation_closed_form_equals_the_class_sums(scan, family, width):
     T, times = scan
     with windows_of(width, family):
         want = {mode: rotation_class_sums(T, times, family, mode) for mode in ("theta", "identity")}
-        with mock.patch.object(weaklimits, "_numerators", side_effect=AssertionError("kernel")):
-            for mode in ("theta", "identity"):
-                assert _scan_distances(T, times, family, mode) == want[mode]
+        check_rotation_path(T, times, family, want)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7, 12])
+def test_rotations_and_the_kernel_stack_by_one_width_rule(width):
+    family, n = Family.dyadic_intervals(3), 11
+    four_iet = IntervalExchange(
+        (Fraction(1, 5), Fraction(2, 7), Fraction(3, 11), Fraction(93, 385)), (3, 2, 1, 0))
+    for T in (golden_rotation().to_iet(), four_iet):
+        for scan in (lambda: mixing_time_scan(T, 0, 0.05, n, family),
+                     lambda: rigidity_scan(T, n, 0.02, family)):
+            with windows_of(width, family), mock.patch.object(
+                    weaklimits, "_combine", wraps=weaklimits._combine) as combine:
+                scan()
+            assert combine.call_count == -(-n // width)
 
 
 @SETTINGS

@@ -15,21 +15,22 @@ interval exchange whose lengths have lcm denominator Q, with sets of depth d,
 every cut, translation and dyadic endpoint of every power is a multiple of
 1/G, G = Q * 2^d, so the powers are integer arrays
 (:class:`~seqent.systems.IetLattice`) from one lattice sweep, and each
-power's gaps fill its 2^d x 2^d matrix of cells, exact in float64 while G <
-2^53.  A set pair's numerator sums its cells: the complete dyadic family
-reads its level pairs by halving the rows, then the columns
-(:func:`_pooled`), any other family its pairs from prefix sums
-(:func:`_read`), so no path holds a matrix of the complete family.  For the
+power's gaps fill its 2^d x 2^d matrix of cells in the lattice's integers.
+A set pair's numerator sums its cells: the complete dyadic family reads its
+level pairs by halving the rows, then the columns (:func:`_pooled`), any
+other family its pairs from prefix sums (:func:`_read`), so no path holds a
+matrix of the complete family.  For the
 baker map a test rectangle is a (mask, bits) pair over shift coordinates.
 Pair and triple correlations are one exact mass, :func:`_mass`.
 
-Every distance is one formula.  A pair's weight, sigma_a * sigma_b and
-Theta target depend only on the levels of its sets (a set of level l has
-measure 2^-l), so d(m) = sum over level pairs lp of c_lp * S_lp(m): S_lp is
-the exact integer sum of |K_lp * C_ab - t_ab| over the family's pairs of that
-level pair, C = G * mu(T^-m A_a intersect A_b), and c_lp = w_lp / (sigma_a *
-sigma_b * K_lp * G) is one float.  The identity is an admissible target, whose
-t is read from its powers as C is (:func:`_distances`).  Under a rotation
+Every distance is one formula, and every target is admissible: Theta is 1
+Theta and the identity 0 Theta + 1 T^0.  A pair's weight and sigma_a *
+sigma_b depend only on the levels of its sets (a set of level l has measure
+2^-l), so d(m) = sum over level pairs lp of c_lp * S_lp(m): S_lp is the exact
+integer sum of |D * C_ab - t_ab| over the family's pairs of that level pair, C
+= G * mu(T^-m A_a intersect A_b), t the target's numerators scaled by D, and
+c_lp = w_lp / (sigma_a * sigma_b * D * G) is one float (:func:`_distances`,
+all in integers of :func:`~seqent.systems.int_dtype`).  Under a rotation
 C_ab depends only on the level pair and the class of u_a - u_b in steps of
 the smaller set, and a power's overlaps are a window of 2^|l_a - l_b| + 1
 consecutive classes; in the complete dyadic family every class holds the same
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -200,12 +200,14 @@ def _cells(T: IntervalExchange, times: list[int], depth: int):
     The sorted union of a power U's cuts, the cell edges and U^-1(edges) cuts
     [0, G) into gaps, each of which lies in one piece of U and one cell and maps
     into one cell (a repeated point makes a gap of length 0); one scatter-add
-    per power, as it comes, puts their lengths at (image cell, cell)."""
+    per power, as it comes, puts their lengths at (image cell, cell) of one
+    array in the lattice's dtype, which the caller may overwrite: it is zeroed
+    after each stack."""
     D = 1 << depth
     lattice = IetLattice.of(T).scaled(D)
     G, unit, dtype = lattice.Q, lattice.Q >> depth, lattice.cuts.dtype  # unit: a cell's length
     width = min(max(1, BLOCK_ENTRIES >> 2 * depth), len(times))
-    R = np.zeros((width, D, D), dtype=_sum_dtype(G))  # [k, image cell, cell], reused
+    R = np.zeros((width, D, D), dtype=dtype)  # [k, image cell, cell], reused
     edges, end = np.arange(D, dtype=dtype) * unit, np.array([G], dtype=dtype)  # cells' left ends
 
     def blocks():
@@ -213,7 +215,7 @@ def _cells(T: IntervalExchange, times: list[int], depth: int):
         for m, U in lattice.powers(times):
             x = np.sort(np.concatenate((U.cuts, edges, U.inverse.apply(edges), end)))  # gaps' ends
             place = (U.apply(x[:-1]) // unit + len(stack) * D) * D + x[:-1] // unit
-            np.add.at(R.reshape(-1), place.astype(np.intp, copy=False), np.diff(x).astype(R.dtype))
+            np.add.at(R.reshape(-1), place.astype(np.intp, copy=False), np.diff(x))
             stack.append(m)
             if len(stack) == min(width, left):
                 yield stack, R[:len(stack)]
@@ -361,11 +363,6 @@ def correlation_matrix(T, m: int, family: TestFamily) -> list[list[Fraction]]:
 # -- weak distances ---------------------------------------------------------------
 
 
-def _sum_dtype(bound: int):
-    """float64 while every integer up to ``bound`` is exact in it, else :func:`int_dtype`."""
-    return np.float64 if bound < 2**53 else int_dtype(bound)
-
-
 def _coefficients(sets, G: int, D: int | None) -> np.ndarray:
     """c_lp over the pairs of the sets' levels, ascending, l_a major: w_lp = mu_a
     mu_b / (sum of the sets' measures)^2, K_lp = 2^(l_a + l_b) if D is None
@@ -386,13 +383,6 @@ def _combine(S: np.ndarray, c: np.ndarray) -> list[float]:
     return (S.reshape(len(S), -1).astype(float, order="C") * c).sum(axis=1).tolist()
 
 
-def _exact(C: np.ndarray, dtype) -> np.ndarray:
-    """The integers C in ``dtype``, C itself if it has it, through int64 from
-    float64 (which would give Python floats in an object array)."""
-    return C.astype(np.int64 if dtype is object and C.dtype == np.float64 else dtype,
-                    copy=False).astype(dtype, copy=False)
-
-
 def _complete(sets) -> bool:
     """Whether the dyadic intervals are the complete family of their depth, in any order."""
     depth = max(s.level for s in sets)
@@ -401,58 +391,50 @@ def _complete(sets) -> bool:
 
 
 def _distances(T, ms: Sequence[int], family: TestFamily, mode) -> list[float]:
-    """The weak distances of T^m, m in ``ms``, to ``mode``'s target ("theta",
-    "identity" or an :class:`AdmissibleSpec`): S_lp sums |K * C - t| over the
-    level pair's pairs of the sets sorted by level.  Theta has K = 2^(l_a + l_b)
-    and t = G; a spec a Theta + sum c_i T^(p_i), the identity 0 Theta + 1 T^0
-    among them, has K = D = 4^d lcm(denominators) and t = D G a mu_a mu_b + sum
-    D c_i C_i, C_i read as C is, both divided by their gcd (the identity's D is
-    1).  The complete dyadic family sums the pooled blocks of C and t of each
-    level pair, any other its own matrices over each level's rows, then columns,
-    with |K * C - t| in place while n times the largest entry is exact in its
-    dtype, and only the row sums widened."""
+    """The weak distances of T^m, m in ``ms``, to ``mode``'s target, an
+    :class:`AdmissibleSpec` a Theta + sum c_i T^(p_i) ("theta" is 1 Theta and
+    "identity" 0 Theta + 1 T^0): S_lp sums |D * C - t| over the level pair's
+    pairs of the sets sorted by level, with D = 4^d lcm(denominators) and t =
+    D G a mu_a mu_b + sum D c_i C_i, C_i read as C is, both divided by their
+    gcd.  X = D * C - t is formed in place on each stack: per cell for the
+    complete dyadic family (Theta's part of t is one value for every cell),
+    whose level pairs are then pooled from X once, else per set pair, summed
+    over each level's rows, then columns.  Arrays are int64 while n times the
+    largest |X| fits (:func:`~seqent.systems.int_dtype`), else Python ints, and
+    only the row sums are widened."""
     sets = sorted(family.sets, key=lambda s: s.level)  # each level's rows and columns together
     level = np.array([s.level for s in sets])
     depth, starts = int(level[-1]), np.unique(level, return_index=True)[1]
     G, blocks = _numerators(T, ms, sets)  # which checks T, the sets and the times first
     pooled = isinstance(T, IntervalExchange) and _complete(sets)  # (l_a, l_b) is S[:, l_a, l_b]
-    D, t = None, G
-    if mode != "theta":
-        a, terms = (ZERO, ((0, ONE),)) if mode == "identity" else (mode.theta_weight, mode.terms)
-        D = math.lcm(a.denominator, *(c.denominator for _, c in terms)) << 2 * depth
-        itype = int_dtype(D * G)
-        # a pair's cells, e_a e_b = 4^d mu_a mu_b, each D G a 4^-d of the Theta part
-        e = np.ones(1 << depth, itype) if pooled else (1 << depth - level).astype(itype)
-        t = np.outer(e, e)[None] * (G * int(D * a) >> 2 * depth)
-        for p, c in terms:
-            C = next(_numerators(T, [p], sets)[1])[1]
-            t = t + int(D * c) * _exact(C if pooled else _read(T, C, sets), itype)
-        g = math.gcd(D, int(np.gcd.reduce(t, axis=None)))  # pooled: over the cells
-        D, t = D // g, t // g
-    # the largest |K * C - t| (K * C <= G * 2^min(l_a, l_b) for Theta); n of them make a row
-    most = G * (D or 1 << depth)
-    dtype, wide = _sum_dtype(len(sets) * most), _sum_dtype(len(sets) ** 2 * most)
-    t = t if D is None else _exact(t, dtype)
-    k = (1 << level).astype(dtype)  # any other family's Theta K = k_a k_b
-    c, values = _coefficients(sets, G, D), {}
+    if isinstance(mode, str):
+        mode = AdmissibleSpec(ONE, ()) if mode == "theta" else AdmissibleSpec(ZERO, ((0, ONE),))
+    a, terms = mode.theta_weight, mode.terms
+    D = math.lcm(a.denominator, *(c.denominator for _, c in terms)) << 2 * depth
+    itype = int_dtype(D * G)
+    # a pair's cells, e_a e_b = 4^d mu_a mu_b, each D G a 4^-d of the Theta part
+    e = np.ones(1, itype) if pooled else (1 << depth - level).astype(itype)
+    t = np.outer(e, e)[None] * (G * int(D * a) >> 2 * depth)
+    for p, c in terms:
+        C = next(_numerators(T, [p], sets)[1])[1]
+        t = t + int(D * c) * (C if pooled else _read(T, C, sets)).astype(itype)
+    g = math.gcd(D, int(np.gcd.reduce(t, axis=None)))  # pooled: over the cells
+    D, t = D // g, t // g
+    dtype, wide = (int_dtype(n * D * G) for n in (len(sets), len(sets) ** 2))
+    t, c, values = t.astype(dtype, copy=False), _coefficients(sets, G, D), {}
     for stack, C in blocks:
+        X = (C if pooled else _read(T, C, sets)).astype(dtype, copy=False)  # ours to overwrite
+        if D != 1:
+            X *= D
+        X -= t
         if pooled:
-            S = np.zeros((len(stack), depth + 1, depth + 1), dtype=wide)
-            targets = repeat((0, 0, t)) if D is None else _pooled(t, depth)
-            for (la, lb, V), (_, _, Z) in zip(_pooled(C, depth), targets):
-                X, K = _exact(V, dtype), D or 1 << la + lb
-                X = np.multiply(X, K, out=None if X is V else X) if K != 1 else X
-                X = np.subtract(X, Z, out=None if X is V else X)  # V is pooled further
-                np.abs(X, out=X)
-                S[:, la, lb] = X.sum(axis=(1, 2)) if dtype == wide else _exact(
-                    X.sum(axis=2), wide).sum(axis=1)
+            S = np.zeros((len(stack), depth + 1, depth + 1), dtype=dtype)
+            for la, lb, P in _pooled(X, depth):
+                S[:, la, lb] = np.abs(P).sum(axis=(1, 2))
         else:
-            S = _exact(_read(T, C, sets), dtype)  # fresh arrays, which S may be
-            for K in (k[:, None], k) if D is None else (D,) if D != 1 else ():
-                S *= K
-            S -= t
-            np.abs(S, out=S)
-            S = np.add.reduceat(_exact(np.add.reduceat(S, starts, axis=1), wide), starts, axis=2)
+            np.abs(X, out=X)
+            S = np.add.reduceat(np.add.reduceat(X, starts, axis=1).astype(wide, copy=False),
+                                starts, axis=2)
         values.update(zip(stack, _combine(S, c)))
     return [values[m] for m in ms]  # integers: _numerators checked them
 

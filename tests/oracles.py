@@ -42,7 +42,7 @@ from seqent.seqentropy import (
 )
 from seqent.systems import (IetLattice, RectLattice, int_dtype, interior_discontinuity_segments,
                             lattice_ints)
-from seqent.weaklimits import _checked_times, _coefficients, _combine, _distances, _sum_dtype
+from seqent.weaklimits import _checked_times, _coefficients, _combine, _distances
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -251,9 +251,11 @@ def per_power_join_gaps(T, xi, times, signs: str):
 
 def blocked_distances(T, ms, family, mode: str) -> list:
     """The weak distances to ``mode``'s targets from the lattice kernel's
-    stacks of cell matrices (``weaklimits._numerators``), pooled to each level
-    pair for the complete dyadic family and read from prefix sums for any
-    other: the path of every exchange but a rotation with the complete family."""
+    stacks of cell matrices (``weaklimits._numerators``), Theta and the
+    identity evaluated as admissible specs: the target is subtracted per cell
+    and the difference pooled to each level pair for the complete dyadic
+    family, and subtracted per set pair read from prefix sums for any other.
+    The path of every exchange but a rotation with the complete family."""
     return _distances(T, ms, family, mode)
 
 
@@ -307,7 +309,7 @@ def rotation_class_sums(T, ms, family, mode: str) -> list:
         return np.maximum(np.minimum(B_len, end) - d, 0) + np.maximum(np.minimum(B_len, end - G), 0)
 
     theta = mode == "theta"
-    dtype = _sum_dtype(n * n * (G << depth if theta else G))
+    dtype = int_dtype(n * n * (G << depth if theta else G))
     K, t = ((1 << la + lb)[pair], G) if theta else (1, overlaps(np.zeros((1, 1), dtype=itype)))
     c, starts = _coefficients(sets, G, None if theta else 1), np.flatnonzero(np.diff(pair, prepend=-1))
     width, shift, values = max(1, weaklimits.BLOCK_ENTRIES >> 2 * depth), rho << depth, {}

@@ -336,11 +336,10 @@ def test_rotations_and_the_kernel_stack_by_one_width_rule(width):
        st.lists(TIMES, min_size=1, max_size=6))
 @example(IntervalExchange.identity(), [0, -3, 5, 0])
 @example(IntervalExchange.rotation(Fraction(2**62 + 1, 2**63 + 5)), [-2, 0, 3, 3])  # object tier
-def test_closed_form_rotation_powers_equal_composed_ones(T, times):
+def test_rotation_powers_by_squares_equal_composed_ones(T, times):
     lattice = IetLattice.of(T)
     assert lattice.shift is not None
-    with mock.patch.object(IetLattice, "compose", side_effect=AssertionError("composed")):
-        powers = list(lattice.powers(times))
+    powers = list(lattice.powers(times))
     assert [t for t, _ in powers] == sorted(set(times), key=lambda t: (t != 0, t < 0, abs(t)))
     for t, U in powers:
         want = composed_power(lattice, t)
@@ -436,6 +435,29 @@ def rectangle_families(draw):
                                 Dyadic2D(1, 1, 2, 3), Dyadic2D(0, 0, 1, 0))))
 def test_blocked_baker_kernel_matches_cylinder_oracle(times, family):
     check_blocked_kernel(BakerMap(), times, family, 1)
+
+
+THETA, IDENTITY = AdmissibleSpec(1, ()), AdmissibleSpec(0, ((0, 1),))
+PAST_2_62 = IntervalExchange(  # G = Q * 2^d past 2^62: Python integers
+    (Fraction(1, 3), Fraction(1, 2**61 + 1), Fraction(2, 3) - Fraction(1, 2**61 + 1)), (2, 0, 1))
+
+
+@SETTINGS
+@given(st.tuples(st.one_of(iets(), wide_iets(), cyclic_shifts(), rational_rotations(
+                     st.integers(1, 10**4)), rational_rotations(st.integers(2**48, 2**64))),
+                 interval_families_to_depth_6())
+       | st.tuples(st.just(BakerMap()), rectangle_families()), scan_times())
+@example((PAST_2_62, REPEATS), [-2, 0, 5, 5])
+@example((IntervalExchange.rotation(Fraction(2**61 - 1, 2**62 - 57)), Family.dyadic_intervals(3)),
+         [-1, 0, 1, 7])
+@example((golden_rotation().to_iet(), Family.dyadic_intervals(6)), [-5, 0, 1, 2, 3, 89])
+@example((BakerMap(), Family.dyadic_rectangles(6)), [-9, -3, 0, 2, 20])
+def test_theta_and_the_identity_are_admissible_specs(system, times):
+    # a rotation scans the complete family in closed form, and a spec always takes the kernel
+    T, family = system
+    for mode, spec in (("theta", THETA), ("identity", IDENTITY)):
+        assert _scan_distances(T, times, family, mode) == weaklimits._distances(
+            T, times, family, spec)
 
 
 @st.composite

@@ -141,8 +141,7 @@ class TestExactJoin:
     def test_rotation_join_builds_no_power(self):
         family, xi = make_progression_family(1, 64), IntervalPartition.dyadic(2)
         refuse = AssertionError("a rotation join built a power")
-        with mock.patch.object(IetLattice, "powers", side_effect=refuse), \
-                mock.patch.object(IetLattice, "_rotation", side_effect=refuse):
+        with mock.patch.object(IetLattice, "powers", side_effect=refuse):
             exact_join(golden_iet(), xi, family)
             join_for(IntervalExchange.rotation(F(2**62 + 1, 2**63 + 5)), xi, family)  # object tier
         four = IntervalExchange((F(1, 5), F(2, 7), F(3, 11), F(93, 385)), (3, 2, 1, 0))

@@ -267,6 +267,32 @@ class TestAdmissible:
         with pytest.raises(BudgetError):
             dist_to_admissible(ROT, MAX_POWER + 1, AdmissibleSpec(0, ((0, 1),)), FAM4)
 
+    def test_kernel_pools_each_stack_once(self, monkeypatch):
+        # a target is subtracted per cell before pooling, not pooled again beside each stack
+        calls, combine, pooled, weigh = [], [], weaklimits._pooled, weaklimits._combine
+        monkeypatch.setattr(weaklimits, "_pooled", lambda C, d: calls.append(1) or pooled(C, d))
+        monkeypatch.setattr(weaklimits, "_combine", lambda S, c: combine.append(1) or weigh(S, c))
+        monkeypatch.setattr(weaklimits, "BLOCK_ENTRIES", 3 * 4**4)  # three powers per stack
+        spec = AdmissibleSpec(F(1, 4), ((2, F(1, 2)), (-1, F(1, 4))))
+        for scan in (lambda: rigidity_scan(T4, 10, 0.02, FAM4),
+                     lambda: weaklimits._distances(T4, range(-4, 6), FAM4, spec)):
+            calls.clear()
+            combine.clear()
+            scan()
+            assert len(combine) == 4 and len(calls) == len(combine)
+
+    def test_sums_are_integers_for_every_target(self, monkeypatch):
+        seen, combine = set(), weaklimits._combine
+        monkeypatch.setattr(weaklimits, "_combine", lambda S, c: seen.add(S.dtype) or combine(S, c))
+        q = 2**61 + 1  # G past 2^62: Python integers
+        wide = IntervalExchange((F(1, 3), F(1, q), 1 - F(1, 3) - F(1, q)), (2, 0, 1))
+        spec = AdmissibleSpec(F(1, 2), ((3, F(1, 2)),))
+        for T, fam in ((T4, FAM4), (T4, SPARSE_1D), (wide, FAM4), (wide, SPARSE_1D),
+                       (BakerMap(), FAM2D), (BakerMap(), SPARSE_2D)):
+            for mode in ("theta", "identity", spec):
+                weaklimits._distances(T, [1, 2, -3], fam, mode)
+        assert seen == {np.dtype(np.int64), np.dtype(object)}
+
     def test_coefficients_validated(self):
         with pytest.raises(ValidationError):
             AdmissibleSpec(F(1, 2), ((1, F(1, 3)),))
@@ -339,7 +365,7 @@ class TestScans:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
     def test_depth_11_kernel_scan_peaks_at_most_200_mb(self):
-        # the kernel's stack is one 2048 x 2048 float64 cell matrix (32 MB), read level pair
+        # the kernel's stack is one 2048 x 2048 int64 cell matrix (32 MB), read level pair
         # by level pair, not a 4095 x 4095 matrix of the complete family (134 MB)
         code = ("from fractions import Fraction as F\n"
                 "from seqent import IntervalExchange, mixing_time_scan\n"
@@ -355,8 +381,8 @@ class TestScans:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
     def test_depth_11_identity_scan_peaks_at_most_240_mb(self):
-        # the identity is a target read from T^0's cell matrix pooled beside each power's,
-        # not a second 4095 x 4095 matrix of the complete family (288 MB before)
+        # the identity's target comes from T^0's cell matrix and is subtracted per cell before a
+        # stack is pooled, not a second 4095 x 4095 matrix of the complete family (288 MB before)
         code = ("from fractions import Fraction as F\n"
                 "from seqent import IntervalExchange, rigidity_scan\n"
                 "from seqent.weaklimits import TestFamily\n"
@@ -370,9 +396,9 @@ class TestScans:
         assert int(out.stdout) / 1024 <= 240
 
     def test_wide_sums_of_float_rows_stay_exact(self):
-        # 601 sets, repeats included, on a lattice near 2^42: each row sum is exact in
-        # float64, but a level pair's sum needs Python ints, which float rows once
-        # became as Python floats, off in the last bits
+        # 601 sets, repeats included, on a lattice near 2^42: each row sum fits int64,
+        # but a level pair's sum needs Python ints, to which the row sums are widened
+        # (float64 rows once became Python floats there, off in the last bits)
         q = 1_150_000_000_001
         T = IntervalExchange((F(1, 3), F(1, q), 1 - F(1, 3) - F(1, q)), (1, 2, 0))
         distinct, repeats = (Dyadic1D(0, 0), Dyadic1D(1, 0), Dyadic1D(1, 1)), (1, 300, 300)
